@@ -24,11 +24,14 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.15;
+/// Session builds per cycle; `first_run_s` is the median over all of
+/// them, and the last one is written as the snapshot.
+const BUILDS_PER_CYCLE: usize = 3;
 /// Daemon start-ups from the snapshot per cycle; `setup_s` is the
 /// median over all of them.
 const STARTS_PER_CYCLE: usize = 3;
 /// How long each cycle serves the load.
-const CYCLE: Duration = Duration::from_secs(3);
+const CYCLE: Duration = Duration::from_secs(5);
 /// Cycles measured even when the window closes first.
 const MIN_CYCLES: u64 = 2;
 /// Offered read rate, requests per second, on one connection. A single
@@ -118,15 +121,15 @@ fn reader(
         if traced {
             tr.exit();
         }
-        let latency = if ok {
-            due.elapsed().as_secs_f64()
+        let (latency, service) = if ok {
+            (due.elapsed().as_secs_f64(), sent.elapsed().as_secs_f64())
         } else {
-            f64::INFINITY
+            (f64::INFINITY, f64::INFINITY)
         };
         out.attempted += 1;
         out.failed += u64::from(!ok);
         out.late_s.push((sent - due).as_secs_f64());
-        out.service_s.push(sent.elapsed().as_secs_f64());
+        out.service_s.push(service);
         if topk {
             &mut out.topk_s
         } else {
@@ -315,9 +318,15 @@ fn cycle(
     tr: &mut Tracer,
     id_base: u64,
 ) {
-    let (mut engine, summary) = layers::build(g, cfg, tr);
-    t.warm.push(layers::warm_run(&mut engine, tr, true));
-    t.builds.push(summary);
+    let mut engine = None;
+    for _ in 0..BUILDS_PER_CYCLE {
+        drop(engine.take());
+        let (mut e, summary) = layers::build(g, cfg, tr);
+        t.warm.push(layers::warm_run(&mut e, tr, true));
+        t.builds.push(summary);
+        engine = Some(e);
+    }
+    let engine = engine.expect("BUILDS_PER_CYCLE > 0");
     let pre_hash = score_hash(engine.iter_pairs());
     let (write_s, written) = tr.span("snapshot.write", || timed(|| engine.write_snapshot(path)));
     written.expect("snapshot write succeeds");
@@ -502,11 +511,13 @@ pub fn run(args: &Args, origin: Instant) -> Outcome {
     let m = &mut out.metrics;
     m.put("setup_s", stats::median(&t.setup_s), "s");
     layers::record(m, &t.builds, &t.warm);
-    // The declared operation is the write path as a client sees it: read
-    // latencies on this workload are tens of microseconds, where the
-    // wake-up noise of a shared virtual machine moves their run-to-run
-    // medians by more than any usable bound, so they are reported only.
-    report::put_latency(m, "op", "ms", 1e3, &t.visible_s);
+    // The declared operation is a read as the server answers it, from
+    // send to response. Timed from its due time, a read also carries the
+    // generator's own wake-up lateness; edit visibility is dominated by a
+    // CPU-bound batch beside three busy threads on two cores. Between
+    // runs both moved with the host's CPU steal by more than the bound,
+    // so they are reported only.
+    report::put_latency(m, "op", "ms", 1e3, &rd.service_s);
     let reads: Vec<f64> = rd.score_s.iter().chain(&rd.topk_s).copied().collect();
     report::put_latency(m, "read", "ms", 1e3, &reads);
     report::put_latency(m, "score", "us", 1e6, &rd.score_s);
