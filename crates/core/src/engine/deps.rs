@@ -53,7 +53,7 @@ pub(crate) struct PairDepCsr {
     rdep_offsets: Vec<usize>,
     /// Reverse CSR: for each slot, the slots whose update reads it. May
     /// contain duplicates (a source feeding both directions of one pair);
-    /// the scheduler's epoch marks deduplicate for free.
+    /// the frontier's epoch marks deduplicate for free.
     rdeps: Vec<u32>,
 }
 
@@ -253,14 +253,31 @@ impl PairDepCsr {
             + self.dims.len() * std::mem::size_of::<[u32; 4]>()
     }
 
-    /// Slot → dependents offsets (for the dirty scheduler).
+    /// Slot → dependents offsets (for the delta frontier).
     pub(crate) fn rdep_offsets(&self) -> &[usize] {
         &self.rdep_offsets
     }
 
-    /// Concatenated dependents (for the dirty scheduler).
+    /// Concatenated dependents (for the delta frontier).
     pub(crate) fn rdeps(&self) -> &[u32] {
         &self.rdeps
+    }
+
+    /// Whether any maintained dependency of `slot` (either direction) is
+    /// set in `bits` (bit `s % 64` of word `s / 64`) — the dense pull's
+    /// membership test, stopping at the first hit. Exactly the slots the
+    /// reverse CSR lists as dependents of the set bits answer true.
+    #[inline]
+    pub(crate) fn reads_any(&self, slot: usize, bits: &[u64]) -> bool {
+        let hit = |e: &DepEntry| {
+            e.slot != DepEntry::CONST && bits[e.slot as usize / 64] >> (e.slot % 64) & 1 != 0
+        };
+        self.out_entries[self.out_offsets[slot]..self.out_offsets[slot + 1]]
+            .iter()
+            .any(hit)
+            || self.in_entries[self.in_offsets[slot]..self.in_offsets[slot + 1]]
+                .iter()
+                .any(hit)
     }
 
     /// Borrows the seven raw columns for the snapshot codec
@@ -1133,6 +1150,43 @@ mod tests {
         let clean = vec![false; store.len()];
         let same = csr.repaired(&g1, &g2, &ctx, &store, &op, &identity, &identity, &clean);
         assert_eq!(same, csr);
+    }
+
+    #[test]
+    fn reads_any_pulls_exactly_the_pushed_dependents() {
+        let (g1, g2, cfg) = setup();
+        let aligned = super::super::session::AlignedLabels::new(&g1, &g2);
+        let eval = super::super::session::build_label_eval(&cfg, &aligned.interner);
+        let ctx = OpCtx {
+            labels1: &aligned.labels1,
+            labels2: &aligned.labels2,
+            label_eval: &eval,
+            theta: cfg.theta,
+        };
+        let op = VariantOp::new(cfg.variant);
+        let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
+        let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+        let n = store.len();
+        for stride in [1, 2, 5, n + 1] {
+            let changed: Vec<usize> = (0..n).step_by(stride).collect();
+            let mut bits = vec![0u64; n.div_ceil(64)];
+            for &c in &changed {
+                bits[c / 64] |= 1 << (c % 64);
+            }
+            let mut pushed = vec![false; n];
+            for &c in &changed {
+                for &d in &csr.rdeps[csr.rdep_offsets[c]..csr.rdep_offsets[c + 1]] {
+                    pushed[d as usize] = true;
+                }
+            }
+            for (slot, &want) in pushed.iter().enumerate() {
+                assert_eq!(
+                    csr.reads_any(slot, &bits),
+                    want,
+                    "stride {stride} slot {slot}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,16 @@
 //! * the **delta-driven** loop walks the prepared
 //!   [`PairDepCsr`](super::deps::PairDepCsr) and re-evaluates a pair only
 //!   if one of its dependencies changed in the previous iteration —
-//!   bitwise identical to the sweep;
+//!   bitwise identical to the sweep. Its [`Frontier`] switches direction
+//!   per iteration like direction-optimizing BFS: while the changed
+//!   slots have fewer dependents in total than there are slots
+//!   (`Σ |rdeps(changed)| < |H|`) it **pushes** through the reverse CSR
+//!   and visits the worklist in slot order; otherwise it **pulls** — one
+//!   slot-order pass evaluates exactly the slots with a dependency in the
+//!   changed bitmap and copies every other slot forward. Both select the
+//!   same slots (the update is Jacobi, so the visit order cannot change
+//!   a bit); only locality and frontier cost differ. Replay's trajectory
+//!   phase and approximate runs only push;
 //! * the **sharded** loop ([`super::shards`]) applies the same dirty rule
 //!   over transient per-u-row-shard CSRs with boundary exchange — still
 //!   bitwise identical, with peak CSR memory bounded to one shard;
@@ -17,8 +26,12 @@
 //!   deltas accumulate until a re-evaluation, so the final accumulators
 //!   bound the distance to the exact result (Theorem 2's contraction).
 //!   It composes with both the unsharded and the sharded dirty loops.
+//!
+//! Every driver's `iter_seconds` covers the whole iteration: repair,
+//! evaluation, frontier construction and trajectory recording.
 
 use super::deps::PairDepCsr;
+use super::frontier::{slot_ids, Frontier, Step};
 use super::parallel::{run_parallel, run_parallel_delta, IterationOutcome, Runtime};
 use crate::config::{FsimConfig, InitScheme};
 use crate::operators::{OpCtx, OpScratch, Operator, ScoreLookup};
@@ -164,17 +177,17 @@ impl ApproxState {
         }
     }
 
-    /// Folds the iteration's pending contributions into the accumulators,
-    /// invoking `on_cross` for every slot whose accumulator now exceeds
-    /// the threshold (each touched slot is reported at most once).
-    pub(crate) fn commit(&mut self, mut on_cross: impl FnMut(u32)) {
+    /// Folds the iteration's pending contributions into the accumulators
+    /// and returns every touched slot whose accumulator now exceeds the
+    /// threshold (each at most once).
+    pub(crate) fn commit(&mut self) -> impl Iterator<Item = u32> + '_ {
         for &t in &self.touched {
-            let i = t as usize;
-            self.acc[i] += self.pend[i];
-            if self.acc[i] > self.threshold {
-                on_cross(t);
-            }
+            self.acc[t as usize] += self.pend[t as usize];
         }
+        self.touched
+            .iter()
+            .copied()
+            .filter(|&t| self.acc[t as usize] > self.threshold)
     }
 
     /// The largest accumulator — the residual term of the certified
@@ -459,9 +472,10 @@ pub(crate) fn run_sweep_slots<O: Operator>(
 /// Iterates Equation 3 to convergence with **dirty-pair scheduling** over
 /// a prepared [`PairDepCsr`]: iteration 1 evaluates every slot; iteration
 /// `k > 1` evaluates only the dependents of slots whose score changed
-/// (bitwise) in iteration `k−1`. Clean slots keep their previous score
-/// exactly — the update is a pure function of inputs that did not change —
-/// so the outcome is bitwise identical to [`run_to_convergence`].
+/// (bitwise) in iteration `k−1`, found by the direction-optimizing
+/// [`Frontier`] and visited in slot order. Clean slots keep their previous
+/// score exactly — the update is a pure function of inputs that did not
+/// change — so the outcome is bitwise identical to [`run_to_convergence`].
 ///
 /// Two optional refinements:
 /// * `initial_worklist` replaces the evaluate-everything first iteration
@@ -470,8 +484,8 @@ pub(crate) fn run_sweep_slots<O: Operator>(
 ///   incoming scores.
 /// * `approx` switches on ε-aware scheduling: iteration `k+1` evaluates
 ///   only dependents whose accumulated incoming-delta bound crossed the
-///   [`ApproxState`] threshold. No longer bitwise; the state's final
-///   accumulators certify the error.
+///   [`ApproxState`] threshold (always a sparse step). No longer bitwise;
+///   the state's final accumulators certify the error.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_delta<O: Operator>(
     cfg: &FsimConfig,
@@ -482,10 +496,11 @@ pub(crate) fn run_delta<O: Operator>(
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
-    initial_worklist: Option<Vec<u32>>,
-    mut approx: Option<&mut ApproxState>,
+    initial_worklist: Option<&[u32]>,
+    approx: Option<&mut ApproxState>,
     rt: Option<&Runtime>,
 ) -> IterationOutcome {
+    let lap = Instant::now();
     debug_assert_eq!(scores.len(), store.len());
     let n = store.len();
     cur.clear();
@@ -500,8 +515,7 @@ pub(crate) fn run_delta<O: Operator>(
             cfg.epsilon,
             scores,
             cur,
-            csr.rdep_offsets(),
-            csr.rdeps(),
+            csr,
             record,
             initial_worklist,
             approx,
@@ -511,125 +525,172 @@ pub(crate) fn run_delta<O: Operator>(
         );
     }
 
-    if initial_worklist.is_some() {
-        // Warm start: slots outside the worklist must read through the
-        // double buffer as-is.
-        cur.copy_from_slice(scores);
-    }
+    let frontier = match initial_worklist {
+        Some(slots) => {
+            // Warm start: slots outside the worklist must read through the
+            // double buffer as-is.
+            cur.copy_from_slice(scores);
+            Frontier::seeded(n, slots)
+        }
+        None => Frontier::all(n),
+    };
     if let Some(h) = record.as_deref_mut() {
         h.push(scores);
     }
-    let rdo = csr.rdep_offsets();
-    let rd = csr.rdeps();
+    delta_loop(
+        cfg,
+        op,
+        store,
+        csr,
+        label_terms,
+        scores,
+        cur,
+        record,
+        approx,
+        frontier,
+        IterationOutcome::empty(),
+        lap,
+    )
+}
+
+/// The sequential delta iteration from `frontier`'s step on, continuing
+/// `out`: each iteration copies the stale slots forward, evaluates the
+/// step, and schedules the next one. `lap` started when the first of these
+/// iterations' work did, so `iter_seconds` covers repair, evaluation,
+/// frontier construction and recording.
+#[allow(clippy::too_many_arguments)]
+fn delta_loop<O: Operator>(
+    cfg: &FsimConfig,
+    op: &O,
+    store: &PairStore,
+    csr: &PairDepCsr,
+    label_terms: &[f64],
+    scores: &mut Vec<f64>,
+    cur: &mut Vec<f64>,
+    mut record: Option<&mut Recorder<'_>>,
+    mut approx: Option<&mut ApproxState>,
+    mut frontier: Frontier,
+    mut out: IterationOutcome,
+    mut lap: Instant,
+) -> IterationOutcome {
+    let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
+    let max_iters = cfg.effective_max_iters();
     let mut scratch = OpScratch::new();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut final_delta = f64::INFINITY;
-    let mut pairs_evaluated = Vec::new();
-    let mut iter_seconds = Vec::new();
-    // D_k: slots to evaluate this iteration (all of them at first, unless
-    // warm-started).
-    let mut worklist: Vec<u32> = initial_worklist.unwrap_or_else(|| (0..n as u32).collect());
-    // C_{k−1}: slots whose score changed last iteration.
+    // C_k: slots whose score changed this iteration.
     let mut changed: Vec<u32> = Vec::new();
-    // Worklist-membership marks: mark[s] == epoch ⇔ s ∈ current worklist.
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 0u64;
-    while iterations < max_iters {
-        let t0 = Instant::now();
-        // Repair C_{k−1} \ D_k: a slot that changed last iteration but is
-        // not re-evaluated now still holds its two-iterations-old value in
-        // `cur`; copy the current value forward so `cur` ends the
-        // iteration complete.
-        for &s in &changed {
-            if mark[s as usize] != epoch {
-                cur[s as usize] = scores[s as usize];
-            }
+    while out.iterations < max_iters {
+        for s in frontier.stale() {
+            cur[s] = scores[s];
         }
-        changed.clear();
-        let mut delta = 0.0f64;
-        for &slot_id in &worklist {
-            let slot = slot_id as usize;
-            let s = csr.eval_slot(
-                cfg,
-                op,
-                store,
-                slot,
-                scores,
-                &mut scratch,
-                label_terms[slot],
-            );
-            let d = (s - scores[slot]).abs();
-            if d > delta {
-                delta = d;
-            }
-            if s.to_bits() != scores[slot].to_bits() {
-                changed.push(slot_id);
-            }
-            cur[slot] = s;
-        }
-        pairs_evaluated.push(worklist.len());
+        let step = frontier.step();
+        let (delta, evaluated) = eval_step(
+            cfg,
+            op,
+            store,
+            csr,
+            label_terms,
+            step,
+            scores,
+            cur,
+            &mut changed,
+            &mut scratch,
+        );
+        out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
+        out.pairs_evaluated.push(evaluated);
         std::mem::swap(scores, cur);
         if let Some(h) = record.as_deref_mut() {
             h.push(scores);
         }
-        final_delta = delta;
-        iterations += 1;
-        iter_seconds.push(t0.elapsed().as_secs_f64());
-        if let Some(ap) = approx.as_deref_mut() {
+        out.final_delta = delta;
+        out.iterations += 1;
+        let done = if let Some(ap) = approx.as_deref_mut() {
             // Evaluated slots are exact w.r.t. the iterate they read;
             // reset their drift *before* folding in this iteration's
             // changes (which postdate the reads). Propagation must run
             // even on the converging iteration so the final accumulators
             // certify the returned scores.
-            for &s in &worklist {
+            for &s in frontier.worklist() {
                 ap.acc[s as usize] = 0.0;
             }
-            epoch += 1;
-            worklist.clear();
             ap.begin();
             for &c in &changed {
-                let d = (scores[c as usize] - cur[c as usize]).abs();
-                for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
+                let c = c as usize;
+                let d = (scores[c] - cur[c]).abs();
+                for &dep in &rd[rdo[c]..rdo[c + 1]] {
                     ap.bump(dep, d);
                 }
             }
-            ap.commit(|t| {
-                if mark[t as usize] != epoch {
-                    mark[t as usize] = epoch;
-                    worklist.push(t);
-                }
-            });
-            if delta < ap.stop_delta {
-                converged = true;
-                break;
-            }
-            continue;
-        }
-        if delta < cfg.epsilon {
-            converged = true;
+            frontier.push_slots(&mut changed, ap.commit());
+            delta < ap.stop_delta
+        } else if delta < cfg.epsilon {
+            true
+        } else {
+            frontier.advance(&mut changed, rdo, rd);
+            false
+        };
+        out.iter_seconds.push(lap.elapsed().as_secs_f64());
+        lap = Instant::now();
+        if done {
+            out.converged = true;
             break;
         }
-        // Next worklist: the dependents of every changed slot.
-        epoch += 1;
-        worklist.clear();
-        for &c in &changed {
-            let (a, b) = (rdo[c as usize], rdo[c as usize + 1]);
-            for &dep in &rd[a..b] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
+    }
+    out
+}
+
+/// Evaluates one delta step of Equation 3 from `prev` into `next`: the
+/// listed slots of a sparse step, or — for a dense step — every slot that
+/// reads a changed one, copying every other slot forward. Appends the
+/// slots whose score changed bitwise to `changed`; returns the step's max
+/// delta and the number of slots evaluated.
+#[allow(clippy::too_many_arguments)]
+fn eval_step<O: Operator>(
+    cfg: &FsimConfig,
+    op: &O,
+    store: &PairStore,
+    csr: &PairDepCsr,
+    label_terms: &[f64],
+    step: Step<'_>,
+    prev: &[f64],
+    next: &mut [f64],
+    changed: &mut Vec<u32>,
+    scratch: &mut OpScratch,
+) -> (f64, usize) {
+    let mut delta = 0.0f64;
+    let mut eval = |slot_id: u32, next: &mut [f64]| {
+        let slot = slot_id as usize;
+        let s = csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot]);
+        let d = (s - prev[slot]).abs();
+        if d > delta {
+            delta = d;
+        }
+        if s.to_bits() != prev[slot].to_bits() {
+            changed.push(slot_id);
+        }
+        next[slot] = s;
+    };
+    let evaluated = match step {
+        Step::Sparse(worklist) => {
+            for &slot_id in worklist {
+                eval(slot_id, next);
+            }
+            worklist.len()
+        }
+        Step::Dense(bits) => {
+            let mut evaluated = 0;
+            for slot_id in slot_ids(prev.len()) {
+                let slot = slot_id as usize;
+                if csr.reads_any(slot, bits) {
+                    eval(slot_id, next);
+                    evaluated += 1;
+                } else {
+                    next[slot] = prev[slot];
                 }
             }
+            evaluated
         }
-    }
-    IterationOutcome {
-        iterations,
-        converged,
-        final_delta,
-        pairs_evaluated,
-        iter_seconds,
-    }
+    };
+    (delta, evaluated)
 }
 
 /// **Trajectory replay**: converges on an *edited* graph by replaying the
@@ -645,12 +706,12 @@ pub(crate) fn run_delta<O: Operator>(
 /// inputs, so the copied value is exactly what re-evaluation would
 /// produce. Divergence is tracked against the old trajectory (not between
 /// consecutive iterates), and the next worklist is the dependents of the
-/// diverged slots plus `always_dirty`.
+/// diverged slots plus `always_dirty` — always a slot-ordered sparse step.
 ///
 /// When the old trajectory is exhausted before `Δ < ε` (the edited system
 /// needs more iterations than the previous run), the loop degrades to the
-/// standard dirty-worklist iteration of [`run_delta`], seeded from the
-/// last two iterates.
+/// standard dirty-worklist iteration of [`run_delta`] (both directions),
+/// seeded from the last two iterates.
 ///
 /// `scores` holds the edited run's `FSim⁰` on entry; `record` receives
 /// the edited run's full trajectory (enabling the *next* edit batch to
@@ -668,6 +729,7 @@ pub(crate) fn run_replay<O: Operator>(
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
 ) -> IterationOutcome {
+    let mut lap = Instant::now();
     let n = store.len();
     debug_assert_eq!(scores.len(), n);
     debug_assert!(old_traj.len() >= 2, "replay needs at least one iterate");
@@ -675,177 +737,301 @@ pub(crate) fn run_replay<O: Operator>(
     cur.clear();
     cur.resize(n, 0.0);
     let max_iters = cfg.effective_max_iters();
-    let rdo = csr.rdep_offsets();
-    let rd = csr.rdeps();
+    let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
     let mut scratch = OpScratch::new();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut final_delta = f64::INFINITY;
-    let mut pairs_evaluated = Vec::new();
-    let mut iter_seconds = Vec::new();
+    let mut out = IterationOutcome::empty();
     if let Some(h) = record.as_deref_mut() {
         h.push(scores);
     }
 
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 1u64;
-    let mut worklist: Vec<u32> = Vec::new();
-    let seed = |worklist: &mut Vec<u32>, mark: &mut Vec<u64>, epoch: u64| {
-        for &s in always_dirty {
-            if mark[s as usize] != epoch {
-                mark[s as usize] = epoch;
-                worklist.push(s);
-            }
-        }
-    };
     // W_1: dependents of every slot whose FSim⁰ diverged, plus the
     // structurally dirty slots.
-    seed(&mut worklist, &mut mark, epoch);
-    for s in 0..n {
-        if scores[s].to_bits() != old_traj[0][s].to_bits() {
-            for &dep in &rd[rdo[s]..rdo[s + 1]] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
-        }
-    }
+    let mut changed: Vec<u32> = slot_ids(n)
+        .filter(|&s| scores[s as usize].to_bits() != old_traj[0][s as usize].to_bits())
+        .collect();
+    let mut frontier = Frontier::new(n);
+    frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
 
     // Phase A: replay along the recorded trajectory.
     let hist_iters = old_traj.len() - 1;
-    let mut changed: Vec<u32> = Vec::new();
     let mut k = 1usize;
-    while iterations < max_iters && k <= hist_iters {
-        let t0 = Instant::now();
+    while out.iterations < max_iters && k <= hist_iters {
         let hist = &old_traj[k];
         cur.copy_from_slice(hist);
-        for &slot_id in &worklist {
-            let slot = slot_id as usize;
-            cur[slot] = csr.eval_slot(
-                cfg,
-                op,
-                store,
-                slot,
-                scores,
-                &mut scratch,
-                label_terms[slot],
-            );
-        }
-        pairs_evaluated.push(worklist.len());
+        let (_, evaluated) = eval_step(
+            cfg,
+            op,
+            store,
+            csr,
+            label_terms,
+            frontier.step(),
+            scores,
+            cur,
+            &mut changed,
+            &mut scratch,
+        );
+        out.pairs_evaluated.push(evaluated);
+        // The convergence delta is over every slot; propagation follows
+        // divergence from the old trajectory, not from the previous
+        // iterate.
         let mut delta = 0.0f64;
         changed.clear();
-        for s in 0..n {
+        for slot_id in slot_ids(n) {
+            let s = slot_id as usize;
             let d = (cur[s] - scores[s]).abs();
             if d > delta {
                 delta = d;
             }
             if cur[s].to_bits() != hist[s].to_bits() {
-                changed.push(s as u32);
+                changed.push(slot_id);
             }
         }
         std::mem::swap(scores, cur);
         if let Some(h) = record.as_deref_mut() {
             h.push(scores);
         }
-        final_delta = delta;
-        iterations += 1;
+        out.final_delta = delta;
+        out.iterations += 1;
         k += 1;
-        iter_seconds.push(t0.elapsed().as_secs_f64());
-        if delta < cfg.epsilon {
-            converged = true;
-            break;
+        let done = delta < cfg.epsilon;
+        if !done {
+            frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
         }
-        epoch += 1;
-        worklist.clear();
-        seed(&mut worklist, &mut mark, epoch);
-        for &c in &changed {
-            for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
+        out.iter_seconds.push(lap.elapsed().as_secs_f64());
+        lap = Instant::now();
+        if done {
+            out.converged = true;
+            return out;
         }
+    }
+    if out.iterations >= max_iters {
+        return out;
     }
 
     // Phase B: history exhausted — continue with the standard dirty
-    // worklist (structure is now self-consistent; no always-dirty seed).
-    if !converged && iterations < max_iters {
-        changed.clear();
-        for s in 0..n {
-            if scores[s].to_bits() != cur[s].to_bits() {
-                changed.push(s as u32);
+    // worklist (structure is now self-consistent; no always-dirty seed),
+    // seeded from the last two iterates.
+    changed.clear();
+    changed
+        .extend(slot_ids(n).filter(|&s| scores[s as usize].to_bits() != cur[s as usize].to_bits()));
+    frontier.advance(&mut changed, rdo, rd);
+    delta_loop(
+        cfg,
+        op,
+        store,
+        csr,
+        label_terms,
+        scores,
+        cur,
+        record,
+        None,
+        frontier,
+        out,
+        lap,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Variant;
+    use crate::engine::session::{build_label_eval, AlignedLabels};
+    use crate::operators::VariantOp;
+    use fsim_graph::graph_from_parts;
+    use fsim_labels::LabelFn;
+    use std::collections::BTreeSet;
+
+    /// A seven-node, single-label graph scored against itself whose delta
+    /// run changes direction several times: the slots changed by
+    /// iteration 1 have more dependents than there are slots, those of
+    /// iteration 2 fewer, those of iteration 3 more again, and so on.
+    fn switching_graph() -> Graph {
+        graph_from_parts(
+            &["a"; 7],
+            &[
+                (5, 2),
+                (6, 3),
+                (1, 3),
+                (0, 5),
+                (1, 0),
+                (2, 3),
+                (4, 2),
+                (4, 3),
+                (1, 4),
+                (1, 5),
+            ],
+        )
+    }
+
+    /// Everything a slot-based driver needs to score a graph against
+    /// itself.
+    struct Fixture {
+        cfg: FsimConfig,
+        op: VariantOp,
+        store: PairStore,
+        csr: PairDepCsr,
+        label_terms: Vec<f64>,
+    }
+
+    impl Fixture {
+        fn new(g: &Graph, pin_identical: bool) -> Self {
+            let mut cfg = FsimConfig::new(Variant::DegreePreserving)
+                .label_fn(LabelFn::Indicator)
+                .theta(0.0);
+            cfg.pin_identical = pin_identical;
+            cfg.epsilon = 1e-9;
+            let aligned = AlignedLabels::new(g, g);
+            let eval = build_label_eval(&cfg, &aligned.interner);
+            let ctx = OpCtx {
+                labels1: &aligned.labels1,
+                labels2: &aligned.labels2,
+                label_eval: &eval,
+                theta: cfg.theta,
+            };
+            let op = VariantOp::new(cfg.variant);
+            let store = crate::candidates::enumerate_candidates(g, g, &ctx, &cfg, &op);
+            let csr = PairDepCsr::build(g, g, &ctx, &store, &op);
+            let label_terms = store
+                .pairs
+                .iter()
+                .map(|&(u, v)| ctx.label_sim(u, v))
+                .collect();
+            Self {
+                cfg,
+                op,
+                store,
+                csr,
+                label_terms,
             }
         }
-        epoch += 1;
-        worklist.clear();
-        for &c in &changed {
-            for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
+
+        fn init(&self, g: &Graph) -> Vec<f64> {
+            let mut scores = Vec::new();
+            initialize(&self.store, &self.cfg, g, g, &self.label_terms, &mut scores);
+            scores
         }
-        while iterations < max_iters {
-            let t0 = Instant::now();
-            for &s in &changed {
-                if mark[s as usize] != epoch {
-                    cur[s as usize] = scores[s as usize];
+
+        fn sweep(&self, g: &Graph) -> (IterationOutcome, Vec<f64>) {
+            let (mut scores, mut cur) = (self.init(g), Vec::new());
+            let out = run_sweep_slots(
+                &self.cfg,
+                &self.op,
+                &self.store,
+                &self.csr,
+                &self.label_terms,
+                &mut scores,
+                &mut cur,
+                None,
+            );
+            (out, scores)
+        }
+
+        fn delta(&self, g: &Graph, rt: Option<&Runtime>) -> (IterationOutcome, Vec<f64>) {
+            let (mut scores, mut cur) = (self.init(g), Vec::new());
+            let out = run_delta(
+                &self.cfg,
+                &self.op,
+                &self.store,
+                &self.csr,
+                &self.label_terms,
+                &mut scores,
+                &mut cur,
+                None,
+                None,
+                None,
+                rt,
+            );
+            (out, scores)
+        }
+
+        /// The push rule written out naively from a full sweep's iterates:
+        /// per iteration, how many slots it schedules (every slot first,
+        /// then the dependents of the slots the previous iteration
+        /// changed), and whether the frontier's rule takes that step as a
+        /// dense pull (`Σ |rdeps(changed)| ≥ |H|`).
+        fn push_reference(&self, g: &Graph) -> (Vec<usize>, Vec<bool>) {
+            let n = self.store.len();
+            let (rdo, rd) = (self.csr.rdep_offsets(), self.csr.rdeps());
+            let mut scratch = OpScratch::new();
+            let mut prev = self.init(g);
+            let (mut scheduled, mut dense) = (vec![n], vec![false]);
+            for _ in 1..self.cfg.effective_max_iters() {
+                let next: Vec<f64> = (0..n)
+                    .map(|s| {
+                        let label = self.label_terms[s];
+                        let (cfg, op, store) = (&self.cfg, &self.op, &self.store);
+                        self.csr
+                            .eval_slot(cfg, op, store, s, &prev, &mut scratch, label)
+                    })
+                    .collect();
+                let delta = (0..n)
+                    .map(|s| (next[s] - prev[s]).abs())
+                    .fold(0.0, f64::max);
+                let changed: Vec<usize> = (0..n)
+                    .filter(|&s| next[s].to_bits() != prev[s].to_bits())
+                    .collect();
+                prev = next;
+                if delta < self.cfg.epsilon {
+                    break;
                 }
+                let dependents: BTreeSet<u32> = changed
+                    .iter()
+                    .flat_map(|&c| rd[rdo[c]..rdo[c + 1]].iter().copied())
+                    .collect();
+                let fanout: usize = changed.iter().map(|&c| rdo[c + 1] - rdo[c]).sum();
+                scheduled.push(dependents.len());
+                dense.push(fanout >= n);
             }
-            changed.clear();
-            let mut delta = 0.0f64;
-            for &slot_id in &worklist {
-                let slot = slot_id as usize;
-                let s = csr.eval_slot(
-                    cfg,
-                    op,
-                    store,
-                    slot,
-                    scores,
-                    &mut scratch,
-                    label_terms[slot],
-                );
-                let d = (s - scores[slot]).abs();
-                if d > delta {
-                    delta = d;
-                }
-                if s.to_bits() != scores[slot].to_bits() {
-                    changed.push(slot_id);
-                }
-                cur[slot] = s;
-            }
-            pairs_evaluated.push(worklist.len());
-            std::mem::swap(scores, cur);
-            if let Some(h) = record.as_deref_mut() {
-                h.push(scores);
-            }
-            final_delta = delta;
-            iterations += 1;
-            iter_seconds.push(t0.elapsed().as_secs_f64());
-            if delta < cfg.epsilon {
-                converged = true;
-                break;
-            }
-            epoch += 1;
-            worklist.clear();
-            for &c in &changed {
-                for &dep in &rd[rdo[c as usize]..rdo[c as usize + 1]] {
-                    if mark[dep as usize] != epoch {
-                        mark[dep as usize] = epoch;
-                        worklist.push(dep);
-                    }
-                }
-            }
+            (scheduled, dense)
         }
     }
-    IterationOutcome {
-        iterations,
-        converged,
-        final_delta,
-        pairs_evaluated,
-        iter_seconds,
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (s, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: slot {s}");
+        }
+    }
+
+    #[test]
+    fn delta_run_switches_direction_and_matches_the_sweep_bitwise() {
+        let g = switching_graph();
+        let rt = Runtime::new(4);
+        for pin_identical in [false, true] {
+            let f = Fixture::new(&g, pin_identical);
+            let (scheduled, dense) = f.push_reference(&g);
+            // The fixture takes both directions in one run: a dense pull,
+            // then a sparse push, then a dense pull again.
+            let pull = dense.iter().position(|&d| d).expect("a dense step");
+            let push = pull
+                + dense[pull..]
+                    .iter()
+                    .position(|&d| !d)
+                    .expect("a sparse step");
+            assert!(dense[push..].contains(&true), "dense → sparse → dense");
+
+            let (sweep, sweep_scores) = f.sweep(&g);
+            let (delta, delta_scores) = f.delta(&g, None);
+            let what = format!("pin_identical={pin_identical}");
+            assert_same_bits(&sweep_scores, &delta_scores, &what);
+            assert_eq!(delta.iterations, sweep.iterations, "{what}");
+            assert!(delta.converged && sweep.converged, "{what}");
+            assert_eq!(delta.final_delta.to_bits(), sweep.final_delta.to_bits());
+            assert_eq!(delta.pairs_evaluated, scheduled, "{what}");
+            assert_eq!(
+                delta.dense_iterations,
+                dense.iter().filter(|&&d| d).count(),
+                "{what}"
+            );
+            assert_eq!(delta.iter_seconds.len(), delta.iterations, "{what}");
+
+            // Four workers: the same bits and the same schedule.
+            let (par, par_scores) = f.delta(&g, Some(&rt));
+            assert_same_bits(&delta_scores, &par_scores, &what);
+            assert_eq!(par.iterations, delta.iterations, "{what}");
+            assert_eq!(par.final_delta.to_bits(), delta.final_delta.to_bits());
+            assert_eq!(par.pairs_evaluated, delta.pairs_evaluated, "{what}");
+            assert_eq!(par.dense_iterations, delta.dense_iterations, "{what}");
+        }
     }
 }

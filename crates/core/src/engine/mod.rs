@@ -10,6 +10,9 @@
 //!   Equation 3 and convergence control (Theorem 1 / Corollary 1), in
 //!   bitwise-identical scheduling regimes (full sweep, delta-driven and
 //!   edit replay);
+//! * `frontier` (private) — the delta scheduler's direction-optimizing
+//!   frontier: slot-ordered sparse push through the reverse CSR, or a
+//!   masked dense pull, whichever the changed set makes cheaper;
 //! * `deps` (private) — the pair-dependency CSR: the iteration-invariant
 //!   structure of Equation 3 (θ-prefiltered neighbor-pair slot lists,
 //!   fallback constants, the reverse dependents CSR) materialized once per
@@ -34,6 +37,7 @@
 
 pub(crate) mod deps;
 pub mod edits;
+pub(crate) mod frontier;
 pub(crate) mod iterate;
 pub(crate) mod parallel;
 pub mod persist;

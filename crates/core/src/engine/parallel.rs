@@ -31,6 +31,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use super::deps::PairDepCsr;
+use super::frontier::{slot_ids, Frontier, Step};
+use super::iterate::{ApproxState, Recorder};
 use crate::operators::OpScratch;
 
 /// What a (sequential or parallel) run of the iteration loop reports.
@@ -46,8 +49,13 @@ pub(crate) struct IterationOutcome {
     /// full sweep; the dirty-worklist length under delta scheduling).
     pub pairs_evaluated: Vec<usize>,
     /// Wall-clock seconds per iteration, aligned with `pairs_evaluated`
-    /// (the per-iteration pairs-per-second metric is their ratio).
+    /// (the per-iteration pairs-per-second metric is their ratio). Covers
+    /// the whole iteration: repair, evaluation, frontier construction and
+    /// trajectory recording.
     pub iter_seconds: Vec<f64>,
+    /// Iterations a delta run took as a dense pull (see
+    /// [`Frontier`]); 0 for every other driver.
+    pub dense_iterations: usize,
 }
 
 impl IterationOutcome {
@@ -59,6 +67,7 @@ impl IterationOutcome {
             final_delta: f64::INFINITY,
             pairs_evaluated: Vec::new(),
             iter_seconds: Vec::new(),
+            dense_iterations: 0,
         }
     }
 }
@@ -300,6 +309,11 @@ impl<'a> SharedScores<'a> {
         std::slice::from_raw_parts(self.cells.as_ptr() as *const f64, self.cells.len())
     }
 
+    /// The buffer's length in slots.
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
     /// Writes one slot.
     ///
     /// # Safety
@@ -436,18 +450,19 @@ pub(crate) fn eval_worklist_parallel<U>(
 /// Runs the **delta-driven** iteration loop on the session's [`Runtime`].
 ///
 /// Iteration 1 evaluates every slot; iteration `k > 1` evaluates only the
-/// dependents (per `rdep_offsets` / `rdeps`) of slots whose score changed
-/// bitwise in iteration `k−1`. Slots outside the worklist keep their
-/// previous score exactly (the update is a pure function of inputs that
-/// did not change), so results are bitwise identical to [`run_parallel`]
-/// and to the sequential loops.
+/// dependents (per `csr`'s reverse CSR) of slots whose score changed
+/// bitwise in iteration `k−1`, scheduled by the direction-optimizing
+/// [`Frontier`]. Slots outside the schedule keep their previous score
+/// exactly (the update is a pure function of inputs that did not change),
+/// so results are bitwise identical to [`run_parallel`] and to the
+/// sequential loops.
 ///
 /// `initial_worklist` and `approx` mirror
 /// [`run_delta`](super::iterate::run_delta): a warm-start worklist and
 /// ε-aware approximate gating. All scheduling decisions (accumulator
-/// arithmetic, threshold crossings) are made by the coordinator between
-/// dispatches from order-independent reductions, so the approximate mode
-/// is bitwise identical to its sequential counterpart too.
+/// arithmetic, threshold crossings, the push/pull direction) are made by
+/// the coordinator between dispatches from order-independent reductions,
+/// so every mode is bitwise identical to its sequential counterpart.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel_delta<U>(
     rt: &Runtime,
@@ -455,177 +470,43 @@ pub(crate) fn run_parallel_delta<U>(
     epsilon: f64,
     prev: &mut Vec<f64>,
     cur: &mut Vec<f64>,
-    rdep_offsets: &[usize],
-    rdeps: &[u32],
-    mut record: Option<&mut super::iterate::Recorder<'_>>,
-    initial_worklist: Option<Vec<u32>>,
-    mut approx: Option<&mut super::iterate::ApproxState>,
+    csr: &PairDepCsr,
+    mut record: Option<&mut Recorder<'_>>,
+    initial_worklist: Option<&[u32]>,
+    approx: Option<&mut ApproxState>,
     update: U,
 ) -> IterationOutcome
 where
     U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
 {
+    let lap = Instant::now();
     let n = prev.len();
     debug_assert_eq!(n, cur.len());
     if let Some(h) = record.as_deref_mut() {
         h.push(prev);
     }
-    if initial_worklist.is_some() {
-        // Warm start: slots outside the worklist must read through the
-        // double buffer as-is.
-        cur.copy_from_slice(prev);
-    }
-    let mut worklist = initial_worklist.unwrap_or_else(|| (0..n as u32).collect());
+    let mut frontier = match initial_worklist {
+        Some(slots) => {
+            // Warm start: slots outside the worklist must read through the
+            // double buffer as-is.
+            cur.copy_from_slice(prev);
+            Frontier::seeded(n, slots)
+        }
+        None => Frontier::all(n),
+    };
     let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let cursor = AtomicUsize::new(0);
-    let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-    let changed_sink: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-
+    let pool = DeltaDispatch::new(rt, csr, &buffers, &update);
     let mut out = IterationOutcome::empty();
-    let mut read = 0usize;
-    // Slots whose score changed in the previous iteration (C_{k−1}).
-    let mut prev_changed: Vec<u32> = Vec::new();
-    // Worklist-membership marks: mark[s] == epoch ⇔ s ∈ current D_k.
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 0u64;
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        {
-            // Repair C_{k−1} \ D_k before the dispatch: copy last
-            // iteration's value forward for changed slots that are not
-            // being re-evaluated (their two-iterations-old copy in the
-            // write buffer is stale).
-            // SAFETY: no dispatch is in flight; the coordinator has
-            // exclusive access to both buffers.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
-            let write = &buffers[1 - read];
-            for &s in &prev_changed {
-                if mark[s as usize] != epoch {
-                    // SAFETY: same window — no dispatch in flight, and
-                    // `prev_changed` slots are distinct, so this is the
-                    // sole writer of `s`.
-                    unsafe { write.write(s as usize, read_buf[s as usize]) };
-                }
-            }
-        }
-        cursor.store(0, Ordering::Relaxed);
-        let chunk = chunk_size(worklist.len(), rt.threads());
-        let wl = &worklist;
-        rt.run(&|wid, ws| {
-            // SAFETY: this iteration only reads `buffers[read]` and
-            // writes disjoint worklist slots of `buffers[1 - read]`.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
-            let write = &buffers[1 - read];
-            let mut local_delta = 0.0f64;
-            ws.changed.clear();
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= wl.len() {
-                    break;
-                }
-                let end = (start + chunk).min(wl.len());
-                for &slot_id in &wl[start..end] {
-                    let slot = slot_id as usize;
-                    let score = update(slot, read_buf, &mut ws.scratch);
-                    let d = (score - read_buf[slot]).abs();
-                    if d > local_delta {
-                        local_delta = d;
-                    }
-                    if score.to_bits() != read_buf[slot].to_bits() {
-                        ws.changed.push(slot_id);
-                    }
-                    // SAFETY: worklist slots are handed out disjointly by
-                    // the cursor; the coordinator wrote only non-worklist
-                    // slots, before the dispatch.
-                    unsafe { write.write(slot, score) };
-                }
-            }
-            deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
-            if !ws.changed.is_empty() {
-                changed_sink
-                    .lock()
-                    .expect("changed sink")
-                    .extend_from_slice(&ws.changed);
-            }
-        });
-        out.final_delta = deltas
-            .iter()
-            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-            .fold(0.0, f64::max);
-        out.pairs_evaluated.push(worklist.len());
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        read = 1 - read;
-        if let Some(h) = record.as_deref_mut() {
-            // SAFETY: no dispatch is in flight; the freshly written
-            // buffer is stable.
-            h.push(unsafe { buffers[read].as_read_slice() });
-        }
-        if let Some(ap) = approx.as_deref_mut() {
-            // Approximate error accounting, mirroring the sequential
-            // loop: reset evaluated slots, fold this iteration's changes
-            // into their dependents' accumulators (per-slot max —
-            // order-independent, so bitwise equal to the sequential
-            // schedule), then gate the next worklist on the threshold.
-            // Runs before the convergence check so the final accumulators
-            // certify the returned scores.
-            for &s in &worklist {
-                ap.acc[s as usize] = 0.0;
-            }
-            prev_changed.clear();
-            std::mem::swap(
-                &mut prev_changed,
-                &mut *changed_sink.lock().expect("changed sink"),
-            );
-            // SAFETY: no dispatch is in flight; both buffers are stable.
-            let new_buf = unsafe { buffers[read].as_read_slice() };
-            // SAFETY: as above — both reads share the quiescent window.
-            let old_buf = unsafe { buffers[1 - read].as_read_slice() };
-            ap.begin();
-            for &c in &prev_changed {
-                let d = (new_buf[c as usize] - old_buf[c as usize]).abs();
-                let (a, b) = (rdep_offsets[c as usize], rdep_offsets[c as usize + 1]);
-                for &dep in &rdeps[a..b] {
-                    ap.bump(dep, d);
-                }
-            }
-            epoch += 1;
-            worklist.clear();
-            ap.commit(|t| {
-                if mark[t as usize] != epoch {
-                    mark[t as usize] = epoch;
-                    worklist.push(t);
-                }
-            });
-            if out.final_delta < ap.stop_delta {
-                out.converged = true;
-                break;
-            }
-            continue;
-        }
-        if out.final_delta < epsilon {
-            out.converged = true;
-            break;
-        }
-        prev_changed.clear();
-        std::mem::swap(
-            &mut prev_changed,
-            &mut *changed_sink.lock().expect("changed sink"),
-        );
-        // Next worklist: the dependents of every changed slot.
-        epoch += 1;
-        worklist.clear();
-        for &c in &prev_changed {
-            let (a, b) = (rdep_offsets[c as usize], rdep_offsets[c as usize + 1]);
-            for &dep in &rdeps[a..b] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
-        }
-    }
-
+    pool.iterate(
+        0,
+        &mut frontier,
+        record,
+        approx,
+        &mut out,
+        lap,
+        max_iters,
+        epsilon,
+    );
     if out.iterations % 2 == 1 {
         std::mem::swap(prev, cur);
     }
@@ -638,7 +519,8 @@ where
 /// worklists; the coordinator pre-fills each iteration's write buffer from
 /// the recorded trajectory before the dispatch, then scans the completed
 /// buffer for the convergence delta and the divergence set between
-/// dispatches.
+/// dispatches. Once the trajectory is exhausted the run continues as
+/// [`run_parallel_delta`] does.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel_replay<U>(
     rt: &Runtime,
@@ -646,236 +528,108 @@ pub(crate) fn run_parallel_replay<U>(
     epsilon: f64,
     old_traj: &[Vec<f64>],
     always_dirty: &[u32],
-    rdep_offsets: &[usize],
-    rdeps: &[u32],
+    csr: &PairDepCsr,
     prev: &mut Vec<f64>,
     cur: &mut Vec<f64>,
-    mut record: Option<&mut super::iterate::Recorder<'_>>,
+    mut record: Option<&mut Recorder<'_>>,
     update: U,
 ) -> IterationOutcome
 where
     U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
 {
+    let mut lap = Instant::now();
     let n = prev.len();
     debug_assert_eq!(n, cur.len());
     debug_assert!(old_traj.len() >= 2, "replay needs at least one iterate");
     if let Some(h) = record.as_deref_mut() {
         h.push(prev);
     }
-
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 1u64;
-    let mut worklist: Vec<u32> = Vec::new();
-    for &s in always_dirty {
-        if mark[s as usize] != epoch {
-            mark[s as usize] = epoch;
-            worklist.push(s);
-        }
-    }
-    for s in 0..n {
-        if prev[s].to_bits() != old_traj[0][s].to_bits() {
-            for &dep in &rdeps[rdep_offsets[s]..rdep_offsets[s + 1]] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
-        }
-    }
+    let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
+    let mut changed: Vec<u32> = slot_ids(n)
+        .filter(|&s| prev[s as usize].to_bits() != old_traj[0][s as usize].to_bits())
+        .collect();
+    let mut frontier = Frontier::new(n);
+    frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
 
     let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let cursor = AtomicUsize::new(0);
-    let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-    let changed_sink: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-
-    // One dispatch: evaluate the current worklist against `buffers[read]`,
-    // writing into `buffers[1 - read]`.
-    let eval_worklist = |read: usize, wl: &[u32]| {
-        cursor.store(0, Ordering::Relaxed);
-        let chunk = chunk_size(wl.len(), rt.threads());
-        rt.run(&|wid, ws| {
-            // SAFETY: this iteration only reads `buffers[read]` and
-            // writes disjoint worklist slots of `buffers[1 - read]`.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
-            let write = &buffers[1 - read];
-            let mut local_delta = 0.0f64;
-            ws.changed.clear();
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= wl.len() {
-                    break;
-                }
-                let end = (start + chunk).min(wl.len());
-                for &slot_id in &wl[start..end] {
-                    let slot = slot_id as usize;
-                    let score = update(slot, read_buf, &mut ws.scratch);
-                    let d = (score - read_buf[slot]).abs();
-                    if d > local_delta {
-                        local_delta = d;
-                    }
-                    if score.to_bits() != read_buf[slot].to_bits() {
-                        ws.changed.push(slot_id);
-                    }
-                    // SAFETY: worklist slots are handed out disjointly by
-                    // the cursor.
-                    unsafe { write.write(slot, score) };
-                }
-            }
-            deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
-            if !ws.changed.is_empty() {
-                changed_sink
-                    .lock()
-                    .expect("changed sink")
-                    .extend_from_slice(&ws.changed);
-            }
-        });
-    };
-
+    let pool = DeltaDispatch::new(rt, csr, &buffers, &update);
     let mut out = IterationOutcome::empty();
     let mut read = 0usize;
     let hist_iters = old_traj.len() - 1;
-    let mut changed: Vec<u32> = Vec::new();
 
     // Phase A: replay along the recorded trajectory. The coordinator
     // pre-fills the write buffer from history between dispatches; worker
     // writes of worklist slots land on top.
     let mut k = 1usize;
     while out.iterations < max_iters && k <= hist_iters {
-        let t0 = Instant::now();
         let hist = &old_traj[k];
         // SAFETY: no dispatch is in flight.
         unsafe { buffers[1 - read].copy_from(hist) };
-        let wl_len = worklist.len();
-        eval_worklist(read, &worklist);
-        out.pairs_evaluated.push(wl_len);
+        let (_, evaluated) = pool.run(frontier.step(), read);
+        out.pairs_evaluated.push(evaluated);
         // Full scan between dispatches: the convergence delta over all
         // slots, and divergence from the old trajectory for worklist
-        // propagation. Worker-local deltas and changed sets are ignored
-        // in this phase (they compare against the previous iterate, not
-        // the trajectory).
-        changed_sink.lock().expect("changed sink").clear();
+        // propagation. The workers' changed sets compare against the
+        // previous iterate, not the trajectory: drop them.
+        pool.take_changed(&mut changed);
         // SAFETY: no dispatch is in flight; both buffers are stable.
         let prev_buf = unsafe { buffers[read].as_read_slice() };
         // SAFETY: as above — both reads share the quiescent window.
         let cur_buf = unsafe { buffers[1 - read].as_read_slice() };
         let mut delta = 0.0f64;
         changed.clear();
-        for s in 0..n {
+        for slot_id in slot_ids(n) {
+            let s = slot_id as usize;
             let d = (cur_buf[s] - prev_buf[s]).abs();
             if d > delta {
                 delta = d;
             }
             if cur_buf[s].to_bits() != hist[s].to_bits() {
-                changed.push(s as u32);
+                changed.push(slot_id);
             }
         }
         if let Some(h) = record.as_deref_mut() {
             h.push(cur_buf);
         }
         out.final_delta = delta;
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
         out.iterations += 1;
         k += 1;
         read = 1 - read;
-        if delta < epsilon {
+        let done = delta < epsilon;
+        if !done {
+            frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
+        }
+        out.iter_seconds.push(lap.elapsed().as_secs_f64());
+        lap = Instant::now();
+        if done {
             out.converged = true;
             break;
         }
-        epoch += 1;
-        worklist.clear();
-        for &s in always_dirty {
-            if mark[s as usize] != epoch {
-                mark[s as usize] = epoch;
-                worklist.push(s);
-            }
-        }
-        for &c in &changed {
-            for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
-        }
     }
 
-    // Phase B: history exhausted — standard dirty-worklist iteration
-    // (the mechanics of `run_parallel_delta`), seeded from the last
-    // two iterates.
+    // Phase B: history exhausted — the standard dirty iteration of
+    // `run_parallel_delta`, seeded from the last two iterates.
     if !out.converged && out.iterations < max_iters {
         // SAFETY: no dispatch is in flight; both buffers are stable.
         let prev_buf = unsafe { buffers[1 - read].as_read_slice() };
         // SAFETY: as above — both reads share the quiescent window.
         let cur_buf = unsafe { buffers[read].as_read_slice() };
-        let mut prev_changed: Vec<u32> = Vec::new();
-        for s in 0..n {
-            if cur_buf[s].to_bits() != prev_buf[s].to_bits() {
-                prev_changed.push(s as u32);
-            }
-        }
-        epoch += 1;
-        worklist.clear();
-        for &c in &prev_changed {
-            for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
-                if mark[dep as usize] != epoch {
-                    mark[dep as usize] = epoch;
-                    worklist.push(dep);
-                }
-            }
-        }
-        changed_sink.lock().expect("changed sink").clear();
-        while out.iterations < max_iters {
-            let t0 = Instant::now();
-            {
-                // Repair C_{k−1} \ D_k before the dispatch (disjoint
-                // slots — see `run_parallel_delta`).
-                // SAFETY: no dispatch is in flight.
-                let read_buf = unsafe { buffers[read].as_read_slice() };
-                let write = &buffers[1 - read];
-                for &s in &prev_changed {
-                    if mark[s as usize] != epoch {
-                        // SAFETY: same window — no dispatch in flight,
-                        // and `prev_changed` slots are distinct, so this
-                        // is the sole writer of `s`.
-                        unsafe { write.write(s as usize, read_buf[s as usize]) };
-                    }
-                }
-            }
-            let wl_len = worklist.len();
-            eval_worklist(read, &worklist);
-            out.final_delta = deltas
-                .iter()
-                .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-                .fold(0.0, f64::max);
-            out.pairs_evaluated.push(wl_len);
-            out.iter_seconds.push(t0.elapsed().as_secs_f64());
-            out.iterations += 1;
-            read = 1 - read;
-            if let Some(h) = record.as_deref_mut() {
-                // SAFETY: no dispatch is in flight; the written buffer is
-                // stable.
-                h.push(unsafe { buffers[read].as_read_slice() });
-            }
-            if out.final_delta < epsilon {
-                out.converged = true;
-                break;
-            }
-            prev_changed.clear();
-            std::mem::swap(
-                &mut prev_changed,
-                &mut *changed_sink.lock().expect("changed sink"),
-            );
-            epoch += 1;
-            worklist.clear();
-            for &c in &prev_changed {
-                for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
-                    if mark[dep as usize] != epoch {
-                        mark[dep as usize] = epoch;
-                        worklist.push(dep);
-                    }
-                }
-            }
-        }
+        changed.clear();
+        changed.extend(
+            slot_ids(n)
+                .filter(|&s| cur_buf[s as usize].to_bits() != prev_buf[s as usize].to_bits()),
+        );
+        frontier.advance(&mut changed, rdo, rd);
+        pool.iterate(
+            read,
+            &mut frontier,
+            record,
+            None,
+            &mut out,
+            lap,
+            max_iters,
+            epsilon,
+        );
     }
 
     if out.iterations % 2 == 1 {
@@ -884,9 +638,229 @@ where
     out
 }
 
+/// One delta run's dispatch state: the pool, the dependency structure and
+/// the double buffer it iterates over, the update, and the coordination
+/// the workers share — the cursor, per-worker deltas, the evaluation count
+/// and the sink the workers drain their changed slots into.
+struct DeltaDispatch<'a, U> {
+    rt: &'a Runtime,
+    csr: &'a PairDepCsr,
+    buffers: &'a [SharedScores<'a>; 2],
+    update: &'a U,
+    cursor: AtomicUsize,
+    deltas: Vec<AtomicU64>,
+    evaluated: AtomicUsize,
+    changed: Mutex<Vec<u32>>,
+}
+
+impl<'a, U> DeltaDispatch<'a, U>
+where
+    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
+{
+    fn new(
+        rt: &'a Runtime,
+        csr: &'a PairDepCsr,
+        buffers: &'a [SharedScores<'a>; 2],
+        update: &'a U,
+    ) -> Self {
+        Self {
+            rt,
+            csr,
+            buffers,
+            update,
+            cursor: AtomicUsize::new(0),
+            deltas: (0..rt.threads()).map(|_| AtomicU64::new(0)).collect(),
+            evaluated: AtomicUsize::new(0),
+            changed: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Evaluates `step` on the pool, reading `buffers[read]` and writing
+    /// `buffers[1 - read]`: a sparse step's listed slots (the cursor hands
+    /// out worklist ranges), or — for a dense step — every slot that reads
+    /// a changed one, with every other slot copied forward (the cursor
+    /// hands out slot ranges). Returns the step's max delta and the number
+    /// of slots evaluated; the changed slots wait for
+    /// [`take_changed`](Self::take_changed).
+    fn run(&self, step: Step<'_>, read: usize) -> (f64, usize) {
+        let len = match step {
+            Step::Sparse(worklist) => worklist.len(),
+            Step::Dense(_) => self.buffers[read].len(),
+        };
+        let chunk = chunk_size(len, self.rt.threads());
+        self.cursor.store(0, Ordering::Relaxed);
+        self.evaluated.store(0, Ordering::Relaxed);
+        self.rt.run(&|wid, ws| {
+            // SAFETY: this iteration only reads `buffers[read]` and
+            // writes disjoint slots of `buffers[1 - read]`.
+            let read_buf = unsafe { self.buffers[read].as_read_slice() };
+            let write = &self.buffers[1 - read];
+            let mut local_delta = 0.0f64;
+            let mut evaluated = 0usize;
+            ws.changed.clear();
+            let mut eval = |slot_id: u32| {
+                let slot = slot_id as usize;
+                let score = (self.update)(slot, read_buf, &mut ws.scratch);
+                let d = (score - read_buf[slot]).abs();
+                if d > local_delta {
+                    local_delta = d;
+                }
+                if score.to_bits() != read_buf[slot].to_bits() {
+                    ws.changed.push(slot_id);
+                }
+                evaluated += 1;
+                // SAFETY: the cursor hands each worklist range (sparse) or
+                // slot range (dense) to one worker, and worklist slots are
+                // distinct; the coordinator writes only between
+                // dispatches.
+                unsafe { write.write(slot, score) };
+            };
+            loop {
+                let start = self.cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= len {
+                    break;
+                }
+                let end = (start + chunk).min(len);
+                match step {
+                    Step::Sparse(worklist) => {
+                        for &slot_id in &worklist[start..end] {
+                            eval(slot_id);
+                        }
+                    }
+                    Step::Dense(bits) => {
+                        for slot_id in slot_ids(end).skip(start) {
+                            let slot = slot_id as usize;
+                            if self.csr.reads_any(slot, bits) {
+                                eval(slot_id);
+                            } else {
+                                // SAFETY: this worker alone owns the slot
+                                // range `start..end` (cursor), and a dense
+                                // step has no coordinator writes.
+                                unsafe { write.write(slot, read_buf[slot]) };
+                            }
+                        }
+                    }
+                }
+            }
+            self.deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
+            self.evaluated.fetch_add(evaluated, Ordering::Relaxed);
+            if !ws.changed.is_empty() {
+                self.changed
+                    .lock()
+                    .expect("changed sink")
+                    .extend_from_slice(&ws.changed);
+            }
+        });
+        let delta = self
+            .deltas
+            .iter()
+            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
+            .fold(0.0, f64::max);
+        (delta, self.evaluated.load(Ordering::Relaxed))
+    }
+
+    /// Moves the last dispatch's changed slots into `into` (replacing its
+    /// contents).
+    fn take_changed(&self, into: &mut Vec<u32>) {
+        into.clear();
+        std::mem::swap(into, &mut *self.changed.lock().expect("changed sink"));
+    }
+
+    /// The delta iteration from `frontier`'s step on, continuing `out`
+    /// with `buffers[read]` holding the current iterate: each iteration
+    /// copies the stale slots forward, dispatches the step, and schedules
+    /// the next one. `lap` started when the first of these iterations'
+    /// work did, so `iter_seconds` covers repair, evaluation, frontier
+    /// construction and recording.
+    #[allow(clippy::too_many_arguments)]
+    fn iterate(
+        &self,
+        mut read: usize,
+        frontier: &mut Frontier,
+        mut record: Option<&mut Recorder<'_>>,
+        mut approx: Option<&mut ApproxState>,
+        out: &mut IterationOutcome,
+        mut lap: Instant,
+        max_iters: usize,
+        epsilon: f64,
+    ) {
+        let (rdo, rd) = (self.csr.rdep_offsets(), self.csr.rdeps());
+        let mut changed: Vec<u32> = Vec::new();
+        while out.iterations < max_iters {
+            {
+                // Repair before the dispatch: copy last iteration's value
+                // forward for changed slots that are not being
+                // re-evaluated (their two-iterations-old copy in the write
+                // buffer is stale).
+                // SAFETY: no dispatch is in flight; the coordinator has
+                // exclusive access to both buffers.
+                let read_buf = unsafe { self.buffers[read].as_read_slice() };
+                let write = &self.buffers[1 - read];
+                for s in frontier.stale() {
+                    // SAFETY: same window — no dispatch in flight, and
+                    // stale slots are distinct, so this is the sole
+                    // writer of `s`.
+                    unsafe { write.write(s, read_buf[s]) };
+                }
+            }
+            let step = frontier.step();
+            let (delta, evaluated) = self.run(step, read);
+            out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
+            out.pairs_evaluated.push(evaluated);
+            out.final_delta = delta;
+            out.iterations += 1;
+            read = 1 - read;
+            if let Some(h) = record.as_deref_mut() {
+                // SAFETY: no dispatch is in flight; the freshly written
+                // buffer is stable.
+                h.push(unsafe { self.buffers[read].as_read_slice() });
+            }
+            self.take_changed(&mut changed);
+            let done = if let Some(ap) = approx.as_deref_mut() {
+                // Approximate error accounting, mirroring the sequential
+                // loop: reset evaluated slots, fold this iteration's
+                // changes into their dependents' accumulators (per-slot
+                // max — order-independent, so bitwise equal to the
+                // sequential schedule), then gate the next worklist on the
+                // threshold. Runs before the convergence check so the
+                // final accumulators certify the returned scores.
+                for &s in frontier.worklist() {
+                    ap.acc[s as usize] = 0.0;
+                }
+                // SAFETY: no dispatch is in flight; both buffers are stable.
+                let new_buf = unsafe { self.buffers[read].as_read_slice() };
+                // SAFETY: as above — both reads share the quiescent window.
+                let old_buf = unsafe { self.buffers[1 - read].as_read_slice() };
+                ap.begin();
+                for &c in &changed {
+                    let c = c as usize;
+                    let d = (new_buf[c] - old_buf[c]).abs();
+                    for &dep in &rd[rdo[c]..rdo[c + 1]] {
+                        ap.bump(dep, d);
+                    }
+                }
+                frontier.push_slots(&mut changed, ap.commit());
+                delta < ap.stop_delta
+            } else if delta < epsilon {
+                true
+            } else {
+                frontier.advance(&mut changed, rdo, rd);
+                false
+            };
+            out.iter_seconds.push(lap.elapsed().as_secs_f64());
+            lap = Instant::now();
+            if done {
+                out.converged = true;
+                break;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::DepEntry;
 
     fn run_seq(
         scores: &mut [f64],
@@ -980,19 +954,33 @@ mod tests {
         }
     }
 
-    /// Ring dependency structure of [`toy_update`]: slot `s` is read by
-    /// `s − 1`, `s` and `s + 1` (mod n).
-    fn toy_rdeps(n: usize) -> (Vec<usize>, Vec<u32>) {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut rdeps = Vec::with_capacity(3 * n);
-        offsets.push(0);
-        for s in 0..n {
-            for d in [(s + n - 1) % n, s, (s + 1) % n] {
-                rdeps.push(d as u32);
-            }
-            offsets.push(rdeps.len());
-        }
-        (offsets, rdeps)
+    /// The ring dependency structure of [`toy_update`] as a dependency
+    /// CSR: slot `s` reads, and is read by, `s − 1`, `s` and `s + 1`
+    /// (mod n).
+    fn toy_csr(n: usize) -> PairDepCsr {
+        let ring = move |s: usize| [(s + n - 1) % n, s, (s + 1) % n].map(|d| d as u32);
+        let entries = (0..n)
+            .flat_map(ring)
+            .enumerate()
+            .map(|(k, slot)| DepEntry {
+                i: (k % 3) as u32,
+                j: 0,
+                slot,
+                cval: 0.0,
+            })
+            .collect();
+        let offsets: Vec<usize> = (0..=n).map(|s| 3 * s).collect();
+        PairDepCsr::from_raw_parts(
+            offsets.clone(),
+            vec![0; n + 1],
+            entries,
+            Vec::new(),
+            vec![[3, 1, 0, 0]; n],
+            offsets,
+            (0..n).flat_map(ring).collect(),
+            n,
+        )
+        .expect("a well-formed ring")
     }
 
     #[test]
@@ -1007,7 +995,7 @@ mod tests {
         let mut seq_cur = vec![0.0; n];
         let seq_out = run_seq(&mut seq, &mut seq_cur, 30, 1e-9, toy_update);
 
-        let (offsets, rdeps) = toy_rdeps(n);
+        let csr = toy_csr(n);
         let rt = Runtime::new(4);
         let mut par = init.clone();
         let mut par_cur = vec![0.0; n];
@@ -1019,8 +1007,7 @@ mod tests {
             1e-9,
             &mut par,
             &mut par_cur,
-            &offsets,
-            &rdeps,
+            &csr,
             Some(&mut recorder),
             None,
             None,
@@ -1054,7 +1041,7 @@ mod tests {
         // Record the original system's trajectory.
         let mut base = init.clone();
         let mut base_cur = vec![0.0; n];
-        let (offsets, rdeps) = toy_rdeps(n);
+        let csr = toy_csr(n);
         let rt = Runtime::new(4);
         let mut history: Vec<Vec<f64>> = Vec::new();
         let mut recorder = super::super::iterate::Recorder::new(&mut history, usize::MAX);
@@ -1064,8 +1051,7 @@ mod tests {
             1e-9,
             &mut base,
             &mut base_cur,
-            &offsets,
-            &rdeps,
+            &csr,
             Some(&mut recorder),
             None,
             None,
@@ -1094,8 +1080,7 @@ mod tests {
             1e-9,
             &history,
             &[777],
-            &offsets,
-            &rdeps,
+            &csr,
             &mut warm,
             &mut warm_cur,
             Some(&mut new_rec),

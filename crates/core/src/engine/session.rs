@@ -1300,7 +1300,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         scores,
                         cur,
                         None,
-                        Some(worklist),
+                        Some(&worklist),
                         Some(&mut state),
                         rt,
                     )
@@ -1363,8 +1363,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     cfg.epsilon,
                     &old_traj,
                     &always_dirty,
-                    csr.rdep_offsets(),
-                    csr.rdeps(),
+                    csr,
                     scores,
                     cur,
                     recorder.as_mut(),
@@ -1514,13 +1513,17 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
 
     /// Wall-clock seconds per iteration of the last run, aligned with
     /// [`pairs_evaluated`](Self::pairs_evaluated) (empty before any run).
+    /// Under delta scheduling and edit replay each figure covers the
+    /// whole iteration: repair, evaluation, frontier construction and
+    /// trajectory recording.
     pub fn iteration_seconds(&self) -> &[f64] {
         &self.iter_seconds
     }
 
     /// Aggregate evaluation throughput of the last run in **pairs per
-    /// second** — total pairs evaluated divided by total in-loop
-    /// wall-clock time, `None` before any run or when the run was too
+    /// second** — total pairs evaluated divided by the summed
+    /// [`iteration_seconds`](Self::iteration_seconds) (whole-iteration
+    /// wall clock), `None` before any run or when the run was too
     /// fast for the clock to resolve.
     pub fn pairs_per_second(&self) -> Option<f64> {
         let secs: f64 = self.iter_seconds.iter().sum();
@@ -1943,6 +1946,49 @@ mod tests {
             "warm first iteration must skip clean pairs: {:?}",
             engine.pairs_evaluated()
         );
+    }
+
+    #[test]
+    fn recorded_trajectory_holds_one_iterate_per_iteration_plus_init() {
+        // A replay walks the recording by iteration number, so a recording
+        // that is off by one still converges cold runs correctly but
+        // misaligns every later replay.
+        let aligned =
+            |e: &FsimEngine<'_>| e.trajectory.as_ref().map(Vec::len) == Some(e.iterations() + 1);
+        let f = figure1();
+        // 80 nodes of one label: 6,400 slots, enough for the worker pool.
+        let edges: Vec<(NodeId, NodeId)> = (0..80)
+            .flat_map(|u| [(u, (u + 1) % 80), (u, (u * 7 + 3) % 80)])
+            .collect();
+        let wide = fsim_graph::graph_from_parts(&["a"; 80], &edges);
+        let cases = [
+            (
+                &f.pattern,
+                &f.data,
+                1,
+                GraphEdit::add_edge(GraphSide::Right, f.v[0], f.v[1]),
+            ),
+            (
+                &wide,
+                &wide,
+                1,
+                GraphEdit::remove_edge(GraphSide::Right, 5, 6),
+            ),
+            (
+                &wide,
+                &wide,
+                2,
+                GraphEdit::remove_edge(GraphSide::Right, 5, 6),
+            ),
+        ];
+        for (g1, g2, threads, edit) in cases {
+            let mut engine = FsimEngine::new(g1, g2, &cfg(Variant::Bi).threads(threads)).unwrap();
+            engine.run();
+            assert!(aligned(&engine), "after run, {threads} thread(s)");
+            assert!(engine.can_replay_edits(), "the edit must replay");
+            engine.apply_edits(&[edit]).unwrap();
+            assert!(aligned(&engine), "after apply_edits, {threads} thread(s)");
+        }
     }
 
     #[test]

@@ -663,6 +663,7 @@ pub(crate) fn run_sharded<O: Operator>(
             final_delta,
             pairs_evaluated,
             iter_seconds,
+            dense_iterations: 0,
         },
         peak_bytes,
     )

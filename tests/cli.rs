@@ -19,8 +19,12 @@ fn write_sample_graphs(dir: &std::path::Path) -> (String, String) {
     )
 }
 
+/// A fresh directory per call: the tests run on parallel threads, and a
+/// shared one let a test rewrite `g1.txt` while another's `fsim` read it.
 fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fsim-cli-test-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("fsim-cli-test-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
