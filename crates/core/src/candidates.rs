@@ -10,7 +10,7 @@
 use crate::config::FsimConfig;
 use crate::engine::parallel::Runtime;
 use crate::operators::{OpCtx, Operator};
-use crate::store::{Fallback, PairIndex, PairStore};
+use crate::store::{Fallback, PairIndex, PairStore, RowIndex};
 use fsim_graph::{pair_key, FxHashMap, Graph, NodeId};
 use std::sync::Mutex;
 
@@ -81,7 +81,7 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
         None => {
             let full = g1.node_count() * g2.node_count();
             if cfg.theta > 0.0 && base.len() < full {
-                sparse_store(base, Fallback::Zero)
+                sparse_store(base, g1.node_count(), Fallback::Zero)
             } else {
                 // θ = 0, or θ-filtering kept everything (e.g. a permissive
                 // label function): the dense row-major index applies.
@@ -148,7 +148,7 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
             }
             if cfg.theta <= 0.0 && kept.len() == g1.node_count() * g2.node_count() {
                 // The bound pruned nothing: keep the dense fast path
-                // instead of paying hashed lookups for a full cross
+                // instead of paying row searches for a full cross
                 // product.
                 kept.sort_unstable();
                 return PairStore {
@@ -159,7 +159,7 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
                     fallback: Fallback::AlphaUb(dropped),
                 };
             }
-            sparse_store(kept, Fallback::AlphaUb(dropped))
+            sparse_store(kept, g1.node_count(), Fallback::AlphaUb(dropped))
         }
     }
 }
@@ -356,12 +356,8 @@ pub(crate) fn repair_candidates<O: Operator>(
     let index = if removed_pairs.is_empty() && added_pairs.is_empty() {
         old.index // slot numbering survived
     } else {
-        let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-        map.reserve(new_pairs.len());
-        for (i, &(u, v)) in new_pairs.iter().enumerate() {
-            map.insert(pair_key(u, v), i as u32);
-        }
-        PairIndex::Sparse(map)
+        // The merge emits pairs in (u, v) order.
+        PairIndex::Sparse(RowIndex::from_sorted(&new_pairs, g1.node_count()))
     };
 
     StoreRepair {
@@ -377,17 +373,12 @@ pub(crate) fn repair_candidates<O: Operator>(
     }
 }
 
-fn sparse_store(mut pairs: Vec<(NodeId, NodeId)>, fallback: Fallback) -> PairStore {
+fn sparse_store(mut pairs: Vec<(NodeId, NodeId)>, n1: usize, fallback: Fallback) -> PairStore {
     pairs.sort_unstable();
     pairs.dedup();
-    let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-    map.reserve(pairs.len());
-    for (i, &(u, v)) in pairs.iter().enumerate() {
-        map.insert(pair_key(u, v), i as u32);
-    }
     PairStore {
+        index: PairIndex::Sparse(RowIndex::from_sorted(&pairs, n1)),
         pairs,
-        index: PairIndex::Sparse(map),
         fallback,
     }
 }

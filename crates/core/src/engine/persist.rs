@@ -39,9 +39,9 @@ use crate::config::{
 use crate::engine::deps::{put_dep_entries, read_dep_entries, PairDepCsr};
 use crate::engine::session::{FsimEngine, RestoredParts};
 use crate::operators::VariantOp;
-use crate::store::{Fallback, PairIndex, PairStore};
+use crate::store::{Fallback, PairIndex, PairStore, RowIndex};
 use fsim_graph::csr::Csr;
-use fsim_graph::{pair_key, FxHashMap, Graph, LabelId, LabelInterner};
+use fsim_graph::{FxHashMap, Graph, LabelId, LabelInterner};
 use fsim_labels::LabelFn;
 use fsim_snapshot::cursor::{put_f64_slice, put_u32_slice, put_usize_slice};
 use fsim_snapshot::writer::{put_f64, put_u32, put_u64, put_u8, put_usize, SnapshotBuilder};
@@ -627,8 +627,8 @@ fn encode_store(buf: &mut Vec<u8>, store: &PairStore) {
             put_u32(buf, *n2);
         }
         PairIndex::Sparse(_) => {
-            // The map is exactly {pair_key(pairs[i]) → i}; rebuilt from
-            // the pair list on restore.
+            // The row index is a function of the sorted pair list;
+            // rebuilt from it on restore.
             put_u32(buf, 1);
             put_u32(buf, 0);
         }
@@ -675,6 +675,17 @@ fn decode_store(bytes: &[u8], g1: &Graph, g2: &Graph) -> Result<PairStore, Snaps
             format!("pair ({u}, {v}) out of graph range ({n1} × {n2} nodes)"),
         ));
     }
+    // Slot order is (u, v) order: the row index, the edit path's row
+    // lookups and the repair merge all rely on it.
+    if let Some(w) = pairs.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(malformed(
+            "store",
+            format!(
+                "pairs not strictly increasing: {:?} precedes {:?}",
+                w[0], w[1]
+            ),
+        ));
+    }
     let index = match cur.u32()? {
         0 => {
             let stored_n2 = cur.u32()?;
@@ -691,19 +702,11 @@ fn decode_store(bytes: &[u8], g1: &Graph, g2: &Graph) -> Result<PairStore, Snaps
         }
         1 => {
             cur.u32()?; // reserved
-            if pairs.len() > u32::MAX as usize {
+            if u32::try_from(pairs.len()).is_err() {
                 return Err(malformed("store", "sparse index exceeds u32 slot space"));
             }
-            // Sized up front: growth-rehashing this map dominated
-            // restore before (`BENCH_snapshot.json`'s restore gate).
-            let mut map = FxHashMap::with_capacity_and_hasher(pairs.len(), Default::default());
-            for (i, &(u, v)) in pairs.iter().enumerate() {
-                // lint:allow(lossy-cast-in-core): pairs.len() is checked against u32 slot space just above
-                if map.insert(pair_key(u, v), i as u32).is_some() {
-                    return Err(malformed("store", format!("duplicate pair ({u}, {v})")));
-                }
-            }
-            PairIndex::Sparse(map)
+            // Pairs are validated in range and strictly increasing above.
+            PairIndex::Sparse(RowIndex::from_sorted(&pairs, g1.node_count()))
         }
         t => return Err(malformed("store", format!("unknown index tag {t}"))),
     };
@@ -985,5 +988,36 @@ mod tests {
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].0, "bad.fsnp");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hand-encodes a store section: `pairs`, the sparse index tag with
+    /// its reserved word, and the θ-pruning fallback.
+    fn sparse_store_bytes(pairs: &[(u32, u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_usize(&mut buf, pairs.len());
+        for &(u, v) in pairs {
+            put_u32(&mut buf, u);
+            put_u32(&mut buf, v);
+        }
+        put_u32(&mut buf, 1);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 0);
+        put_usize(&mut buf, 0);
+        buf
+    }
+
+    #[test]
+    fn restore_rejects_unsorted_store() {
+        let g = fsim_graph::graph_from_parts(&["a", "b"], &[(0, 1)]);
+        let sorted = decode_store(&sparse_store_bytes(&[(0, 1), (1, 0)]), &g, &g).unwrap();
+        assert_eq!(sorted.index.get(1, 0), Some(1));
+        for unsorted in [[(1, 0), (0, 1)], [(0, 1), (0, 1)]] {
+            match decode_store(&sparse_store_bytes(&unsorted), &g, &g) {
+                Err(SnapshotError::Malformed {
+                    section: "store", ..
+                }) => {}
+                other => panic!("{unsorted:?}: expected a malformed store, got {other:?}"),
+            }
+        }
     }
 }

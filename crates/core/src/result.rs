@@ -183,17 +183,7 @@ impl FsimResult {
     /// The `k` best-scoring right-nodes for a given left node, sorted by
     /// descending score (ties broken by node id).
     pub fn top_k_for_left(&self, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let mut row: Vec<(NodeId, f64)> = self
-            .iter_pairs()
-            .filter(|&(x, _, _)| x == u)
-            .map(|(_, v, s)| (v, s))
-            .collect();
-        // `total_cmp`: scores are NaN-free today, but a NaN must never
-        // panic the sort or corrupt its order (+NaN ranks first in this
-        // descending total order).
-        row.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        row.truncate(k);
-        row
+        self.store.top_k_for_left(&self.scores, u, k)
     }
 
     /// For each left node `u`, the set `argmax_v FSim(u, v)` (all `v`

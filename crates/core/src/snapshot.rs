@@ -126,14 +126,7 @@ impl ScoreSnapshot {
     /// The `k` best-scoring right-nodes for a left node `u`, sorted by
     /// descending score (ties broken by node id).
     pub fn top_k_for_left(&self, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let mut row: Vec<(NodeId, f64)> = self
-            .iter_pairs()
-            .filter(|&(x, _, _)| x == u)
-            .map(|(_, v, s)| (v, s))
-            .collect();
-        row.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        row.truncate(k);
-        row
+        self.store.top_k_for_left(&self.scores, u, k)
     }
 
     /// Iterations the producing run executed.
@@ -177,9 +170,7 @@ impl ScoreSnapshot {
         let scores = self.scores.len() * std::mem::size_of::<f64>();
         let index = match &self.store.index {
             PairIndex::Dense { .. } => 0,
-            // Key (u64) + value (u32) per entry; bucket overhead ignored —
-            // the estimate only needs to be a deterministic Θ(|H|) figure.
-            PairIndex::Sparse(map) => map.len() * 12,
+            PairIndex::Sparse(rows) => rows.heap_bytes(),
         };
         let fallback = match &self.store.fallback {
             Fallback::Zero => 0,
