@@ -17,6 +17,9 @@
 //! bitwise identical to the full sweep (`tests/delta_convergence.rs`
 //! property-checks this across variants, θ, pruning and thread counts).
 
+use super::frontier::slot_ids;
+use super::parallel::SlotKernel;
+use super::rows::{slot_terms, Maxima, RowKeys};
 use crate::config::FsimConfig;
 use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
 use crate::store::{PairRef, PairStore};
@@ -55,6 +58,18 @@ pub(crate) struct PairDepCsr {
     /// contain duplicates (a source feeding both directions of one pair);
     /// the frontier's epoch marks deduplicate for free.
     rdeps: Vec<u32>,
+    /// The slots with at least one maintained dependency, ascending —
+    /// the only slots a dense pull can find dirty (derived, never
+    /// persisted).
+    live: Vec<u32>,
+    /// The row-key table, for operators that sum row maxima
+    /// ([`Operator::sums_row_maxima`]) when some key is shared: derived
+    /// at build and repair, and at the first evaluation of a restored CSR
+    /// ([`Self::ensure_rows`]).
+    rows: Option<RowKeys>,
+    /// Whether `rows` was derived (it may still be `None`), so a store
+    /// without shared keys is not derived again at every run.
+    rows_derived: bool,
 }
 
 impl PairDepCsr {
@@ -113,8 +128,7 @@ impl PairDepCsr {
 
         let (rdep_offsets, rdeps) =
             build_reverse(n, &out_offsets, &out_entries, &in_offsets, &in_entries);
-
-        Self {
+        let mut csr = Self::assemble(
             out_offsets,
             in_offsets,
             out_entries,
@@ -122,7 +136,9 @@ impl PairDepCsr {
             dims,
             rdep_offsets,
             rdeps,
-        }
+        );
+        csr.ensure_rows(g1, g2, store, op);
+        csr
     }
 
     /// Incrementally repairs the CSR after a graph edit: slots outside
@@ -226,6 +242,43 @@ impl PairDepCsr {
         }
         let (rdep_offsets, rdeps) =
             build_reverse(n, &out_offsets, &out_entries, &in_offsets, &in_entries);
+        // The row-key table is re-derived whole: one linear pass.
+        let mut csr = Self::assemble(
+            out_offsets,
+            in_offsets,
+            out_entries,
+            in_entries,
+            dims,
+            rdep_offsets,
+            rdeps,
+        );
+        csr.ensure_rows(g1, g2, store, op);
+        csr
+    }
+
+    /// A CSR over validated columns, with its live-slot list derived and
+    /// no row-key table yet.
+    fn assemble(
+        out_offsets: Vec<usize>,
+        in_offsets: Vec<usize>,
+        out_entries: Vec<DepEntry>,
+        in_entries: Vec<DepEntry>,
+        dims: Vec<[u32; 4]>,
+        rdep_offsets: Vec<usize>,
+        rdeps: Vec<u32>,
+    ) -> Self {
+        let maintained = |e: &DepEntry| e.slot != DepEntry::CONST;
+        let live = slot_ids(dims.len())
+            .filter(|&s| {
+                let s = s as usize;
+                out_entries[out_offsets[s]..out_offsets[s + 1]]
+                    .iter()
+                    .any(maintained)
+                    || in_entries[in_offsets[s]..in_offsets[s + 1]]
+                        .iter()
+                        .any(maintained)
+            })
+            .collect();
         Self {
             out_offsets,
             in_offsets,
@@ -234,7 +287,56 @@ impl PairDepCsr {
             dims,
             rdep_offsets,
             rdeps,
+            live,
+            rows: None,
+            rows_derived: false,
         }
+    }
+
+    /// Derives the row-key table if `op` sums row maxima and the CSR has
+    /// not derived one yet — a CSR restored from a snapshot, or one built
+    /// for an operator without the capability before a rerun switched to
+    /// one.
+    pub(crate) fn ensure_rows<O: Operator>(
+        &mut self,
+        g1: &Graph,
+        g2: &Graph,
+        store: &PairStore,
+        op: &O,
+    ) {
+        if !self.rows_derived && op.sums_row_maxima() {
+            self.rows = RowKeys::derive(g1, g2, &store.pairs, &[self.cols()]);
+            self.rows_derived = true;
+        }
+    }
+
+    /// The CSR's columns as one substrate view.
+    fn cols(&self) -> CsrCols<'_> {
+        CsrCols {
+            base: 0,
+            out_offsets: &self.out_offsets,
+            in_offsets: &self.in_offsets,
+            out_entries: &self.out_entries,
+            in_entries: &self.in_entries,
+            dims: &self.dims,
+        }
+    }
+
+    /// The slot kernel over this CSR (see [`SlotEval`]).
+    pub(crate) fn kernel<'a, O: Operator>(
+        &'a self,
+        cfg: &'a FsimConfig,
+        op: &'a O,
+        store: &'a PairStore,
+        label_terms: &'a [f64],
+    ) -> SlotEval<'a, O> {
+        let rows = self.rows.as_ref().map(|r| (r, None));
+        SlotEval::new(cfg, op, store, label_terms, self.cols(), rows)
+    }
+
+    /// The slots with at least one maintained dependency, ascending.
+    pub(crate) fn live(&self) -> &[u32] {
+        &self.live
     }
 
     /// Total dependency entries across both directions (diagnostics).
@@ -243,14 +345,15 @@ impl PairDepCsr {
     }
 
     /// Resident heap footprint in bytes (entries, reverse CSR, offsets,
-    /// dims) — the "peak CSR memory" the sharded driver is bounded
-    /// against.
+    /// dims, the live-slot list and the row-key table) — the "peak CSR
+    /// memory" the sharded driver is bounded against.
     pub(crate) fn bytes(&self) -> usize {
         self.entry_count() * std::mem::size_of::<DepEntry>()
-            + self.rdeps.len() * std::mem::size_of::<u32>()
+            + (self.rdeps.len() + self.live.len()) * std::mem::size_of::<u32>()
             + (self.out_offsets.len() + self.in_offsets.len() + self.rdep_offsets.len())
                 * std::mem::size_of::<usize>()
             + self.dims.len() * std::mem::size_of::<[u32; 4]>()
+            + self.rows.as_ref().map_or(0, RowKeys::bytes)
     }
 
     /// Slot → dependents offsets (for the delta frontier).
@@ -297,7 +400,7 @@ impl PairDepCsr {
     }
 
     /// Rebuilds a CSR from deserialized columns, validating every
-    /// structural invariant `eval_slot` and the dirty scheduler index
+    /// structural invariant the slot kernel and the dirty scheduler index
     /// with — offset monotonicity and terminals, slot bounds — so a
     /// checksum-valid but logically inconsistent snapshot cannot cause
     /// a panic later.
@@ -323,7 +426,7 @@ impl PairDepCsr {
         if let Some(&bad) = rdeps.iter().find(|&&s| s as usize >= n_slots) {
             return Err(format!("rdep slot {bad} out of range ({n_slots} slots)"));
         }
-        Ok(PairDepCsr {
+        Ok(PairDepCsr::assemble(
             out_offsets,
             in_offsets,
             out_entries,
@@ -331,44 +434,133 @@ impl PairDepCsr {
             dims,
             rdep_offsets,
             rdeps,
-        })
+        ))
+    }
+}
+
+/// Equation 3 over one slot substrate — the full CSR or a shard's — with
+/// everything a slot evaluation reads: the one kernel behind every
+/// driver. With a row-key table (operators that sum row maxima) each
+/// term is a sum of shared row maxima ([`super::rows`]); without one it
+/// is the operator's per-slot [`Operator::term_slots`]. Both are bitwise
+/// identical to [`pair_update`](super::iterate::pair_update) on the same
+/// inputs.
+pub(crate) struct SlotEval<'a, O> {
+    cfg: &'a FsimConfig,
+    op: &'a O,
+    store: &'a PairStore,
+    label_terms: &'a [f64],
+    cols: CsrCols<'a>,
+    /// The store's row-key table, present only when the operator sums
+    /// row maxima.
+    rows: Option<&'a RowKeys>,
+    /// The columns `rows` was derived from, when they are not `cols`
+    /// alone (a sharded session's spill mappings).
+    parts: Option<&'a [CsrCols<'a>]>,
+}
+
+impl<'a, O: Operator> SlotEval<'a, O> {
+    fn new(
+        cfg: &'a FsimConfig,
+        op: &'a O,
+        store: &'a PairStore,
+        label_terms: &'a [f64],
+        cols: CsrCols<'a>,
+        rows: Option<(&'a RowKeys, Option<&'a [CsrCols<'a>]>)>,
+    ) -> Self {
+        let (rows, parts) = match rows.filter(|_| op.sums_row_maxima()) {
+            Some((r, parts)) => (Some(r), parts),
+            None => (None, None),
+        };
+        Self {
+            cfg,
+            op,
+            store,
+            label_terms,
+            cols,
+            rows,
+            parts,
+        }
     }
 
-    /// Equation 3 for one slot, evaluated from the prepared dependency
-    /// lists and the cached label term — bitwise identical to
-    /// [`pair_update`](super::iterate::pair_update) on the same inputs.
+    /// A kernel that fills the row maxima of `rows` over its `parts`
+    /// (it evaluates the first part's slots only).
+    pub(crate) fn over_parts(
+        cfg: &'a FsimConfig,
+        op: &'a O,
+        store: &'a PairStore,
+        label_terms: &'a [f64],
+        rows: &'a RowKeys,
+        parts: &'a [CsrCols<'a>],
+    ) -> Self {
+        Self::new(
+            cfg,
+            op,
+            store,
+            label_terms,
+            parts[0],
+            Some((rows, Some(parts))),
+        )
+    }
+
+    fn parts(&self) -> &[CsrCols<'a>] {
+        self.parts.unwrap_or(std::slice::from_ref(&self.cols))
+    }
+}
+
+impl<O: Operator> SlotKernel for SlotEval<'_, O> {
+    fn row_keys(&self) -> usize {
+        self.rows.map_or(0, RowKeys::len)
+    }
+
+    fn row_max(&self, key: usize, prev: &[f64]) -> f64 {
+        self.rows.map_or(0.0, |r| r.max_of(key, self.parts(), prev))
+    }
+
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn eval_slot<O: Operator>(
-        &self,
-        cfg: &FsimConfig,
-        op: &O,
-        store: &PairStore,
-        slot: usize,
-        prev: &[f64],
-        scratch: &mut OpScratch,
-        label: f64,
-    ) -> f64 {
-        let (u, v) = store.pairs[slot];
-        if cfg.pin_identical && u == v {
+    fn eval(&self, slot: usize, prev: &[f64], maxima: Maxima<'_>, scratch: &mut OpScratch) -> f64 {
+        let (u, v) = self.store.pairs[slot];
+        if self.cfg.pin_identical && u == v {
             return 1.0;
         }
-        let [o1, o2, i1, i2] = self.dims[slot];
-        let out = op.term_slots(
-            &self.out_entries[self.out_offsets[slot]..self.out_offsets[slot + 1]],
-            o1 as usize,
-            o2 as usize,
-            prev,
-            scratch,
-        );
-        let inn = op.term_slots(
-            &self.in_entries[self.in_offsets[slot]..self.in_offsets[slot + 1]],
-            i1 as usize,
-            i2 as usize,
-            prev,
-            scratch,
-        );
-        let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * label;
+        let c = &self.cols;
+        let local = slot - c.base;
+        let (out, inn) = match self.rows {
+            Some(rows) => {
+                let dims = c.dims[local];
+                slot_terms(
+                    self.op,
+                    rows,
+                    self.parts(),
+                    slot,
+                    dims,
+                    prev,
+                    maxima,
+                    scratch,
+                )
+            }
+            None => {
+                let [o1, o2, i1, i2] = c.dims[local];
+                (
+                    self.op.term_slots(
+                        &c.out_entries[c.out_offsets[local]..c.out_offsets[local + 1]],
+                        o1 as usize,
+                        o2 as usize,
+                        prev,
+                        scratch,
+                    ),
+                    self.op.term_slots(
+                        &c.in_entries[c.in_offsets[local]..c.in_offsets[local + 1]],
+                        i1 as usize,
+                        i2 as usize,
+                        prev,
+                        scratch,
+                    ),
+                )
+            }
+        };
+        let cfg = self.cfg;
+        let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * self.label_terms[slot];
         // Scores are mathematically confined to [0, 1]; clamp floating
         // drift (identically to `pair_update`).
         score.clamp(0.0, 1.0)
@@ -431,9 +623,9 @@ fn check_entry_slots(name: &str, entries: &[DepEntry], n_slots: usize) -> Result
 /// shard is touched, so peak resident CSR memory is one shard's worth.
 ///
 /// Entries are produced by the same [`push_direction`] pass as
-/// [`PairDepCsr::build`], and [`eval_slot`](Self::eval_slot) is the same
-/// arithmetic as [`PairDepCsr::eval_slot`], so evaluating a slot through a
-/// `ShardCsr` is bitwise identical to evaluating it through the full CSR.
+/// [`PairDepCsr::build`], and both evaluate through [`SlotEval`], so
+/// evaluating a slot through a `ShardCsr` is bitwise identical to
+/// evaluating it through the full CSR.
 /// No reverse CSR is materialized: the sharded driver schedules by
 /// scanning each slot's forward entries against the previous iteration's
 /// changed-slot frontier instead (the boundary exchange).
@@ -463,17 +655,19 @@ struct OwnedShardCsr {
     dims: Vec<[u32; 4]>,
 }
 
-/// Borrowed view of one shard's CSR columns — the common shape both
-/// backings lower to, so evaluation is one code path (and therefore
-/// bitwise identical) regardless of where the bytes live.
+/// Borrowed view of one substrate's CSR columns — the common shape the
+/// full CSR and both shard backings lower to, so evaluation is one code
+/// path (and therefore bitwise identical) regardless of where the bytes
+/// live.
 #[derive(Clone, Copy)]
-struct CsrCols<'a> {
-    base: usize,
-    out_offsets: &'a [usize],
-    in_offsets: &'a [usize],
-    out_entries: &'a [DepEntry],
-    in_entries: &'a [DepEntry],
-    dims: &'a [[u32; 4]],
+pub(crate) struct CsrCols<'a> {
+    /// First global slot of the substrate (0 for the full CSR).
+    pub(crate) base: usize,
+    pub(crate) out_offsets: &'a [usize],
+    pub(crate) in_offsets: &'a [usize],
+    pub(crate) out_entries: &'a [DepEntry],
+    pub(crate) in_entries: &'a [DepEntry],
+    pub(crate) dims: &'a [[u32; 4]],
 }
 
 impl ShardCsr {
@@ -490,6 +684,22 @@ impl ShardCsr {
             },
             ShardRepr::Mapped(m) => m.cols(),
         }
+    }
+
+    /// The slot kernel over this shard (see [`SlotEval`]). `rows` is the
+    /// store's row-key table and the shard columns it was derived from —
+    /// a sharded session with retained spill mappings shares one table
+    /// across all its shards.
+    pub(crate) fn kernel<'a, O: Operator>(
+        &'a self,
+        cfg: &'a FsimConfig,
+        op: &'a O,
+        store: &'a PairStore,
+        label_terms: &'a [f64],
+        rows: Option<(&'a RowKeys, &'a [CsrCols<'a>])>,
+    ) -> SlotEval<'a, O> {
+        let rows = rows.map(|(r, parts)| (r, Some(parts)));
+        SlotEval::new(cfg, op, store, label_terms, self.cols(), rows)
     }
 
     /// Wraps a retained spill mapping (shared with the spill cache).
@@ -584,48 +794,6 @@ impl ShardCsr {
             + std::mem::size_of_val(c.out_offsets)
             + std::mem::size_of_val(c.in_offsets)
             + std::mem::size_of_val(c.dims)
-    }
-
-    /// Equation 3 for one **global** slot of the shard — bitwise identical
-    /// to [`PairDepCsr::eval_slot`] on the same inputs (same entries, same
-    /// arithmetic).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn eval_slot<O: Operator>(
-        &self,
-        cfg: &FsimConfig,
-        op: &O,
-        store: &PairStore,
-        slot: usize,
-        prev: &[f64],
-        scratch: &mut OpScratch,
-        label: f64,
-    ) -> f64 {
-        let (u, v) = store.pairs[slot];
-        if cfg.pin_identical && u == v {
-            return 1.0;
-        }
-        let c = self.cols();
-        let local = slot - c.base;
-        let [o1, o2, i1, i2] = c.dims[local];
-        let out = op.term_slots(
-            &c.out_entries[c.out_offsets[local]..c.out_offsets[local + 1]],
-            o1 as usize,
-            o2 as usize,
-            prev,
-            scratch,
-        );
-        let inn = op.term_slots(
-            &c.in_entries[c.in_offsets[local]..c.in_offsets[local + 1]],
-            i1 as usize,
-            i2 as usize,
-            prev,
-            scratch,
-        );
-        let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * label;
-        // Scores are mathematically confined to [0, 1]; clamp floating
-        // drift (identically to `pair_update` / `PairDepCsr::eval_slot`).
-        score.clamp(0.0, 1.0)
     }
 
     /// Writes this shard's dependency lists to `path` as a one-section
@@ -807,8 +975,9 @@ impl MappedShardCsr {
         self.base == lo && self.dims.len() == hi - lo
     }
 
+    /// The mapping's columns.
     #[inline]
-    fn cols(&self) -> CsrCols<'_> {
+    pub(crate) fn cols(&self) -> CsrCols<'_> {
         CsrCols {
             base: self.base,
             out_offsets: &self.out_offsets,
@@ -977,19 +1146,31 @@ fn push_direction(
 mod tests {
     use super::*;
     use crate::config::{FsimConfig, Variant};
+    use crate::engine::parallel::step_maxima;
     use crate::operators::VariantOp;
-    use fsim_graph::graph_from_parts;
+    use fsim_graph::{graph_from_parts, GraphBuilder, LabelInterner};
     use fsim_labels::LabelFn;
 
     fn setup() -> (Graph, Graph, FsimConfig) {
-        let g1 = graph_from_parts(&["a", "b", "a"], &[(0, 1), (1, 2), (2, 0)]);
+        // Node 1 is an out-neighbor of both 0 and 2, so slots (0, v) and
+        // (2, v) share row keys.
+        let g1 = graph_from_parts(&["a", "b", "a"], &[(0, 1), (1, 2), (2, 0), (2, 1)]);
         let g2 = graph_from_parts(&["a", "b", "b", "a"], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let cfg = FsimConfig::new(Variant::Simple).label_fn(LabelFn::Indicator);
         (g1, g2, cfg)
     }
 
+    /// The per-slot label-term cache the session keeps.
+    fn label_terms(ctx: &OpCtx<'_>, store: &PairStore) -> Vec<f64> {
+        store
+            .pairs
+            .iter()
+            .map(|&(u, v)| ctx.label_sim(u, v))
+            .collect()
+    }
+
     #[test]
-    fn eval_slot_matches_pair_update_bitwise() {
+    fn slot_kernel_matches_pair_update_bitwise() {
         let (g1raw, g2raw, base) = setup();
         for theta in [0.0, 1.0] {
             let cfg = base.clone().theta(theta);
@@ -1004,6 +1185,8 @@ mod tests {
             let op = VariantOp::new(cfg.variant);
             let store = crate::candidates::enumerate_candidates(&g1raw, &g2raw, &ctx, &cfg, &op);
             let csr = PairDepCsr::build(&g1raw, &g2raw, &ctx, &store, &op);
+            let labels = label_terms(&ctx, &store);
+            let kernel = csr.kernel(&cfg, &op, &store, &labels);
             // Arbitrary (deterministic) score buffer.
             let scores: Vec<f64> = (0..store.len()).map(|i| (i % 13) as f64 / 13.0).collect();
             let view = store.view(&scores);
@@ -1020,8 +1203,7 @@ mod tests {
                     &view,
                     &mut scratch,
                 );
-                let label = ctx.label_sim(u, v);
-                let via_csr = csr.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+                let via_csr = kernel.eval(slot, &scores, Maxima::lazy(), &mut scratch);
                 assert_eq!(
                     direct.to_bits(),
                     via_csr.to_bits(),
@@ -1047,6 +1229,8 @@ mod tests {
             let op = VariantOp::new(cfg.variant);
             let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
             let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+            let labels = label_terms(&ctx, &store);
+            let full_kernel = csr.kernel(&cfg, &op, &store, &labels);
             let scores: Vec<f64> = (0..store.len()).map(|i| (i % 7) as f64 / 7.0).collect();
             let mut scratch = OpScratch::new();
             // Split the store anywhere (including degenerate empty shards)
@@ -1055,12 +1239,11 @@ mod tests {
                 for (lo, hi) in [(0, cut), (cut, store.len())] {
                     let shard = ShardCsr::build(&g1, &g2, &ctx, &store, &op, lo, hi);
                     assert!(shard.bytes() <= csr.bytes());
+                    let shard_kernel = shard.kernel(&cfg, &op, &store, &labels, None);
                     for slot in lo..hi {
-                        let label = ctx.label_sim(store.pairs[slot].0, store.pairs[slot].1);
-                        let full =
-                            csr.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+                        let full = full_kernel.eval(slot, &scores, Maxima::lazy(), &mut scratch);
                         let via_shard =
-                            shard.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+                            shard_kernel.eval(slot, &scores, Maxima::lazy(), &mut scratch);
                         assert_eq!(
                             full.to_bits(),
                             via_shard.to_bits(),
@@ -1105,12 +1288,16 @@ mod tests {
         let mapped = ShardCsr::from_mapped(std::sync::Arc::new(
             MappedShardCsr::map(&path, lo, hi).unwrap(),
         ));
+        let labels = label_terms(&ctx, &store);
+        let (built_kernel, mapped_kernel) = (
+            built.kernel(&cfg, &op, &store, &labels, None),
+            mapped.kernel(&cfg, &op, &store, &labels, None),
+        );
         let scores: Vec<f64> = (0..store.len()).map(|i| (i % 5) as f64 / 5.0).collect();
         let mut scratch = OpScratch::new();
         for slot in lo..hi {
-            let label = ctx.label_sim(store.pairs[slot].0, store.pairs[slot].1);
-            let a = built.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
-            let b = mapped.eval_slot(&cfg, &op, &store, slot, &scores, &mut scratch, label);
+            let a = built_kernel.eval(slot, &scores, Maxima::lazy(), &mut scratch);
+            let b = mapped_kernel.eval(slot, &scores, Maxima::lazy(), &mut scratch);
             assert_eq!(a.to_bits(), b.to_bits(), "slot {slot}");
             let da: Vec<DepEntry> = built.deps_of(slot).copied().collect();
             let db: Vec<DepEntry> = mapped.deps_of(slot).copied().collect();
@@ -1218,5 +1405,286 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded xorshift generator: the engine crate has no RNG
+    /// dependency, and these tests need only reproducible variety.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A random graph pair over one label vocabulary, dense enough that
+    /// most `x` are neighbors of several `u` — so most row keys are read
+    /// by more than one slot.
+    fn seeded_pair(rng: &mut Rng) -> (Graph, Graph) {
+        let interner = LabelInterner::shared();
+        let mut mk = |b: &mut GraphBuilder| {
+            let n = 4 + rng.below(9);
+            for _ in 0..n {
+                b.add_node(["a", "b", "c"][rng.below(3)]);
+            }
+            for _ in 0..3 * n {
+                let (u, v) = (rng.below(n), rng.below(n));
+                b.add_edge(u32::try_from(u).unwrap(), u32::try_from(v).unwrap());
+            }
+        };
+        let mut b1 = GraphBuilder::with_interner(std::sync::Arc::clone(&interner));
+        mk(&mut b1);
+        let mut b2 = GraphBuilder::with_interner(interner);
+        mk(&mut b2);
+        (b1.build(), b2.build())
+    }
+
+    /// The configurations the shared-row suite crosses: θ ∈ {0, 0.5} ×
+    /// α-pruning off / on (α·ub constants, folded per row, with rows
+    /// whose every entry is a constant) × `pin_identical`.
+    fn shared_row_configs() -> Vec<FsimConfig> {
+        let mut cfgs = Vec::new();
+        for theta in [0.0, 0.5] {
+            for pruning in [None, Some((0.5, 0.6)), Some((0.3, 0.95))] {
+                for pin in [false, true] {
+                    let mut cfg = FsimConfig::new(Variant::Simple)
+                        .label_fn(LabelFn::JaroWinkler)
+                        .theta(theta);
+                    if let Some((alpha, beta)) = pruning {
+                        cfg = cfg.upper_bound(alpha, beta);
+                    }
+                    cfg.pin_identical = pin;
+                    cfgs.push(cfg);
+                }
+            }
+        }
+        cfgs
+    }
+
+    #[test]
+    fn shared_row_maxima_equal_the_per_slot_kernel_bitwise() {
+        let mut rng = Rng(0x5EED_B0A7_F00D);
+        let (mut shared_rows, mut const_rows, mut all_const_rows) = (0, 0, 0);
+        let mut tables = 0;
+        let dir = std::env::temp_dir().join(format!("fsim-rows-spill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for _ in 0..6 {
+            let (g1, g2) = seeded_pair(&mut rng);
+            for cfg in shared_row_configs() {
+                let aligned = super::super::session::AlignedLabels::new(&g1, &g2);
+                let eval = super::super::session::build_label_eval(&cfg, &aligned.interner);
+                let ctx = OpCtx {
+                    labels1: &aligned.labels1,
+                    labels2: &aligned.labels2,
+                    label_eval: &eval,
+                    theta: cfg.theta,
+                };
+                let op = VariantOp::new(cfg.variant);
+                let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
+                let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+                if let Some(rows) = csr.rows.as_ref() {
+                    let instances: usize = (0..store.len())
+                        .map(|s| rows.out_keys(s).len() + rows.in_keys(s).len())
+                        .sum();
+                    shared_rows += instances - rows.len();
+                }
+                for s in 0..store.len() {
+                    let c = csr.cols();
+                    for (offsets, entries) in
+                        [(c.out_offsets, c.out_entries), (c.in_offsets, c.in_entries)]
+                    {
+                        let list = &entries[offsets[s]..offsets[s + 1]];
+                        let consts = list.iter().filter(|e| e.slot == DepEntry::CONST).count();
+                        const_rows += consts;
+                        all_const_rows += usize::from(consts > 0 && consts == list.len());
+                    }
+                }
+                // Two retained spill mappings, split mid-store: one table
+                // over both, with the full CSR's keys.
+                let n = store.len();
+                let mut mapped = Vec::new();
+                for (k, (lo, hi)) in [(0, n / 2), (n / 2, n)].into_iter().enumerate() {
+                    let path = dir.join(format!("shard-{k}.fsnp"));
+                    ShardCsr::build(&g1, &g2, &ctx, &store, &op, lo, hi)
+                        .write_spill(&path)
+                        .unwrap();
+                    mapped.push(std::sync::Arc::new(
+                        MappedShardCsr::map(&path, lo, hi).unwrap(),
+                    ));
+                }
+                let parts: Vec<CsrCols<'_>> = mapped.iter().map(|m| m.cols()).collect();
+                let split = RowKeys::derive(&g1, &g2, &store.pairs, &parts);
+                assert_eq!(split.is_some(), csr.rows.is_some(), "{cfg:?}");
+                if let (Some(a), Some(b)) = (&split, &csr.rows) {
+                    tables += 1;
+                    for s in 0..n {
+                        assert_eq!(a.out_keys(s), b.out_keys(s), "{cfg:?} slot {s}");
+                        assert_eq!(a.in_keys(s), b.in_keys(s), "{cfg:?} slot {s}");
+                    }
+                }
+                let labels = label_terms(&ctx, &store);
+                let per_slot = SlotEval::new(&cfg, &op, &store, &labels, csr.cols(), None);
+                let shards: Vec<ShardCsr> =
+                    mapped.iter().cloned().map(ShardCsr::from_mapped).collect();
+                let shared_rows = split.as_ref().map(|r| (r, parts.as_slice()));
+                let mut maxima_buf = Vec::new();
+                let mut scratch = OpScratch::new();
+                for round in 0..3 {
+                    // Arbitrary score buffers, exact zeros included.
+                    let prev: Vec<f64> = (0..n)
+                        .map(|_| rng.below(9) as f64 / (7 + round) as f64)
+                        .map(|x| x.min(1.0))
+                        .collect();
+                    let full = csr.kernel(&cfg, &op, &store, &labels);
+                    let filled = step_maxima(&full, &prev, n, n, &mut maxima_buf, None);
+                    let lazy = Maxima::lazy();
+                    for slot in 0..n {
+                        let want = per_slot.eval(slot, &prev, Maxima::lazy(), &mut scratch);
+                        for maxima in [filled, lazy] {
+                            let got = full.eval(slot, &prev, maxima, &mut scratch);
+                            assert_eq!(want.to_bits(), got.to_bits(), "{cfg:?} slot {slot}");
+                        }
+                    }
+                    // The shards read maxima filled over all parts, or
+                    // filled on first use under one token for both.
+                    let mut split_buf = Vec::new();
+                    let filled = match shared_rows {
+                        Some((r, parts)) => {
+                            let fill = SlotEval::over_parts(&cfg, &op, &store, &labels, r, parts);
+                            step_maxima(&fill, &prev, n, n, &mut split_buf, None)
+                        }
+                        None => Maxima::lazy(),
+                    };
+                    let lazy = Maxima::lazy();
+                    for (shard, m) in shards.iter().zip(&mapped) {
+                        let kernel = shard.kernel(&cfg, &op, &store, &labels, shared_rows);
+                        let c = m.cols();
+                        for slot in c.base..c.base + c.dims.len() {
+                            let want = per_slot.eval(slot, &prev, Maxima::lazy(), &mut scratch);
+                            for maxima in [filled, lazy] {
+                                let got = kernel.eval(slot, &prev, maxima, &mut scratch);
+                                assert_eq!(want.to_bits(), got.to_bits(), "{cfg:?} slot {slot}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(tables > 0, "no row-key table was derived");
+        // The suite exercised what it claims to.
+        assert!(shared_rows > 0, "no row key was read by two slots");
+        assert!(const_rows > 0, "no constant entries");
+        assert!(all_const_rows > 0, "no all-constant dependency list");
+    }
+
+    #[test]
+    fn row_keys_after_repair_and_restore_equal_a_cold_build() {
+        let mut rng = Rng(0xC01D_B11D);
+        let mut tables = 0;
+        for _ in 0..6 {
+            let (g1, g2) = seeded_pair(&mut rng);
+            for cfg in shared_row_configs() {
+                let aligned = super::super::session::AlignedLabels::new(&g1, &g2);
+                let eval = super::super::session::build_label_eval(&cfg, &aligned.interner);
+                let ctx = OpCtx {
+                    labels1: &aligned.labels1,
+                    labels2: &aligned.labels2,
+                    label_eval: &eval,
+                    theta: cfg.theta,
+                };
+                let op = VariantOp::new(cfg.variant);
+                let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
+                let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+                let n = store.len();
+
+                // Restore: the snapshot's columns, then the first
+                // evaluation's derivation.
+                let raw = csr.raw_parts();
+                let mut restored = PairDepCsr::from_raw_parts(
+                    raw.out_offsets.to_vec(),
+                    raw.in_offsets.to_vec(),
+                    raw.out_entries.to_vec(),
+                    raw.in_entries.to_vec(),
+                    raw.dims.to_vec(),
+                    raw.rdep_offsets.to_vec(),
+                    raw.rdeps.to_vec(),
+                    n,
+                )
+                .unwrap();
+                assert!(!restored.rows_derived, "restore derives nothing");
+                restored.ensure_rows(&g1, &g2, &store, &op);
+                assert_eq!(restored, csr, "{cfg:?}");
+                tables += usize::from(csr.rows.is_some());
+
+                // Repair after an edit that keeps the store's slots: one
+                // new edge out of a random left node.
+                let (a, b) = (rng.below(g1.node_count()), rng.below(g1.node_count()));
+                let (a, b) = (u32::try_from(a).unwrap(), u32::try_from(b).unwrap());
+                let g1b = g1.with_edits(&[(a, b)], &[], &[]);
+                let dirty: Vec<bool> = store.pairs.iter().map(|&(u, _)| u == a || u == b).collect();
+                let identity: Vec<u32> = (0..u32::try_from(n).unwrap()).collect();
+                let repaired =
+                    csr.repaired(&g1b, &g2, &ctx, &store, &op, &identity, &identity, &dirty);
+                let fresh = PairDepCsr::build(&g1b, &g2, &ctx, &store, &op);
+                assert_eq!(repaired, fresh, "{cfg:?}");
+            }
+        }
+        assert!(tables > 0, "no row-key table was derived");
+    }
+
+    #[test]
+    fn bytes_count_the_row_key_table() {
+        let (g1, g2, cfg) = setup();
+        let aligned = super::super::session::AlignedLabels::new(&g1, &g2);
+        let eval = super::super::session::build_label_eval(&cfg, &aligned.interner);
+        let ctx = OpCtx {
+            labels1: &aligned.labels1,
+            labels2: &aligned.labels2,
+            label_eval: &eval,
+            theta: cfg.theta,
+        };
+        let simple = VariantOp::new(Variant::Simple);
+        let bijective = VariantOp::new(Variant::Bijective);
+        let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &simple);
+        let with_rows = PairDepCsr::build(&g1, &g2, &ctx, &store, &simple);
+        let without = PairDepCsr::build(&g1, &g2, &ctx, &store, &bijective);
+        // θ = 0 without pruning: both operators read the same entries,
+        // and only `s` sums row maxima.
+        assert_eq!(
+            with_rows.raw_parts().out_entries,
+            without.raw_parts().out_entries
+        );
+        assert!(without.rows.is_none());
+        let table = with_rows.rows.as_ref().expect("Simple derives a table");
+        assert!(table.bytes() > 0);
+        assert_eq!(with_rows.bytes(), without.bytes() + table.bytes());
+        // A shard CSR counts its columns only; a sharded session with
+        // retained spill mappings adds the one table they share to its
+        // peak.
+        let (lo, hi) = (0, store.len());
+        let shard = ShardCsr::build(&g1, &g2, &ctx, &store, &simple, lo, hi);
+        let bare = ShardCsr::build(&g1, &g2, &ctx, &store, &bijective, lo, hi);
+        assert_eq!(shard.bytes(), bare.bytes());
+        let dir = std::env::temp_dir().join(format!("fsim-rows-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spilled = cfg
+            .clone()
+            .shards(crate::config::ShardSpec::Fixed(1))
+            .spill_dir(&dir);
+        let mut peaks = Vec::new();
+        for variant in [Variant::Simple, Variant::Bijective] {
+            let mut cfg = spilled.clone();
+            cfg.variant = variant;
+            let mut e = crate::engine::FsimEngine::new(&g1, &g2, &cfg).unwrap();
+            e.run(); // writes the spill
+            e.run(); // maps it, with the table for `s`
+            peaks.push(e.peak_csr_bytes());
+        }
+        assert_eq!(peaks[0], peaks[1] + table.bytes());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,10 +15,14 @@
 //!   visit the worklist in slot order — extracted by a slot-order scan of
 //!   the marks when it holds at least 1/16 of the slots, sorted
 //!   otherwise;
-//! * **dense pull** otherwise: one slot-order pass evaluates exactly the
-//!   slots with a maintained dependency set in the changed bitmap
-//!   ([`PairDepCsr::reads_any`](super::deps::PairDepCsr::reads_any)) and
-//!   copies every other slot forward.
+//! * **dense pull** otherwise: one slot-order pass over the *live* slots
+//!   (those with at least one maintained dependency,
+//!   [`PairDepCsr::live`](super::deps::PairDepCsr::live)) evaluates
+//!   exactly those with a dependency set in the changed bitmap
+//!   ([`PairDepCsr::reads_any`](super::deps::PairDepCsr::reads_any)).
+//!   No other slot needs a write: the changed slots are copied forward
+//!   first, and every unchanged slot already holds its current value in
+//!   the write buffer.
 //!
 //! Both rules select the dependents of the changed set, so the evaluated
 //! slots, `pairs_evaluated`, iteration counts and every score bit are the
@@ -40,7 +44,7 @@ pub(crate) enum Step<'a> {
     /// Exactly these slots, in ascending slot order.
     Sparse(&'a [u32]),
     /// Every slot that reads a slot set in this bitmap (bit `s % 64` of
-    /// word `s / 64`); every other slot is copied forward.
+    /// word `s / 64`); every other slot keeps its value.
     Dense(&'a [u64]),
 }
 
@@ -104,17 +108,17 @@ impl Frontier {
         }
     }
 
-    /// Slots a sparse step leaves stale in the write buffer: `C_{k−1}`
-    /// minus the worklist. Each still holds its two-iterations-old value
-    /// there and must be copied forward before the step so the buffer ends
-    /// the iteration complete. Empty under a dense step, which writes every
-    /// slot itself.
+    /// Slots the step may leave stale in the write buffer, which holds
+    /// the iterate before last: `C_{k−1}` — the only slots whose value
+    /// there differs from the previous iterate — minus a sparse step's
+    /// worklist. Each must be copied forward before the step so the
+    /// buffer ends the iteration complete. A dense step copies all of
+    /// `C_{k−1}`, since it does not know which of them it re-evaluates.
     pub(crate) fn stale(&self) -> impl Iterator<Item = usize> + '_ {
-        let changed: &[u32] = if self.dense { &[] } else { &self.changed };
-        changed
+        self.changed
             .iter()
             .map(|&s| s as usize)
-            .filter(move |&s| self.mark[s] != self.epoch)
+            .filter(move |&s| self.dense || self.mark[s] != self.epoch)
     }
 
     /// Schedules the dependents of `changed` (this iteration's changed
@@ -279,7 +283,9 @@ mod tests {
             assert_eq!(bits[s / 64] >> (s % 64) & 1 == 1, s % 3 == 0, "slot {s}");
         }
         assert!(f.worklist().is_empty());
-        assert_eq!(f.stale().count(), 0, "a dense step writes every slot");
+        let stale: Vec<usize> = f.stale().collect();
+        let changed: Vec<usize> = (0..100).map(|s| 3 * s).collect();
+        assert_eq!(stale, changed, "a dense step copies every changed slot");
     }
 
     #[test]

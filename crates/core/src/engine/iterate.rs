@@ -12,8 +12,8 @@
 //!   slots have fewer dependents in total than there are slots
 //!   (`Σ |rdeps(changed)| < |H|`) it **pushes** through the reverse CSR
 //!   and visits the worklist in slot order; otherwise it **pulls** — one
-//!   slot-order pass evaluates exactly the slots with a dependency in the
-//!   changed bitmap and copies every other slot forward. Both select the
+//!   slot-order pass over the live slots evaluates exactly those with a
+//!   dependency in the changed bitmap. Both select the
 //!   same slots (the update is Jacobi, so the visit order cannot change
 //!   a bit); only locality and frontier cost differ. Replay's trajectory
 //!   phase and approximate runs only push;
@@ -27,12 +27,20 @@
 //!   bound the distance to the exact result (Theorem 2's contraction).
 //!   It composes with both the unsharded and the sharded dirty loops.
 //!
+//! Every driver evaluates through one [`SlotKernel`]. For operators that
+//! sum row maxima, a step that evaluates at least a quarter of the slots
+//! first fills every shared row maximum, and a shorter one fills those
+//! it reads on first use ([`step_maxima`], [`super::rows`]); the bits are
+//! those of the per-slot kernel.
+//!
 //! Every driver's `iter_seconds` covers the whole iteration: repair,
 //! evaluation, frontier construction and trajectory recording.
 
 use super::deps::PairDepCsr;
 use super::frontier::{slot_ids, Frontier, Step};
-use super::parallel::{run_parallel, run_parallel_delta, IterationOutcome, Runtime};
+use super::parallel::{
+    run_parallel, run_parallel_delta, step_maxima, IterationOutcome, Runtime, SlotKernel,
+};
 use crate::config::{FsimConfig, InitScheme};
 use crate::operators::{OpCtx, OpScratch, Operator, ScoreLookup};
 use crate::store::PairStore;
@@ -334,7 +342,7 @@ pub(crate) fn run_to_convergence<O: Operator>(
             cfg.epsilon,
             scores,
             cur,
-            |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
+            &|slot: usize, prev: &[f64], scratch: &mut OpScratch| {
                 let (u, v) = store.pairs[slot];
                 let view = store.view(prev);
                 pair_update_with_label(
@@ -396,8 +404,8 @@ pub(crate) fn run_to_convergence<O: Operator>(
 /// Iterates Equation 3 to convergence by **full sweep over the slot CSR**:
 /// every maintained pair is re-evaluated each iteration — identical
 /// scheduling semantics (and `pairs_evaluated` accounting) to
-/// [`run_to_convergence`] — but each evaluation runs through
-/// [`PairDepCsr::eval_slot`]'s contiguous slot-indexed buffers instead of
+/// [`run_to_convergence`] — but each evaluation runs through the CSR's
+/// slot kernel and its contiguous slot-indexed buffers instead of
 /// on-the-fly neighbor enumeration and hash-map score lookups. This is the
 /// *vectorized* sweep path: scores live in a flat SoA `f64` buffer indexed
 /// by dependency entries prepared at CSR build time, so the inner loop is
@@ -421,35 +429,21 @@ pub(crate) fn run_sweep_slots<O: Operator>(
     cur.clear();
     cur.resize(n, 0.0);
     let max_iters = cfg.effective_max_iters();
+    let kernel = csr.kernel(cfg, op, store, label_terms);
 
     if let Some(rt) = rt {
-        return run_parallel(
-            rt,
-            max_iters,
-            cfg.epsilon,
-            scores,
-            cur,
-            |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-            },
-        );
+        return run_parallel(rt, max_iters, cfg.epsilon, scores, cur, &kernel);
     }
 
     let mut scratch = OpScratch::new();
+    let mut maxima_buf = Vec::new();
     let mut out = IterationOutcome::empty();
     while out.iterations < max_iters {
         let t0 = Instant::now();
         let mut delta = 0.0f64;
+        let maxima = step_maxima(&kernel, scores, n, n, &mut maxima_buf, None);
         for slot in 0..n {
-            let s = csr.eval_slot(
-                cfg,
-                op,
-                store,
-                slot,
-                scores,
-                &mut scratch,
-                label_terms[slot],
-            );
+            let s = kernel.eval(slot, scores, maxima, &mut scratch);
             let d = (s - scores[slot]).abs();
             if d > delta {
                 delta = d;
@@ -507,6 +501,7 @@ pub(crate) fn run_delta<O: Operator>(
     cur.resize(n, 0.0);
     let max_iters = cfg.effective_max_iters();
 
+    let kernel = csr.kernel(cfg, op, store, label_terms);
     if let Some(rt) = rt {
         // `run_parallel_delta` does its own warm-start pre-fill of `cur`.
         return run_parallel_delta(
@@ -519,9 +514,7 @@ pub(crate) fn run_delta<O: Operator>(
             record,
             initial_worklist,
             approx,
-            |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-            },
+            &kernel,
         );
     }
 
@@ -539,10 +532,8 @@ pub(crate) fn run_delta<O: Operator>(
     }
     delta_loop(
         cfg,
-        op,
-        store,
+        &kernel,
         csr,
-        label_terms,
         scores,
         cur,
         record,
@@ -559,12 +550,10 @@ pub(crate) fn run_delta<O: Operator>(
 /// iterations' work did, so `iter_seconds` covers repair, evaluation,
 /// frontier construction and recording.
 #[allow(clippy::too_many_arguments)]
-fn delta_loop<O: Operator>(
+fn delta_loop<K: SlotKernel>(
     cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
+    kernel: &K,
     csr: &PairDepCsr,
-    label_terms: &[f64],
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
@@ -576,6 +565,7 @@ fn delta_loop<O: Operator>(
     let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
     let max_iters = cfg.effective_max_iters();
     let mut scratch = OpScratch::new();
+    let mut maxima_buf = Vec::new();
     // C_k: slots whose score changed this iteration.
     let mut changed: Vec<u32> = Vec::new();
     while out.iterations < max_iters {
@@ -584,16 +574,14 @@ fn delta_loop<O: Operator>(
         }
         let step = frontier.step();
         let (delta, evaluated) = eval_step(
-            cfg,
-            op,
-            store,
+            kernel,
             csr,
-            label_terms,
             step,
             scores,
             cur,
             &mut changed,
             &mut scratch,
+            &mut maxima_buf,
         );
         out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
         out.pairs_evaluated.push(evaluated);
@@ -639,27 +627,32 @@ fn delta_loop<O: Operator>(
 }
 
 /// Evaluates one delta step of Equation 3 from `prev` into `next`: the
-/// listed slots of a sparse step, or — for a dense step — every slot that
-/// reads a changed one, copying every other slot forward. Appends the
-/// slots whose score changed bitwise to `changed`; returns the step's max
-/// delta and the number of slots evaluated.
+/// listed slots of a sparse step, or — for a dense step — every live slot
+/// that reads a changed one (the caller has copied the changed slots
+/// forward; every other slot already holds its value in `next`). A long
+/// step fills the row maxima into `maxima_buf` first ([`step_maxima`]).
+/// Appends the slots whose score changed bitwise to `changed`; returns
+/// the step's max delta and the number of slots evaluated.
 #[allow(clippy::too_many_arguments)]
-fn eval_step<O: Operator>(
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
+fn eval_step<K: SlotKernel>(
+    kernel: &K,
     csr: &PairDepCsr,
-    label_terms: &[f64],
     step: Step<'_>,
     prev: &[f64],
     next: &mut [f64],
     changed: &mut Vec<u32>,
     scratch: &mut OpScratch,
+    maxima_buf: &mut Vec<f64>,
 ) -> (f64, usize) {
+    let scheduled = match step {
+        Step::Sparse(worklist) => worklist.len(),
+        Step::Dense(_) => prev.len(),
+    };
+    let maxima = step_maxima(kernel, prev, scheduled, prev.len(), maxima_buf, None);
     let mut delta = 0.0f64;
     let mut eval = |slot_id: u32, next: &mut [f64]| {
         let slot = slot_id as usize;
-        let s = csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot]);
+        let s = kernel.eval(slot, prev, maxima, scratch);
         let d = (s - prev[slot]).abs();
         if d > delta {
             delta = d;
@@ -678,13 +671,10 @@ fn eval_step<O: Operator>(
         }
         Step::Dense(bits) => {
             let mut evaluated = 0;
-            for slot_id in slot_ids(prev.len()) {
-                let slot = slot_id as usize;
-                if csr.reads_any(slot, bits) {
+            for &slot_id in csr.live() {
+                if csr.reads_any(slot_id as usize, bits) {
                     eval(slot_id, next);
                     evaluated += 1;
-                } else {
-                    next[slot] = prev[slot];
                 }
             }
             evaluated
@@ -738,7 +728,9 @@ pub(crate) fn run_replay<O: Operator>(
     cur.resize(n, 0.0);
     let max_iters = cfg.effective_max_iters();
     let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
+    let kernel = csr.kernel(cfg, op, store, label_terms);
     let mut scratch = OpScratch::new();
+    let mut maxima_buf = Vec::new();
     let mut out = IterationOutcome::empty();
     if let Some(h) = record.as_deref_mut() {
         h.push(scores);
@@ -759,16 +751,14 @@ pub(crate) fn run_replay<O: Operator>(
         let hist = &old_traj[k];
         cur.copy_from_slice(hist);
         let (_, evaluated) = eval_step(
-            cfg,
-            op,
-            store,
+            &kernel,
             csr,
-            label_terms,
             frontier.step(),
             scores,
             cur,
             &mut changed,
             &mut scratch,
+            &mut maxima_buf,
         );
         out.pairs_evaluated.push(evaluated);
         // The convergence delta is over every slot; propagation follows
@@ -816,18 +806,7 @@ pub(crate) fn run_replay<O: Operator>(
         .extend(slot_ids(n).filter(|&s| scores[s as usize].to_bits() != cur[s as usize].to_bits()));
     frontier.advance(&mut changed, rdo, rd);
     delta_loop(
-        cfg,
-        op,
-        store,
-        csr,
-        label_terms,
-        scores,
-        cur,
-        record,
-        None,
-        frontier,
-        out,
-        lap,
+        cfg, &kernel, csr, scores, cur, record, None, frontier, out, lap,
     )
 }
 
@@ -835,6 +814,7 @@ pub(crate) fn run_replay<O: Operator>(
 mod tests {
     use super::*;
     use crate::config::Variant;
+    use crate::engine::rows::Maxima;
     use crate::engine::session::{build_label_eval, AlignedLabels};
     use crate::operators::VariantOp;
     use fsim_graph::graph_from_parts;
@@ -956,13 +936,10 @@ mod tests {
             let mut prev = self.init(g);
             let (mut scheduled, mut dense) = (vec![n], vec![false]);
             for _ in 1..self.cfg.effective_max_iters() {
+                let (cfg, op, store) = (&self.cfg, &self.op, &self.store);
+                let kernel = self.csr.kernel(cfg, op, store, &self.label_terms);
                 let next: Vec<f64> = (0..n)
-                    .map(|s| {
-                        let label = self.label_terms[s];
-                        let (cfg, op, store) = (&self.cfg, &self.op, &self.store);
-                        self.csr
-                            .eval_slot(cfg, op, store, s, &prev, &mut scratch, label)
-                    })
+                    .map(|s| kernel.eval(s, &prev, Maxima::lazy(), &mut scratch))
                     .collect();
                 let delta = (0..n)
                     .map(|s| (next[s] - prev[s]).abs())

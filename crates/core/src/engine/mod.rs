@@ -17,6 +17,9 @@
 //!   structure of Equation 3 (θ-prefiltered neighbor-pair slot lists,
 //!   fallback constants, the reverse dependents CSR) materialized once per
 //!   store, driving dirty-pair scheduling;
+//! * `rows` (private) — shared row maxima: the row-key table that lets
+//!   one iteration compute each neighbor-row maximum of the `fs` update
+//!   once and share it between every slot that reads the row;
 //! * `parallel` (private) — the persistent worker pool of §3.4 (spawned
 //!   once per run, atomic-cursor work distribution, bitwise sequential ≡
 //!   parallel), for the full sweep, the dirty worklist and the edit
@@ -41,6 +44,7 @@ pub(crate) mod frontier;
 pub(crate) mod iterate;
 pub(crate) mod parallel;
 pub mod persist;
+pub(crate) mod rows;
 pub mod session;
 pub(crate) mod shards;
 

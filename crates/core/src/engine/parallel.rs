@@ -34,7 +34,84 @@ use std::time::Instant;
 use super::deps::PairDepCsr;
 use super::frontier::{slot_ids, Frontier, Step};
 use super::iterate::{ApproxState, Recorder};
+use super::rows::Maxima;
 use crate::operators::OpScratch;
+
+/// What the iteration drivers evaluate: Equation 3 for one slot against
+/// the previous iterate, plus the row maxima its slots may share (see
+/// [`super::rows`]). The slot kernel over a dependency CSR or shard is
+/// [`SlotEval`](super::deps::SlotEval); any
+/// `Fn(slot, prev, scratch) -> score` closure is a kernel without shared
+/// rows (the on-the-fly sweep, and the drivers' own tests).
+pub(crate) trait SlotKernel: Sync {
+    /// The number of row keys whose maxima the slots share; 0 when every
+    /// slot is evaluated alone.
+    fn row_keys(&self) -> usize {
+        0
+    }
+
+    /// Row key `key`'s maximum under `prev`.
+    fn row_max(&self, _key: usize, _prev: &[f64]) -> f64 {
+        0.0
+    }
+
+    /// The slot's new score: a pure function of `prev` (and, through
+    /// `maxima`, of row maxima under the same `prev`); `scratch` is
+    /// reusable buffer space, not state.
+    fn eval(&self, slot: usize, prev: &[f64], maxima: Maxima<'_>, scratch: &mut OpScratch) -> f64;
+}
+
+impl<F> SlotKernel for F
+where
+    F: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
+{
+    fn eval(&self, slot: usize, prev: &[f64], _: Maxima<'_>, scratch: &mut OpScratch) -> f64 {
+        self(slot, prev, scratch)
+    }
+}
+
+/// The row maxima a step that may evaluate `scheduled` of its
+/// substrate's `slots` reads. A step covering at least a quarter of the
+/// slots — every sweep and dense pull, and the all-slots first iteration
+/// of a delta run — gets every key's maximum under `prev` filled in key
+/// order into `buf` first, on the pool when one is given (each key
+/// written by one worker). A shorter step, or a kernel without row keys,
+/// gets a fresh lazy token: each worker fills the keys it reads in its
+/// own scratch. The quarter bound keeps short edit-replay steps lazy.
+pub(crate) fn step_maxima<'b, K: SlotKernel>(
+    kernel: &K,
+    prev: &[f64],
+    scheduled: usize,
+    slots: usize,
+    buf: &'b mut Vec<f64>,
+    rt: Option<&Runtime>,
+) -> Maxima<'b> {
+    let n = kernel.row_keys();
+    if scheduled * 4 < slots || n == 0 {
+        return Maxima::lazy();
+    }
+    buf.clear();
+    match rt {
+        Some(rt) => {
+            buf.resize(n, 0.0);
+            let out = SharedScores::new(buf);
+            let chunk = chunk_size(n, rt.threads());
+            let cursor = AtomicUsize::new(0);
+            rt.run(&|_wid, _ws| loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                for key in start..(start + chunk).min(n) {
+                    // SAFETY: cursor ranges are disjoint across workers.
+                    unsafe { out.write(key, kernel.row_max(key, prev)) };
+                }
+            });
+        }
+        None => buf.extend((0..n).map(|key| kernel.row_max(key, prev))),
+    }
+    Maxima::Filled(buf)
+}
 
 /// What a (sequential or parallel) run of the iteration loop reports.
 #[derive(Debug, Clone)]
@@ -309,11 +386,6 @@ impl<'a> SharedScores<'a> {
         std::slice::from_raw_parts(self.cells.as_ptr() as *const f64, self.cells.len())
     }
 
-    /// The buffer's length in slots.
-    fn len(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Writes one slot.
     ///
     /// # Safety
@@ -338,36 +410,36 @@ impl<'a> SharedScores<'a> {
 /// Runs the full-sweep iteration loop on the session's [`Runtime`].
 ///
 /// `prev` holds `FSim⁰` on entry and the final scores on exit; `cur` is
-/// the same-length double buffer. `update` maps `(slot, prev_scores,
-/// scratch) → new score` and must be a pure function of its inputs
-/// (scratch is worker-persistent reusable buffer space, not state).
-pub(crate) fn run_parallel<U>(
+/// the same-length double buffer. Every iteration is a dense step: the
+/// kernel's row maxima are filled first, then every slot is evaluated.
+pub(crate) fn run_parallel<K: SlotKernel>(
     rt: &Runtime,
     max_iters: usize,
     epsilon: f64,
     prev: &mut Vec<f64>,
     cur: &mut Vec<f64>,
-    update: U,
-) -> IterationOutcome
-where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
+    kernel: &K,
+) -> IterationOutcome {
     let n = prev.len();
     debug_assert_eq!(n, cur.len());
     let chunk = chunk_size(n, rt.threads());
     let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
     let cursor = AtomicUsize::new(0);
     let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
+    let mut maxima_buf = Vec::new();
 
     let mut out = IterationOutcome::empty();
     let mut read = 0usize;
     while out.iterations < max_iters {
         let t0 = Instant::now();
+        // SAFETY: no dispatch is in flight, and this iteration's
+        // dispatches only read `buffers[read]`.
+        let read_buf = unsafe { buffers[read].as_read_slice() };
+        let maxima = step_maxima(kernel, read_buf, n, n, &mut maxima_buf, Some(rt));
         cursor.store(0, Ordering::Relaxed);
         rt.run(&|wid, ws| {
-            // SAFETY: this iteration only reads `buffers[read]` and
-            // writes disjoint cursor ranges of `buffers[1 - read]`.
-            let read_buf = unsafe { buffers[read].as_read_slice() };
+            // This iteration writes disjoint cursor ranges of
+            // `buffers[1 - read]` only.
             let write = &buffers[1 - read];
             let mut local_delta = 0.0f64;
             loop {
@@ -377,7 +449,7 @@ where
                 }
                 let end = (start + chunk).min(n);
                 for slot in start..end {
-                    let score = update(slot, read_buf, &mut ws.scratch);
+                    let score = kernel.eval(slot, read_buf, maxima, &mut ws.scratch);
                     let d = (score - read_buf[slot]).abs();
                     if d > local_delta {
                         local_delta = d;
@@ -417,15 +489,14 @@ where
 /// (Jacobi) and the caller folds the results back in worklist order, so
 /// the outcome is bitwise identical to a sequential evaluation regardless
 /// of the worker count.
-pub(crate) fn eval_worklist_parallel<U>(
+pub(crate) fn eval_worklist_parallel<K: SlotKernel>(
     rt: &Runtime,
     worklist: &[u32],
     prev: &[f64],
     out: &mut [f64],
-    update: U,
-) where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
+    kernel: &K,
+    maxima: Maxima<'_>,
+) {
     debug_assert_eq!(worklist.len(), out.len());
     let n = worklist.len();
     let chunk = chunk_size(n, rt.threads());
@@ -439,7 +510,7 @@ pub(crate) fn eval_worklist_parallel<U>(
             }
             let end = (start + chunk).min(n);
             for (i, &slot) in worklist.iter().enumerate().take(end).skip(start) {
-                let v = update(slot as usize, prev, &mut ws.scratch);
+                let v = kernel.eval(slot as usize, prev, maxima, &mut ws.scratch);
                 // SAFETY: cursor ranges are disjoint across workers.
                 unsafe { shared_out.write(i, v) };
             }
@@ -464,7 +535,7 @@ pub(crate) fn eval_worklist_parallel<U>(
 /// the coordinator between dispatches from order-independent reductions,
 /// so every mode is bitwise identical to its sequential counterpart.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel_delta<U>(
+pub(crate) fn run_parallel_delta<K: SlotKernel>(
     rt: &Runtime,
     max_iters: usize,
     epsilon: f64,
@@ -474,11 +545,8 @@ pub(crate) fn run_parallel_delta<U>(
     mut record: Option<&mut Recorder<'_>>,
     initial_worklist: Option<&[u32]>,
     approx: Option<&mut ApproxState>,
-    update: U,
-) -> IterationOutcome
-where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
+    kernel: &K,
+) -> IterationOutcome {
     let lap = Instant::now();
     let n = prev.len();
     debug_assert_eq!(n, cur.len());
@@ -495,7 +563,7 @@ where
         None => Frontier::all(n),
     };
     let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let pool = DeltaDispatch::new(rt, csr, &buffers, &update);
+    let pool = DeltaDispatch::new(rt, csr, &buffers, kernel);
     let mut out = IterationOutcome::empty();
     pool.iterate(
         0,
@@ -522,7 +590,7 @@ where
 /// dispatches. Once the trajectory is exhausted the run continues as
 /// [`run_parallel_delta`] does.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel_replay<U>(
+pub(crate) fn run_parallel_replay<K: SlotKernel>(
     rt: &Runtime,
     max_iters: usize,
     epsilon: f64,
@@ -532,11 +600,8 @@ pub(crate) fn run_parallel_replay<U>(
     prev: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
-    update: U,
-) -> IterationOutcome
-where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
+    kernel: &K,
+) -> IterationOutcome {
     let mut lap = Instant::now();
     let n = prev.len();
     debug_assert_eq!(n, cur.len());
@@ -552,9 +617,10 @@ where
     frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
 
     let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let pool = DeltaDispatch::new(rt, csr, &buffers, &update);
+    let pool = DeltaDispatch::new(rt, csr, &buffers, kernel);
     let mut out = IterationOutcome::empty();
     let mut read = 0usize;
+    let mut maxima_buf = Vec::new();
     let hist_iters = old_traj.len() - 1;
 
     // Phase A: replay along the recorded trajectory. The coordinator
@@ -565,7 +631,7 @@ where
         let hist = &old_traj[k];
         // SAFETY: no dispatch is in flight.
         unsafe { buffers[1 - read].copy_from(hist) };
-        let (_, evaluated) = pool.run(frontier.step(), read);
+        let (_, evaluated) = pool.run(frontier.step(), read, &mut maxima_buf);
         out.pairs_evaluated.push(evaluated);
         // Full scan between dispatches: the convergence delta over all
         // slots, and divergence from the old trajectory for worklist
@@ -639,35 +705,32 @@ where
 }
 
 /// One delta run's dispatch state: the pool, the dependency structure and
-/// the double buffer it iterates over, the update, and the coordination
+/// the double buffer it iterates over, the kernel, and the coordination
 /// the workers share — the cursor, per-worker deltas, the evaluation count
 /// and the sink the workers drain their changed slots into.
-struct DeltaDispatch<'a, U> {
+struct DeltaDispatch<'a, K> {
     rt: &'a Runtime,
     csr: &'a PairDepCsr,
     buffers: &'a [SharedScores<'a>; 2],
-    update: &'a U,
+    kernel: &'a K,
     cursor: AtomicUsize,
     deltas: Vec<AtomicU64>,
     evaluated: AtomicUsize,
     changed: Mutex<Vec<u32>>,
 }
 
-impl<'a, U> DeltaDispatch<'a, U>
-where
-    U: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,
-{
+impl<'a, K: SlotKernel> DeltaDispatch<'a, K> {
     fn new(
         rt: &'a Runtime,
         csr: &'a PairDepCsr,
         buffers: &'a [SharedScores<'a>; 2],
-        update: &'a U,
+        kernel: &'a K,
     ) -> Self {
         Self {
             rt,
             csr,
             buffers,
-            update,
+            kernel,
             cursor: AtomicUsize::new(0),
             deltas: (0..rt.threads()).map(|_| AtomicU64::new(0)).collect(),
             evaluated: AtomicUsize::new(0),
@@ -677,30 +740,46 @@ where
 
     /// Evaluates `step` on the pool, reading `buffers[read]` and writing
     /// `buffers[1 - read]`: a sparse step's listed slots (the cursor hands
-    /// out worklist ranges), or — for a dense step — every slot that reads
-    /// a changed one, with every other slot copied forward (the cursor
-    /// hands out slot ranges). Returns the step's max delta and the number
-    /// of slots evaluated; the changed slots wait for
+    /// out worklist ranges), or — for a dense step — every live slot that
+    /// reads a changed one (the cursor hands out ranges of the live list;
+    /// the caller has copied the changed slots forward, and every other
+    /// slot already holds its current value). A long step fills the row
+    /// maxima into `maxima_buf` first ([`step_maxima`]). Returns the step's max delta and
+    /// the number of slots evaluated; the changed slots wait for
     /// [`take_changed`](Self::take_changed).
-    fn run(&self, step: Step<'_>, read: usize) -> (f64, usize) {
+    fn run(&self, step: Step<'_>, read: usize, maxima_buf: &mut Vec<f64>) -> (f64, usize) {
+        let live = self.csr.live();
         let len = match step {
             Step::Sparse(worklist) => worklist.len(),
-            Step::Dense(_) => self.buffers[read].len(),
+            Step::Dense(_) => live.len(),
         };
+        // SAFETY: no dispatch is in flight, and this step's dispatches
+        // only read `buffers[read]`.
+        let read_buf = unsafe { self.buffers[read].as_read_slice() };
+        let scheduled = match step {
+            Step::Sparse(worklist) => worklist.len(),
+            Step::Dense(_) => read_buf.len(),
+        };
+        let maxima = step_maxima(
+            self.kernel,
+            read_buf,
+            scheduled,
+            read_buf.len(),
+            maxima_buf,
+            Some(self.rt),
+        );
         let chunk = chunk_size(len, self.rt.threads());
         self.cursor.store(0, Ordering::Relaxed);
         self.evaluated.store(0, Ordering::Relaxed);
         self.rt.run(&|wid, ws| {
-            // SAFETY: this iteration only reads `buffers[read]` and
-            // writes disjoint slots of `buffers[1 - read]`.
-            let read_buf = unsafe { self.buffers[read].as_read_slice() };
+            // This step writes disjoint slots of `buffers[1 - read]` only.
             let write = &self.buffers[1 - read];
             let mut local_delta = 0.0f64;
             let mut evaluated = 0usize;
             ws.changed.clear();
             let mut eval = |slot_id: u32| {
                 let slot = slot_id as usize;
-                let score = (self.update)(slot, read_buf, &mut ws.scratch);
+                let score = self.kernel.eval(slot, read_buf, maxima, &mut ws.scratch);
                 let d = (score - read_buf[slot]).abs();
                 if d > local_delta {
                     local_delta = d;
@@ -710,9 +789,9 @@ where
                 }
                 evaluated += 1;
                 // SAFETY: the cursor hands each worklist range (sparse) or
-                // slot range (dense) to one worker, and worklist slots are
-                // distinct; the coordinator writes only between
-                // dispatches.
+                // live-list range (dense) to one worker, and the slots of
+                // either list are distinct; the coordinator writes only
+                // between dispatches.
                 unsafe { write.write(slot, score) };
             };
             loop {
@@ -728,15 +807,9 @@ where
                         }
                     }
                     Step::Dense(bits) => {
-                        for slot_id in slot_ids(end).skip(start) {
-                            let slot = slot_id as usize;
-                            if self.csr.reads_any(slot, bits) {
+                        for &slot_id in &live[start..end] {
+                            if self.csr.reads_any(slot_id as usize, bits) {
                                 eval(slot_id);
-                            } else {
-                                // SAFETY: this worker alone owns the slot
-                                // range `start..end` (cursor), and a dense
-                                // step has no coordinator writes.
-                                unsafe { write.write(slot, read_buf[slot]) };
                             }
                         }
                     }
@@ -786,12 +859,13 @@ where
     ) {
         let (rdo, rd) = (self.csr.rdep_offsets(), self.csr.rdeps());
         let mut changed: Vec<u32> = Vec::new();
+        let mut maxima_buf = Vec::new();
         while out.iterations < max_iters {
             {
                 // Repair before the dispatch: copy last iteration's value
-                // forward for changed slots that are not being
-                // re-evaluated (their two-iterations-old copy in the write
-                // buffer is stale).
+                // forward for changed slots that may not be re-evaluated
+                // (their two-iterations-old copy in the write buffer is
+                // stale).
                 // SAFETY: no dispatch is in flight; the coordinator has
                 // exclusive access to both buffers.
                 let read_buf = unsafe { self.buffers[read].as_read_slice() };
@@ -804,7 +878,7 @@ where
                 }
             }
             let step = frontier.step();
-            let (delta, evaluated) = self.run(step, read);
+            let (delta, evaluated) = self.run(step, read, &mut maxima_buf);
             out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
             out.pairs_evaluated.push(evaluated);
             out.final_delta = delta;
@@ -914,7 +988,7 @@ mod tests {
         let rt = Runtime::new(4);
         let mut par = init.clone();
         let mut par_cur = vec![0.0; n];
-        let par_out = run_parallel(&rt, 25, 1e-6, &mut par, &mut par_cur, toy);
+        let par_out = run_parallel(&rt, 25, 1e-6, &mut par, &mut par_cur, &toy);
 
         assert_eq!(seq_out.iterations, par_out.iterations);
         assert_eq!(seq_out.converged, par_out.converged);
@@ -931,7 +1005,7 @@ mod tests {
         let mut prev = vec![0.5; 600];
         let original = prev.clone();
         let mut cur = vec![0.0; 600];
-        let out = run_parallel(&rt, 0, 1e-3, &mut prev, &mut cur, toy);
+        let out = run_parallel(&rt, 0, 1e-3, &mut prev, &mut cur, &toy);
         assert_eq!(out.iterations, 0);
         assert!(!out.converged);
         assert_eq!(prev, original);
@@ -948,7 +1022,7 @@ mod tests {
             run_seq(&mut seq, &mut seq_cur, cap, 0.0, toy_update);
             let mut par = init.clone();
             let mut par_cur = vec![0.0; n];
-            let out = run_parallel(&rt, cap, 0.0, &mut par, &mut par_cur, toy);
+            let out = run_parallel(&rt, cap, 0.0, &mut par, &mut par_cur, &toy);
             assert_eq!(out.iterations, cap);
             assert_eq!(seq, par, "cap={cap}");
         }
@@ -1011,7 +1085,7 @@ mod tests {
             Some(&mut recorder),
             None,
             None,
-            toy,
+            &toy,
         );
         let _ = recorder;
 
@@ -1055,7 +1129,7 @@ mod tests {
             Some(&mut recorder),
             None,
             None,
-            toy,
+            &toy,
         );
         let _ = recorder;
         // "Edit": slot 777's update function changes.
@@ -1084,7 +1158,7 @@ mod tests {
             &mut warm,
             &mut warm_cur,
             Some(&mut new_rec),
-            |slot, prev, _s| edited_update(slot, prev),
+            &|slot: usize, prev: &[f64], _: &mut OpScratch| edited_update(slot, prev),
         );
         let _ = new_rec;
         assert_eq!(warm_out.iterations, cold_out.iterations);
@@ -1119,7 +1193,7 @@ mod tests {
         for threads in [2, 3, 7] {
             let rt = Runtime::new(threads);
             let mut par = vec![0.0; worklist.len()];
-            eval_worklist_parallel(&rt, &worklist, &prev, &mut par, toy);
+            eval_worklist_parallel(&rt, &worklist, &prev, &mut par, &toy, Maxima::lazy());
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
@@ -1138,7 +1212,8 @@ mod tests {
         // refill `changed`, proving it is the same buffer)…
         let mut prev = vec![0.9; 2000];
         let mut cur = vec![0.0; 2000];
-        let out = run_parallel(&rt, 10, 1e-9, &mut prev, &mut cur, |_, p, _| p[0] * 0.5);
+        let half = |_: usize, p: &[f64], _: &mut OpScratch| p[0] * 0.5;
+        let out = run_parallel(&rt, 10, 1e-9, &mut prev, &mut cur, &half);
         assert!(out.iterations > 1, "toy system should iterate");
         // …and the scratch allocations observed afterwards are the ones
         // from before: no per-run reallocation means capacity is retained.

@@ -506,7 +506,19 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     ///   share fits; a cached same-`K` plan and its boundary masks are
     ///   reused), and falls back to the full sweep only under
     ///   `ShardSpec::Off`.
+    ///
+    /// A kept CSR gets its row-key table here if it has none and the
+    /// operator sums row maxima: a CSR restored from a snapshot derives
+    /// it at its first evaluation, not at restore.
     fn ensure_scheduling(&mut self) {
+        self.choose_substrate();
+        if let Some(deps) = self.deps.as_mut() {
+            deps.ensure_rows(&self.g1, &self.g2, &self.store, &self.op);
+        }
+    }
+
+    /// The substrate decision of [`ensure_scheduling`](Self::ensure_scheduling).
+    fn choose_substrate(&mut self) {
         if !self.op.supports_slots() {
             self.deps = None;
             self.shards = None;
@@ -1367,9 +1379,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     scores,
                     cur,
                     recorder.as_mut(),
-                    |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                        csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-                    },
+                    &csr.kernel(cfg, op, store, label_terms),
                 )
             } else {
                 run_replay(

@@ -39,10 +39,18 @@
 //! a final fold pass covers the terminating iteration's deltas — the same
 //! invariants as the unsharded accounting, so the certified error bound
 //! of [`ApproxState::error_bound`] holds unchanged.
+//!
+//! **Shared row maxima** (operators that sum row maxima, see
+//! [`super::rows`]) need the row-key table of the whole store, because a
+//! shard holds few of the `u`s that read a key. With a spill directory,
+//! once every shard's spill is written, one table is derived over the
+//! retained mappings and every shard visit reads it; without one, shards
+//! are evaluated slot by slot.
 
-use super::deps::{MappedShardCsr, ShardCsr};
+use super::deps::{CsrCols, MappedShardCsr, ShardCsr, SlotEval};
 use super::iterate::{effective_threads, ApproxState};
-use super::parallel::{eval_worklist_parallel, IterationOutcome, Runtime};
+use super::parallel::{eval_worklist_parallel, step_maxima, IterationOutcome, Runtime, SlotKernel};
+use super::rows::{Maxima, RowKeys};
 use crate::config::{FsimConfig, ShardSpec};
 use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
 use crate::store::PairStore;
@@ -208,6 +216,12 @@ pub(crate) struct SpillState {
     /// per-sweep validation. Shared by `Arc` so an in-flight sweep
     /// keeps its mapping alive across an invalidation.
     mapped: Vec<Option<Arc<MappedShardCsr>>>,
+    /// The store's row-key table over the mappings of every non-empty
+    /// shard (their columns, in plan order, are its parts), derived once
+    /// all of them are written; `rows_derived` also covers a derivation
+    /// that found no shared key.
+    rows: Option<Arc<RowKeys>>,
+    rows_derived: bool,
 }
 
 impl SpillState {
@@ -222,6 +236,8 @@ impl SpillState {
             dir,
             written: vec![false; k],
             mapped: vec![None; k],
+            rows: None,
+            rows_derived: false,
         })
     }
 
@@ -232,28 +248,84 @@ impl SpillState {
     fn clear(&mut self) {
         self.written.iter_mut().for_each(|w| *w = false);
         self.mapped.iter_mut().for_each(|m| *m = None);
+        self.rows = None;
+        self.rows_derived = false;
     }
 
-    /// Drops shard `shard`'s spill (stale file or failed map).
+    /// Drops shard `shard`'s spill (stale file or failed map), and the
+    /// row-key table derived over it.
     fn forget(&mut self, shard: usize) {
         self.written[shard] = false;
         self.mapped[shard] = None;
+        self.rows = None;
+        self.rows_derived = false;
     }
 
-    /// The shard's CSR out of the spill cache: the retained mapping
-    /// when one is live and still matches the plan range, otherwise a
-    /// fresh map-and-validate of the spill file (retained for the
-    /// sweeps after).
-    fn remap(&mut self, shard: usize, lo: usize, hi: usize) -> Result<ShardCsr, SnapshotError> {
-        let m = match &self.mapped[shard] {
+    /// The shard's retained mapping when one is live and still matches
+    /// the plan range, otherwise a fresh map-and-validate of the spill
+    /// file (retained for the sweeps after).
+    fn mapping(
+        &mut self,
+        shard: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Arc<MappedShardCsr>, SnapshotError> {
+        Ok(match &self.mapped[shard] {
             Some(m) if m.covers(lo, hi) => Arc::clone(m),
             _ => {
                 let m = Arc::new(MappedShardCsr::map(&self.path(shard), lo, hi)?);
                 self.mapped[shard] = Some(Arc::clone(&m));
                 m
             }
-        };
-        Ok(ShardCsr::from_mapped(m))
+        })
+    }
+
+    /// The shard's CSR out of the spill cache.
+    fn remap(&mut self, shard: usize, lo: usize, hi: usize) -> Result<ShardCsr, SnapshotError> {
+        self.mapping(shard, lo, hi).map(ShardCsr::from_mapped)
+    }
+
+    /// The mappings of every non-empty shard, in plan order, and the
+    /// store's row-key table over them: `None` while a shard's spill is
+    /// unwritten, when `op` does not sum row maxima, or when no key is
+    /// shared. A retained spill serves every later sweep, so the table
+    /// pays for itself; keys shared between shards are computed once per
+    /// iteration, as in the full CSR.
+    fn shared_rows<O: Operator>(
+        &mut self,
+        plan: &ShardPlan,
+        g1: &Graph,
+        g2: &Graph,
+        store: &PairStore,
+        op: &O,
+    ) -> Option<(Vec<Arc<MappedShardCsr>>, Arc<RowKeys>)> {
+        if !op.sums_row_maxima() || (self.rows_derived && self.rows.is_none()) {
+            return None;
+        }
+        let mut maps = Vec::with_capacity(plan.k());
+        for shard in 0..plan.k() {
+            let (lo, hi) = plan.range(shard);
+            if lo == hi {
+                continue;
+            }
+            if !self.written[shard] {
+                return None;
+            }
+            match self.mapping(shard, lo, hi) {
+                Ok(m) => maps.push(m),
+                Err(_) => {
+                    self.forget(shard);
+                    return None;
+                }
+            }
+        }
+        if !self.rows_derived {
+            let parts: Vec<CsrCols<'_>> = maps.iter().map(|m| m.cols()).collect();
+            self.rows = RowKeys::derive(g1, g2, &store.pairs, &parts).map(Arc::new);
+            self.rows_derived = true;
+        }
+        let rows = Arc::clone(self.rows.as_ref()?);
+        Some((maps, rows))
     }
 }
 
@@ -403,17 +475,21 @@ pub(crate) fn run_sharded<O: Operator>(
         on
     });
 
-    // The boundary frontier: C_{k−1} as a list + epoch marks, and each
-    // changed slot's last score delta (read by the approximate pull).
+    // The boundary frontier: C_{k−1} as a list + a bitmap (bit `s % 64`
+    // of word `s / 64`), and each changed slot's last score delta (read by
+    // the approximate pull).
     let mut changed: Vec<u32> = Vec::new();
     let mut next_changed: Vec<u32> = Vec::new();
-    let mut mark: Vec<u64> = vec![0; n];
-    let mut epoch = 0u64;
+    let mut bits: Vec<u64> = vec![0; n.div_ceil(64)];
+    let is_changed = |bits: &[u64], e: &DepEntry| {
+        e.slot != DepEntry::CONST && bits[e.slot as usize / 64] >> (e.slot % 64) & 1 != 0
+    };
     let mut delta_of: Vec<f64> = vec![0.0; n];
 
     let mut local_wl: Vec<u32> = Vec::new();
     let mut eval_out: Vec<f64> = Vec::new();
     let mut scratch = OpScratch::new();
+    let mut maxima_buf: Vec<f64> = Vec::new();
     let mut peak_bytes = 0usize;
     let mut iterations = 0usize;
     let mut converged = false;
@@ -450,13 +526,45 @@ pub(crate) fn run_sharded<O: Operator>(
             m
         };
 
+        // The store's row-key table over the retained spill mappings
+        // (see `SpillState::shared_rows`), and the row maxima the whole
+        // iteration reads: filled once before the first shard when the
+        // iteration is expected to evaluate at least a quarter of the
+        // store (a cold first sweep, or as many slots as the last
+        // iteration), otherwise filled on first use under one token for
+        // every shard, so keys shared between shards are computed once.
+        let shared = {
+            let plan = &state.plan;
+            state
+                .spill
+                .as_mut()
+                .and_then(|sp| sp.shared_rows(plan, g1, g2, store, op))
+        };
+        let parts: Vec<CsrCols<'_>> = shared.as_ref().map_or_else(Vec::new, |(maps, _)| {
+            maps.iter().map(|m| m.cols()).collect()
+        });
+        let rows = shared.as_ref().map(|(_, r)| (&**r, parts.as_slice()));
+        let rows_bytes = rows.map_or(0, |(r, _)| r.bytes());
+        let maxima = match rows {
+            Some((r, parts)) => {
+                let scheduled = match (first, initial_worklist) {
+                    (true, Some(wl)) => wl.len(),
+                    (true, None) => n,
+                    (false, _) => pairs_evaluated.last().copied().unwrap_or(n),
+                };
+                let fill = SlotEval::over_parts(cfg, op, store, label_terms, r, parts);
+                step_maxima(&fill, scores, scheduled, n, &mut maxima_buf, rt)
+            }
+            None => Maxima::lazy(),
+        };
+
         // Publish C_{k−1} membership and repair the double buffer: a slot
         // that changed last iteration but is not re-evaluated now still
         // holds its two-iterations-old value in `cur` (evaluated slots
         // overwrite their copy below) — exactly `run_delta`'s repair.
-        epoch += 1;
+        bits.fill(0);
         for &c in &changed {
-            mark[c as usize] = epoch;
+            bits[c as usize / 64] |= 1 << (c % 64);
             cur[c as usize] = scores[c as usize];
         }
 
@@ -472,7 +580,7 @@ pub(crate) fn run_sharded<O: Operator>(
                 continue;
             }
             let csr = obtain_shard_csr(&mut state.spill, shard, g1, g2, ctx, store, op, lo, hi);
-            peak_bytes = peak_bytes.max(csr.bytes());
+            peak_bytes = peak_bytes.max(csr.bytes() + rows_bytes);
             if filling_masks {
                 for slot in lo..hi {
                     for e in csr.deps_of(slot) {
@@ -499,7 +607,7 @@ pub(crate) fn run_sharded<O: Operator>(
                 for slot in lo..hi {
                     let mut m = 0.0f64;
                     for e in csr.deps_of(slot) {
-                        if e.slot != DepEntry::CONST && mark[e.slot as usize] == epoch {
+                        if is_changed(&bits, e) {
                             let d = delta_of[e.slot as usize];
                             if d > m {
                                 m = d;
@@ -516,9 +624,7 @@ pub(crate) fn run_sharded<O: Operator>(
             } else {
                 // Exact: re-evaluate exactly the dependents of C_{k−1}.
                 for slot in lo..hi {
-                    let dirty = csr
-                        .deps_of(slot)
-                        .any(|e| e.slot != DepEntry::CONST && mark[e.slot as usize] == epoch);
+                    let dirty = csr.deps_of(slot).any(|e| is_changed(&bits, e));
                     if dirty {
                         local_wl.push(slot as u32);
                     }
@@ -529,19 +635,12 @@ pub(crate) fn run_sharded<O: Operator>(
             // disjoint writes of `cur` — thread count cannot change any
             // bit). The session runtime is used only when the worklist is
             // long enough to amortize a dispatch.
+            let kernel = csr.kernel(cfg, op, store, label_terms, rows);
             let use_rt = rt.filter(|_| effective_threads(cfg.threads, local_wl.len()) > 1);
             if let Some(rt) = use_rt {
                 eval_out.clear();
                 eval_out.resize(local_wl.len(), 0.0);
-                eval_worklist_parallel(
-                    rt,
-                    &local_wl,
-                    scores,
-                    &mut eval_out,
-                    |slot, prev, scratch| {
-                        csr.eval_slot(cfg, op, store, slot, prev, scratch, label_terms[slot])
-                    },
-                );
+                eval_worklist_parallel(rt, &local_wl, scores, &mut eval_out, &kernel, maxima);
                 for (i, &slot_id) in local_wl.iter().enumerate() {
                     let slot = slot_id as usize;
                     let s = eval_out[i];
@@ -561,15 +660,7 @@ pub(crate) fn run_sharded<O: Operator>(
             } else {
                 for &slot_id in &local_wl {
                     let slot = slot_id as usize;
-                    let s = csr.eval_slot(
-                        cfg,
-                        op,
-                        store,
-                        slot,
-                        scores,
-                        &mut scratch,
-                        label_terms[slot],
-                    );
+                    let s = kernel.eval(slot, scores, maxima, &mut scratch);
                     let d = (s - scores[slot]).abs();
                     if d > delta {
                         delta = d;
@@ -617,9 +708,9 @@ pub(crate) fn run_sharded<O: Operator>(
     // the converging iteration.
     if let Some(ap) = approx {
         if !changed.is_empty() {
-            epoch += 1;
+            bits.fill(0);
             for &c in &changed {
-                mark[c as usize] = epoch;
+                bits[c as usize / 64] |= 1 << (c % 64);
             }
             let visit = if state.boundary.complete {
                 let mut m = 0u64;
@@ -643,7 +734,7 @@ pub(crate) fn run_sharded<O: Operator>(
                 for slot in lo..hi {
                     let mut m = 0.0f64;
                     for e in csr.deps_of(slot) {
-                        if e.slot != DepEntry::CONST && mark[e.slot as usize] == epoch {
+                        if is_changed(&bits, e) {
                             let d = delta_of[e.slot as usize];
                             if d > m {
                                 m = d;
@@ -757,6 +848,63 @@ mod tests {
         assert_eq!(full_mask(1), 1);
         assert_eq!(full_mask(3), 0b111);
         assert_eq!(full_mask(64), u64::MAX);
+    }
+
+    #[test]
+    fn spilled_shards_share_one_row_key_table_bitwise() {
+        use crate::engine::FsimEngine;
+        // Nodes 4 and 5 are out-neighbors of most nodes, so row keys are
+        // shared within and across shards.
+        let g = graph_from_parts(
+            &["a", "b", "a", "b", "a", "b", "a", "b"],
+            &[
+                (0, 4),
+                (0, 5),
+                (1, 4),
+                (1, 5),
+                (2, 4),
+                (3, 5),
+                (3, 4),
+                (6, 5),
+                (7, 4),
+                (4, 0),
+                (5, 1),
+                (4, 7),
+                (5, 6),
+            ],
+        );
+        let base = std::env::temp_dir().join(format!("fsim-spill-rows-{}", std::process::id()));
+        for (theta, k, pruning) in [(0.0, 2, false), (0.5, 3, false), (0.0, 4, true)] {
+            let mut cfg = FsimConfig::new(Variant::Simple)
+                .label_fn(LabelFn::JaroWinkler)
+                .theta(theta);
+            if pruning {
+                cfg = cfg.upper_bound(0.5, 0.6);
+            }
+            let mut plain = FsimEngine::new(&g, &g, &cfg).unwrap();
+            plain.run();
+            let shard_cfg = cfg.shards(ShardSpec::Fixed(k));
+            let mut rebuilt = FsimEngine::new(&g, &g, &shard_cfg).unwrap();
+            rebuilt.run();
+            let mut spilled = FsimEngine::new(&g, &g, &shard_cfg.spill_dir(&base)).unwrap();
+            // The first run derives the table after its first sweep; the
+            // second reads it from the start.
+            for _ in 0..2 {
+                spilled.run();
+                // Mapped and rebuilt shards hold the same columns, so the
+                // peaks differ by the shared table alone.
+                assert!(
+                    spilled.peak_csr_bytes() > rebuilt.peak_csr_bytes(),
+                    "θ={theta} K={k}: no shared table"
+                );
+                assert_eq!(plain.iterations(), spilled.iterations());
+                assert_eq!(plain.pairs_evaluated(), spilled.pairs_evaluated());
+                for (a, b) in plain.iter_pairs().zip(spilled.iter_pairs()) {
+                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "θ={theta} K={k}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -130,6 +130,11 @@ pub struct OpScratch {
     /// buffer: one `f64` per [`DepEntry`], materialized branch-free).
     vals: Vec<f64>,
     matcher: GreedyMatcher,
+    /// Row maxima filled lazily during a sparse step, by row key (see
+    /// `engine/rows.rs`); valid where `row_token` holds the step's token.
+    pub(crate) row_max: Vec<f64>,
+    /// The step token each `row_max` entry was filled under.
+    pub(crate) row_token: Vec<u64>,
 }
 
 impl OpScratch {
@@ -145,9 +150,9 @@ impl OpScratch {
 /// Under the toggle, full sweeps evaluate on the fly (neighbor
 /// enumeration + hash-map score lookups, no dependency CSR for
 /// `ConvergenceMode::FullSweep`) and [`SimRankOp`] uses its ungathered
-/// serial lane loop instead of the gather + packed-lane-add kernel. The
-/// variant operators' per-slot scalar loops are unaffected: they *are*
-/// the fastest kernels measured for their access pattern and run
+/// serial lane loop instead of the gather + packed-lane-add kernel.
+/// Slot-based runs are otherwise unaffected: shared row maxima for `s`
+/// and the per-slot loops of the other variant operators run
 /// unconditionally (see the kernel commentary below).
 ///
 /// The toggle exists for the equivalence property tests
@@ -229,6 +234,22 @@ pub trait Operator: Send + Sync {
     /// e.g. for sums, column-wise reductions, or injective matchings
     /// where each entry is a candidate edge.
     fn fold_const_rows(&self) -> bool {
+        false
+    }
+
+    /// Whether [`map_sum_slots`](Self::map_sum_slots) is the sum, over the
+    /// `i` groups of a prepared list in ascending `i` order, of each
+    /// group's maximum entry value (from `+0.0`), and
+    /// [`term_slots`](Self::term_slots) is the default composition with
+    /// [`vacuous`](Self::vacuous) and [`omega`](Self::omega) — the `fs`
+    /// mapping of Eq. 7. A group's maximum then depends only on its row
+    /// key `(x, v, direction)`, so the engine computes each key's maximum
+    /// once per iteration and shares it between every slot that reads
+    /// the row, with bitwise-identical results. Answer `false` (the
+    /// default) unless both halves hold exactly; this is a stronger
+    /// contract than [`fold_const_rows`](Self::fold_const_rows), which
+    /// only says each group is reduced by a max.
+    fn sums_row_maxima(&self) -> bool {
         false
     }
 
@@ -417,6 +438,23 @@ fn injective_sum<S: ScoreLookup>(
     }
 }
 
+/// `max(+0.0, max_e e.value(prev))` over one row's entries — the row
+/// reduction of [`slots_sum_best_per_left`], written once more without
+/// the row scan. Exact and independent of entry order: only a strictly
+/// greater value replaces the running maximum, so ties and NaNs resolve
+/// the same way in any order.
+#[inline]
+pub(crate) fn row_max(entries: &[DepEntry], prev: &[f64]) -> f64 {
+    let mut best = 0.0f64;
+    for e in entries {
+        let s = e.value(prev);
+        if s > best {
+            best = s;
+        }
+    }
+    best
+}
+
 /// `Σ_x max_{eligible y} prev(x, y)` over a prepared dependency list.
 ///
 /// Entries are `(i, j)`-sorted, so each left node's eligible targets are
@@ -511,19 +549,24 @@ fn slots_injective_sum(
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized SimRank kernel
+// Kernels: shared row maxima, per-slot loops and the vectorized SimRank sum
 //
-// The variant operators' per-slot scalar loops above *are* the fastest
-// kernels we measured for their access pattern — row-segmented maxima over
-// short dependency runs are latency-bound on the scattered score loads, and
-// every gather-then-reduce restructuring we benchmarked (4-wide unrolled
-// gather staging into an SoA buffer, two-pass reduce, interleaved
-// multi-stream accumulation, software prefetch) came out 4–40% *slower* on
-// the real delta workload. The vectorization that pays for the variant
-// operators lives one level up: the engine routes full sweeps through the
-// CSR's contiguous slot-indexed buffers (`run_sweep_slots`) instead of
-// on-the-fly neighbor enumeration with hash-map score lookups, and the CSR
-// build reorders each slot's entries and folds constant runs
+// For `s` the per-slot loop above is only the reference: a row maximum
+// depends on the row key `(x, v, direction)` alone, so the engine computes
+// each key's maximum once per iteration and every slot sums cached maxima
+// (`Operator::sums_row_maxima`, `engine/rows.rs`). On the `batch_score`
+// workload that reads each maximum once instead of about 3 times per
+// iteration, bitwise identically. The other variant operators keep their
+// per-slot scalar loops. Their row-segmented maxima and matchings over
+// short dependency runs are latency-bound on the scattered score loads,
+// and the gather-then-reduce restructurings we tried on the real delta
+// workload (4-wide unrolled gather staging into an SoA buffer, two-pass
+// reduce, interleaved multi-stream accumulation, software prefetch) were
+// 4–40% *slower*. Beyond sharing rows, the vectorization that pays for
+// the variant operators lives one level up: the engine routes full sweeps
+// through the CSR's contiguous slot-indexed buffers (`run_sweep_slots`)
+// instead of on-the-fly neighbor enumeration with hash-map score lookups,
+// and the CSR build reorders each slot's entries and folds constant runs
 // (`Operator::fold_const_rows`) so those loops stream forward.
 //
 // SimRank is the exception: its reduction is a plain sum over *every*
@@ -710,6 +753,10 @@ impl<O: Operator> Operator for &O {
         (**self).fold_const_rows()
     }
 
+    fn sums_row_maxima(&self) -> bool {
+        (**self).sums_row_maxima()
+    }
+
     fn map_sum_slots(
         &self,
         entries: &[DepEntry],
@@ -826,6 +873,12 @@ impl Operator for VariantOp {
         // per-`j` column maxima (folding would erase column attribution),
         // and the injective variants treat every entry as a distinct
         // matching edge.
+        matches!(self.variant, Variant::Simple)
+    }
+
+    fn sums_row_maxima(&self) -> bool {
+        // `s` is `slots_sum_best_per_left` under the default `term_slots`.
+        // `b` adds column maxima, which are keyed by `(u, y)`, not rows.
         matches!(self.variant, Variant::Simple)
     }
 
