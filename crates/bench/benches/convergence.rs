@@ -27,9 +27,11 @@ struct Row {
     cold_delta_s: f64,
     warm_sweep_s: f64,
     warm_delta_s: f64,
-    /// Warm delta rerun on the persistent 4-worker runtime: dominated by
-    /// the late tiny worklists, i.e. by dispatch overhead and chunking
-    /// (the worklist-scaled cursor chunk; see `docs/BENCHMARKS.md`).
+    /// Warm delta rerun at four threads: steps of at least 4096 slots run
+    /// on the persistent runtime, shorter ones inline. The session-reuse
+    /// workload's late worklists (about 5,800 slots) stay above that line,
+    /// so it shows dispatch overhead and chunking (the step-scaled cursor
+    /// chunk; see `docs/BENCHMARKS.md`).
     warm_delta_par4_s: f64,
     /// Aggregate pair evaluations per second of the warm runs.
     warm_sweep_pps: f64,

@@ -17,7 +17,7 @@
 //! bitwise identical to the full sweep (`tests/delta_convergence.rs`
 //! property-checks this across variants, θ, pruning and thread counts).
 
-use super::frontier::slot_ids;
+use super::frontier::{slot_ids, ChangedBits};
 use super::parallel::SlotKernel;
 use super::rows::{slot_terms, Maxima, RowKeys};
 use crate::config::FsimConfig;
@@ -367,14 +367,12 @@ impl PairDepCsr {
     }
 
     /// Whether any maintained dependency of `slot` (either direction) is
-    /// set in `bits` (bit `s % 64` of word `s / 64`) — the dense pull's
-    /// membership test, stopping at the first hit. Exactly the slots the
-    /// reverse CSR lists as dependents of the set bits answer true.
+    /// in `changed` — the dense pull's membership test, stopping at the
+    /// first hit. Exactly the slots the reverse CSR lists as dependents of
+    /// the set answer true.
     #[inline]
-    pub(crate) fn reads_any(&self, slot: usize, bits: &[u64]) -> bool {
-        let hit = |e: &DepEntry| {
-            e.slot != DepEntry::CONST && bits[e.slot as usize / 64] >> (e.slot % 64) & 1 != 0
-        };
+    pub(crate) fn reads_any(&self, slot: usize, changed: &ChangedBits) -> bool {
+        let hit = |e: &DepEntry| changed.is_read_by(e);
         self.out_entries[self.out_offsets[slot]..self.out_offsets[slot + 1]]
             .iter()
             .any(hit)
@@ -1355,13 +1353,12 @@ mod tests {
         let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
         let n = store.len();
         for stride in [1, 2, 5, n + 1] {
-            let changed: Vec<usize> = (0..n).step_by(stride).collect();
-            let mut bits = vec![0u64; n.div_ceil(64)];
-            for &c in &changed {
-                bits[c / 64] |= 1 << (c % 64);
-            }
+            let changed: Vec<u32> = slot_ids(n).step_by(stride).collect();
+            let mut bits = ChangedBits::default();
+            bits.assign(n, &changed);
             let mut pushed = vec![false; n];
             for &c in &changed {
+                let c = c as usize;
                 for &d in &csr.rdeps[csr.rdep_offsets[c]..csr.rdep_offsets[c + 1]] {
                     pushed[d as usize] = true;
                 }

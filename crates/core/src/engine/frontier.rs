@@ -31,6 +31,8 @@
 //! of the changed set" — replay's always-dirty seed, approximate
 //! threshold gating — take the slot-ordered sparse path only.
 
+use crate::operators::DepEntry;
+
 /// The slot ids `0..n`. Slots are `u32` throughout the dependency CSR
 /// (entries and reverse CSR), so a store of more slots cannot be
 /// scheduled.
@@ -38,14 +40,44 @@ pub(crate) fn slot_ids(n: usize) -> std::ops::Range<u32> {
     0..u32::try_from(n).expect("slot ids are u32 in the dependency CSR")
 }
 
+/// A set of slots as a bitmap: bit `s % 64` of word `s / 64`.
+#[derive(Default)]
+pub(crate) struct ChangedBits {
+    words: Vec<u64>,
+}
+
+impl ChangedBits {
+    /// Makes the set exactly `slots`, over `n` slots.
+    pub(crate) fn assign(&mut self, n: usize, slots: &[u32]) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        for &s in slots {
+            self.words[s as usize / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// Whether slot `s` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, s: u32) -> bool {
+        self.words[s as usize / 64] >> (s % 64) & 1 != 0
+    }
+
+    /// Whether dependency entry `e` reads a slot in the set (a constant
+    /// entry reads none).
+    #[inline]
+    pub(crate) fn is_read_by(&self, e: &DepEntry) -> bool {
+        e.slot != DepEntry::CONST && self.contains(e.slot)
+    }
+}
+
 /// What one iteration evaluates.
 #[derive(Clone, Copy)]
 pub(crate) enum Step<'a> {
     /// Exactly these slots, in ascending slot order.
     Sparse(&'a [u32]),
-    /// Every slot that reads a slot set in this bitmap (bit `s % 64` of
-    /// word `s / 64`); every other slot keeps its value.
-    Dense(&'a [u64]),
+    /// Every slot that reads a slot in this set; every other slot keeps
+    /// its value.
+    Dense(&'a ChangedBits),
 }
 
 /// The scheduled slot set of the next iteration plus the changed set it
@@ -59,7 +91,7 @@ pub(crate) struct Frontier {
     /// `C_{k−1}`: the slots whose score changed in the previous iteration.
     changed: Vec<u32>,
     /// `changed` as a bitmap — valid while `dense` is set.
-    bits: Vec<u64>,
+    bits: ChangedBits,
     dense: bool,
 }
 
@@ -71,7 +103,7 @@ impl Frontier {
             epoch: 0,
             worklist: Vec::new(),
             changed: Vec::new(),
-            bits: Vec::new(),
+            bits: ChangedBits::default(),
             dense: false,
         }
     }
@@ -141,11 +173,7 @@ impl Frontier {
         }
         self.take_changed(changed);
         self.dense = true;
-        self.bits.clear();
-        self.bits.resize(self.mark.len().div_ceil(64), 0);
-        for &c in &self.changed {
-            self.bits[c as usize / 64] |= 1 << (c % 64);
-        }
+        self.bits.assign(self.mark.len(), &self.changed);
     }
 
     /// Sparse push: schedules `seed` plus the dependents of `changed`
@@ -279,8 +307,8 @@ mod tests {
         let Step::Dense(bits) = f.step() else {
             panic!("expected a dense step")
         };
-        for s in 0..n {
-            assert_eq!(bits[s / 64] >> (s % 64) & 1 == 1, s % 3 == 0, "slot {s}");
+        for s in 0..n as u32 {
+            assert_eq!(bits.contains(s), s % 3 == 0, "slot {s}");
         }
         assert!(f.worklist().is_empty());
         let stale: Vec<usize> = f.stale().collect();

@@ -1,58 +1,72 @@
-//! The per-iteration update of Equation 3 and the convergence loop
+//! The per-iteration update of Equation 3 and the convergence loops
 //! (Algorithm 1 lines 2–7, Theorem 1 / Corollary 1).
 //!
-//! Four scheduling regimes share the same update function:
-//! * the **full sweep** re-evaluates every maintained pair each iteration
-//!   (Algorithm 1 as written);
-//! * the **delta-driven** loop walks the prepared
-//!   [`PairDepCsr`](super::deps::PairDepCsr) and re-evaluates a pair only
-//!   if one of its dependencies changed in the previous iteration —
-//!   bitwise identical to the sweep. Its [`Frontier`] switches direction
-//!   per iteration like direction-optimizing BFS: while the changed
-//!   slots have fewer dependents in total than there are slots
-//!   (`Σ |rdeps(changed)| < |H|`) it **pushes** through the reverse CSR
-//!   and visits the worklist in slot order; otherwise it **pulls** — one
-//!   slot-order pass over the live slots evaluates exactly those with a
-//!   dependency in the changed bitmap. Both select the
-//!   same slots (the update is Jacobi, so the visit order cannot change
-//!   a bit); only locality and frontier cost differ. Replay's trajectory
-//!   phase and approximate runs only push;
+//! Each schedule is one loop over the step executor
+//! ([`Exec`](super::parallel::Exec)), which evaluates a step inline or on
+//! the session's worker pool with the same bits. Every loop keeps a double
+//! buffer, evaluating from the previous iterate into the next and swapping:
+//! * the **sweep** ([`run_sweep`]) re-evaluates every maintained pair each
+//!   iteration (Algorithm 1 as written), through the slot kernel of a
+//!   [`PairDepCsr`] or, without one, the on-the-fly per-pair update
+//!   ([`run_to_convergence`]);
+//! * the **delta** loop ([`run_delta`]) walks the prepared
+//!   [`PairDepCsr`] and re-evaluates a pair only if one of its
+//!   dependencies changed in the previous iteration — bitwise identical to
+//!   the sweep. Its [`Frontier`] switches direction per iteration like
+//!   direction-optimizing BFS: while the changed slots have fewer
+//!   dependents in total than there are slots (`Σ |rdeps(changed)| < |H|`)
+//!   it **pushes** through the reverse CSR and visits the worklist in slot
+//!   order; otherwise it **pulls** — one slot-order pass over the live
+//!   slots evaluates exactly those with a dependency in the changed
+//!   bitmap. Both select the same slots (the update is Jacobi, so the
+//!   visit order cannot change a bit); only locality and frontier cost
+//!   differ. With an [`ApproxState`] the same loop runs the
+//!   **approximate** (ε-aware) schedule, which suppresses pairs whose
+//!   accumulated incoming-delta bound stays below `tolerance·ε/(w⁺+w⁻)` —
+//!   not bitwise, but certified: suppressed deltas accumulate until a
+//!   re-evaluation, so the final accumulators bound the distance to the
+//!   exact result (Theorem 2's contraction). Approximate steps only push;
+//! * **replay** ([`run_replay`]) re-converges an edited session along the
+//!   recorded trajectory, then continues as the delta loop;
 //! * the **sharded** loop ([`super::shards`]) applies the same dirty rule
-//!   over transient per-u-row-shard CSRs with boundary exchange — still
-//!   bitwise identical, with peak CSR memory bounded to one shard;
-//! * the **approximate** (ε-aware) loop additionally suppresses pairs
-//!   whose accumulated incoming-delta bound ([`ApproxState`]) stays below
-//!   `tolerance·ε/(w⁺+w⁻)` — not bitwise, but certified: suppressed
-//!   deltas accumulate until a re-evaluation, so the final accumulators
-//!   bound the distance to the exact result (Theorem 2's contraction).
-//!   It composes with both the unsharded and the sharded dirty loops.
+//!   (exact or approximate) over transient per-u-row-shard CSRs with
+//!   boundary exchange — still bitwise identical, with peak CSR memory
+//!   bounded to one shard.
 //!
-//! Every driver evaluates through one [`SlotKernel`]. For operators that
-//! sum row maxima, a step that evaluates at least a quarter of the slots
-//! first fills every shared row maximum, and a shorter one fills those
-//! it reads on first use ([`step_maxima`], [`super::rows`]); the bits are
-//! those of the per-slot kernel.
+//! Every loop evaluates through one [`SlotKernel`]. For operators that sum
+//! row maxima, a step that evaluates at least a quarter of the slots first
+//! fills every shared row maximum, and a shorter one fills those it reads
+//! on first use ([`step_maxima`](super::parallel::step_maxima),
+//! [`super::rows`]); the bits are those of the per-slot kernel.
 //!
-//! Every driver's `iter_seconds` covers the whole iteration: repair,
+//! Every loop's `iter_seconds` covers the whole iteration: repair,
 //! evaluation, frontier construction and trajectory recording.
 
 use super::deps::PairDepCsr;
 use super::frontier::{slot_ids, Frontier, Step};
-use super::parallel::{
-    run_parallel, run_parallel_delta, step_maxima, IterationOutcome, Runtime, SlotKernel,
-};
+use super::parallel::{Exec, IterationOutcome, SlotKernel, Slots};
 use crate::config::{FsimConfig, InitScheme};
 use crate::operators::{OpCtx, OpScratch, Operator, ScoreLookup};
 use crate::store::PairStore;
 use fsim_graph::{Graph, NodeId};
 use std::time::Instant;
 
-/// The worker count actually used for a worklist: auto-degraded so each
-/// worker owns at least a few thousand pairs (below that, coordination
-/// overhead dominates). Hoisted out of the iteration loop — the seed
-/// recomputed this, through a full `FsimConfig` clone, on every iteration.
-pub(crate) fn effective_threads(cfg_threads: usize, worklist: usize) -> usize {
-    cfg_threads.min((worklist / 2048).max(1))
+/// When a convergence loop stops: after `max_iters` iterations, or at the
+/// first iteration whose max delta falls below `epsilon`.
+#[derive(Clone, Copy)]
+pub(crate) struct Limits {
+    pub(crate) max_iters: usize,
+    pub(crate) epsilon: f64,
+}
+
+impl Limits {
+    /// The limits `cfg` sets.
+    pub(crate) fn of(cfg: &FsimConfig) -> Self {
+        Self {
+            max_iters: cfg.effective_max_iters(),
+            epsilon: cfg.epsilon,
+        }
+    }
 }
 
 /// Budget-gated trajectory recorder: snapshots every iterate of a run
@@ -311,14 +325,13 @@ pub(crate) fn pair_update<O: Operator, S: ScoreLookup>(
 }
 
 /// Iterates Equation 3 to convergence (or the iteration cap) by **full
-/// sweep**: every maintained pair is re-evaluated each iteration.
-///
-/// `scores` holds `FSim⁰` on entry and the final scores on exit; `cur` is
-/// the reusable double buffer (resized to match). Dispatches to the
-/// sequential loop or to the session's [`Runtime`] — whose results are
-/// bitwise identical.
+/// sweep** with the on-the-fly per-pair update: neighbor enumeration and
+/// score lookups through the store, no dependency CSR. `scores` holds
+/// `FSim⁰` on entry and the final scores on exit; `cur` is the reusable
+/// double buffer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_to_convergence<O: Operator>(
+    exec: &mut Exec<'_>,
     g1: &Graph,
     g2: &Graph,
     ctx: &OpCtx<'_>,
@@ -328,134 +341,55 @@ pub(crate) fn run_to_convergence<O: Operator>(
     label_terms: &[f64],
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
-    rt: Option<&Runtime>,
 ) -> IterationOutcome {
     debug_assert_eq!(scores.len(), store.len());
-    cur.clear();
-    cur.resize(store.len(), 0.0);
-    let max_iters = cfg.effective_max_iters();
-
-    if let Some(rt) = rt {
-        return run_parallel(
-            rt,
-            max_iters,
-            cfg.epsilon,
-            scores,
-            cur,
-            &|slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-                let (u, v) = store.pairs[slot];
-                let view = store.view(prev);
-                pair_update_with_label(
-                    g1,
-                    g2,
-                    ctx,
-                    cfg,
-                    op,
-                    u,
-                    v,
-                    &view,
-                    scratch,
-                    label_terms[slot],
-                )
-            },
-        );
-    }
-
-    let mut scratch = OpScratch::new();
-    let mut out = IterationOutcome::empty();
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        let mut delta = 0.0f64;
-        {
-            let view = store.view(scores);
-            for (slot, &(u, v)) in store.pairs.iter().enumerate() {
-                let s = pair_update_with_label(
-                    g1,
-                    g2,
-                    ctx,
-                    cfg,
-                    op,
-                    u,
-                    v,
-                    &view,
-                    &mut scratch,
-                    label_terms[slot],
-                );
-                let d = (s - scores[slot]).abs();
-                if d > delta {
-                    delta = d;
-                }
-                cur[slot] = s;
-            }
-        }
-        std::mem::swap(scores, cur);
-        out.final_delta = delta;
-        out.pairs_evaluated.push(store.len());
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        if delta < cfg.epsilon {
-            out.converged = true;
-            break;
-        }
-    }
-    out
+    let kernel = |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
+        let (u, v) = store.pairs[slot];
+        let view = store.view(prev);
+        pair_update_with_label(
+            g1,
+            g2,
+            ctx,
+            cfg,
+            op,
+            u,
+            v,
+            &view,
+            scratch,
+            label_terms[slot],
+        )
+    };
+    run_sweep(exec, &kernel, Limits::of(cfg), scores, cur)
 }
 
-/// Iterates Equation 3 to convergence by **full sweep over the slot CSR**:
-/// every maintained pair is re-evaluated each iteration — identical
-/// scheduling semantics (and `pairs_evaluated` accounting) to
-/// [`run_to_convergence`] — but each evaluation runs through the CSR's
-/// slot kernel and its contiguous slot-indexed buffers instead of
-/// on-the-fly neighbor enumeration and hash-map score lookups. This is the
-/// *vectorized* sweep path: scores live in a flat SoA `f64` buffer indexed
-/// by dependency entries prepared at CSR build time, so the inner loop is
-/// pure index/f64 work. Bitwise identical to the on-the-fly sweep — the
-/// CSR materializes exactly the terms `map_sum` would enumerate, in the
-/// same fold order (the delta ≡ sweep goldens in
-/// `tests/kernel_equivalence.rs` pin this).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep_slots<O: Operator>(
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
-    csr: &PairDepCsr,
-    label_terms: &[f64],
+/// Iterates `kernel` to convergence by **full sweep**: every slot is
+/// re-evaluated each iteration. `scores` holds `FSim⁰` on entry and the
+/// final scores on exit; `cur` is the reusable double buffer (resized to
+/// match). Over a [`PairDepCsr`]'s slot kernel this is the *vectorized*
+/// sweep — each evaluation reads the flat slot-indexed buffer through
+/// entries prepared at CSR build time — bitwise identical to the
+/// on-the-fly sweep, because the CSR materializes exactly the terms
+/// `map_sum` would enumerate, in the same fold order (the delta ≡ sweep
+/// goldens in `tests/kernel_equivalence.rs` pin this).
+pub(crate) fn run_sweep<K: SlotKernel>(
+    exec: &mut Exec<'_>,
+    kernel: &K,
+    limits: Limits,
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
-    rt: Option<&Runtime>,
 ) -> IterationOutcome {
-    debug_assert_eq!(scores.len(), store.len());
-    let n = store.len();
     cur.clear();
-    cur.resize(n, 0.0);
-    let max_iters = cfg.effective_max_iters();
-    let kernel = csr.kernel(cfg, op, store, label_terms);
-
-    if let Some(rt) = rt {
-        return run_parallel(rt, max_iters, cfg.epsilon, scores, cur, &kernel);
-    }
-
-    let mut scratch = OpScratch::new();
-    let mut maxima_buf = Vec::new();
+    cur.resize(scores.len(), 0.0);
     let mut out = IterationOutcome::empty();
-    while out.iterations < max_iters {
+    while out.iterations < limits.max_iters {
         let t0 = Instant::now();
-        let mut delta = 0.0f64;
-        let maxima = step_maxima(&kernel, scores, n, n, &mut maxima_buf, None);
-        for slot in 0..n {
-            let s = kernel.eval(slot, scores, maxima, &mut scratch);
-            let d = (s - scores[slot]).abs();
-            if d > delta {
-                delta = d;
-            }
-            cur[slot] = s;
-        }
+        let (delta, evaluated) = exec.step(kernel, Slots::All, scores, cur, &mut Vec::new());
         std::mem::swap(scores, cur);
         out.final_delta = delta;
-        out.pairs_evaluated.push(n);
+        out.pairs_evaluated.push(evaluated);
         out.iter_seconds.push(t0.elapsed().as_secs_f64());
         out.iterations += 1;
-        if delta < cfg.epsilon {
+        if delta < limits.epsilon {
             out.converged = true;
             break;
         }
@@ -463,13 +397,13 @@ pub(crate) fn run_sweep_slots<O: Operator>(
     out
 }
 
-/// Iterates Equation 3 to convergence with **dirty-pair scheduling** over
-/// a prepared [`PairDepCsr`]: iteration 1 evaluates every slot; iteration
+/// Iterates `kernel` to convergence with **dirty-pair scheduling** over a
+/// prepared [`PairDepCsr`]: iteration 1 evaluates every slot; iteration
 /// `k > 1` evaluates only the dependents of slots whose score changed
 /// (bitwise) in iteration `k−1`, found by the direction-optimizing
 /// [`Frontier`] and visited in slot order. Clean slots keep their previous
 /// score exactly — the update is a pure function of inputs that did not
-/// change — so the outcome is bitwise identical to [`run_to_convergence`].
+/// change — so the outcome is bitwise identical to [`run_sweep`].
 ///
 /// Two optional refinements:
 /// * `initial_worklist` replaces the evaluate-everything first iteration
@@ -478,46 +412,25 @@ pub(crate) fn run_sweep_slots<O: Operator>(
 ///   incoming scores.
 /// * `approx` switches on ε-aware scheduling: iteration `k+1` evaluates
 ///   only dependents whose accumulated incoming-delta bound crossed the
-///   [`ApproxState`] threshold (always a sparse step). No longer bitwise;
-///   the state's final accumulators certify the error.
+///   [`ApproxState`] threshold (always a sparse step), and the run stops
+///   at the state's `stop_delta`. No longer bitwise; the state's final
+///   accumulators certify the error.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_delta<O: Operator>(
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
+pub(crate) fn run_delta<K: SlotKernel>(
+    exec: &mut Exec<'_>,
+    kernel: &K,
     csr: &PairDepCsr,
-    label_terms: &[f64],
+    limits: Limits,
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
     initial_worklist: Option<&[u32]>,
     approx: Option<&mut ApproxState>,
-    rt: Option<&Runtime>,
 ) -> IterationOutcome {
     let lap = Instant::now();
-    debug_assert_eq!(scores.len(), store.len());
-    let n = store.len();
+    let n = scores.len();
     cur.clear();
     cur.resize(n, 0.0);
-    let max_iters = cfg.effective_max_iters();
-
-    let kernel = csr.kernel(cfg, op, store, label_terms);
-    if let Some(rt) = rt {
-        // `run_parallel_delta` does its own warm-start pre-fill of `cur`.
-        return run_parallel_delta(
-            rt,
-            max_iters,
-            cfg.epsilon,
-            scores,
-            cur,
-            csr,
-            record,
-            initial_worklist,
-            approx,
-            &kernel,
-        );
-    }
-
     let frontier = match initial_worklist {
         Some(slots) => {
             // Warm start: slots outside the worklist must read through the
@@ -530,30 +443,23 @@ pub(crate) fn run_delta<O: Operator>(
     if let Some(h) = record.as_deref_mut() {
         h.push(scores);
     }
+    let out = IterationOutcome::empty();
     delta_loop(
-        cfg,
-        &kernel,
-        csr,
-        scores,
-        cur,
-        record,
-        approx,
-        frontier,
-        IterationOutcome::empty(),
-        lap,
+        exec, kernel, csr, limits, scores, cur, record, approx, frontier, out, lap,
     )
 }
 
-/// The sequential delta iteration from `frontier`'s step on, continuing
-/// `out`: each iteration copies the stale slots forward, evaluates the
-/// step, and schedules the next one. `lap` started when the first of these
+/// The delta iteration from `frontier`'s step on, continuing `out`: each
+/// iteration copies the stale slots forward, evaluates the step, and
+/// schedules the next one. `lap` started when the first of these
 /// iterations' work did, so `iter_seconds` covers repair, evaluation,
 /// frontier construction and recording.
 #[allow(clippy::too_many_arguments)]
 fn delta_loop<K: SlotKernel>(
-    cfg: &FsimConfig,
+    exec: &mut Exec<'_>,
     kernel: &K,
     csr: &PairDepCsr,
+    limits: Limits,
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
@@ -563,26 +469,14 @@ fn delta_loop<K: SlotKernel>(
     mut lap: Instant,
 ) -> IterationOutcome {
     let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
-    let max_iters = cfg.effective_max_iters();
-    let mut scratch = OpScratch::new();
-    let mut maxima_buf = Vec::new();
     // C_k: slots whose score changed this iteration.
     let mut changed: Vec<u32> = Vec::new();
-    while out.iterations < max_iters {
+    while out.iterations < limits.max_iters {
         for s in frontier.stale() {
             cur[s] = scores[s];
         }
         let step = frontier.step();
-        let (delta, evaluated) = eval_step(
-            kernel,
-            csr,
-            step,
-            scores,
-            cur,
-            &mut changed,
-            &mut scratch,
-            &mut maxima_buf,
-        );
+        let (delta, evaluated) = exec.step(kernel, Slots::of(step, csr), scores, cur, &mut changed);
         out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
         out.pairs_evaluated.push(evaluated);
         std::mem::swap(scores, cur);
@@ -610,7 +504,7 @@ fn delta_loop<K: SlotKernel>(
             }
             frontier.push_slots(&mut changed, ap.commit());
             delta < ap.stop_delta
-        } else if delta < cfg.epsilon {
+        } else if delta < limits.epsilon {
             true
         } else {
             frontier.advance(&mut changed, rdo, rd);
@@ -624,63 +518,6 @@ fn delta_loop<K: SlotKernel>(
         }
     }
     out
-}
-
-/// Evaluates one delta step of Equation 3 from `prev` into `next`: the
-/// listed slots of a sparse step, or — for a dense step — every live slot
-/// that reads a changed one (the caller has copied the changed slots
-/// forward; every other slot already holds its value in `next`). A long
-/// step fills the row maxima into `maxima_buf` first ([`step_maxima`]).
-/// Appends the slots whose score changed bitwise to `changed`; returns
-/// the step's max delta and the number of slots evaluated.
-#[allow(clippy::too_many_arguments)]
-fn eval_step<K: SlotKernel>(
-    kernel: &K,
-    csr: &PairDepCsr,
-    step: Step<'_>,
-    prev: &[f64],
-    next: &mut [f64],
-    changed: &mut Vec<u32>,
-    scratch: &mut OpScratch,
-    maxima_buf: &mut Vec<f64>,
-) -> (f64, usize) {
-    let scheduled = match step {
-        Step::Sparse(worklist) => worklist.len(),
-        Step::Dense(_) => prev.len(),
-    };
-    let maxima = step_maxima(kernel, prev, scheduled, prev.len(), maxima_buf, None);
-    let mut delta = 0.0f64;
-    let mut eval = |slot_id: u32, next: &mut [f64]| {
-        let slot = slot_id as usize;
-        let s = kernel.eval(slot, prev, maxima, scratch);
-        let d = (s - prev[slot]).abs();
-        if d > delta {
-            delta = d;
-        }
-        if s.to_bits() != prev[slot].to_bits() {
-            changed.push(slot_id);
-        }
-        next[slot] = s;
-    };
-    let evaluated = match step {
-        Step::Sparse(worklist) => {
-            for &slot_id in worklist {
-                eval(slot_id, next);
-            }
-            worklist.len()
-        }
-        Step::Dense(bits) => {
-            let mut evaluated = 0;
-            for &slot_id in csr.live() {
-                if csr.reads_any(slot_id as usize, bits) {
-                    eval(slot_id, next);
-                    evaluated += 1;
-                }
-            }
-            evaluated
-        }
-    };
-    (delta, evaluated)
 }
 
 /// **Trajectory replay**: converges on an *edited* graph by replaying the
@@ -707,12 +544,11 @@ fn eval_step<K: SlotKernel>(
 /// the edited run's full trajectory (enabling the *next* edit batch to
 /// replay again), budget-gated like any other run's recording.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_replay<O: Operator>(
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
+pub(crate) fn run_replay<K: SlotKernel>(
+    exec: &mut Exec<'_>,
+    kernel: &K,
     csr: &PairDepCsr,
-    label_terms: &[f64],
+    limits: Limits,
     old_traj: &[Vec<f64>],
     always_dirty: &[u32],
     scores: &mut Vec<f64>,
@@ -720,17 +556,12 @@ pub(crate) fn run_replay<O: Operator>(
     mut record: Option<&mut Recorder<'_>>,
 ) -> IterationOutcome {
     let mut lap = Instant::now();
-    let n = store.len();
-    debug_assert_eq!(scores.len(), n);
+    let n = scores.len();
     debug_assert!(old_traj.len() >= 2, "replay needs at least one iterate");
     debug_assert!(old_traj.iter().all(|it| it.len() == n));
     cur.clear();
     cur.resize(n, 0.0);
-    let max_iters = cfg.effective_max_iters();
     let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
-    let kernel = csr.kernel(cfg, op, store, label_terms);
-    let mut scratch = OpScratch::new();
-    let mut maxima_buf = Vec::new();
     let mut out = IterationOutcome::empty();
     if let Some(h) = record.as_deref_mut() {
         h.push(scores);
@@ -747,19 +578,11 @@ pub(crate) fn run_replay<O: Operator>(
     // Phase A: replay along the recorded trajectory.
     let hist_iters = old_traj.len() - 1;
     let mut k = 1usize;
-    while out.iterations < max_iters && k <= hist_iters {
+    while out.iterations < limits.max_iters && k <= hist_iters {
         let hist = &old_traj[k];
         cur.copy_from_slice(hist);
-        let (_, evaluated) = eval_step(
-            &kernel,
-            csr,
-            frontier.step(),
-            scores,
-            cur,
-            &mut changed,
-            &mut scratch,
-            &mut maxima_buf,
-        );
+        let slots = Slots::of(frontier.step(), csr);
+        let (_, evaluated) = exec.step(kernel, slots, scores, cur, &mut changed);
         out.pairs_evaluated.push(evaluated);
         // The convergence delta is over every slot; propagation follows
         // divergence from the old trajectory, not from the previous
@@ -783,7 +606,7 @@ pub(crate) fn run_replay<O: Operator>(
         out.final_delta = delta;
         out.iterations += 1;
         k += 1;
-        let done = delta < cfg.epsilon;
+        let done = delta < limits.epsilon;
         if !done {
             frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
         }
@@ -794,7 +617,7 @@ pub(crate) fn run_replay<O: Operator>(
             return out;
         }
     }
-    if out.iterations >= max_iters {
+    if out.iterations >= limits.max_iters {
         return out;
     }
 
@@ -806,7 +629,7 @@ pub(crate) fn run_replay<O: Operator>(
         .extend(slot_ids(n).filter(|&s| scores[s as usize].to_bits() != cur[s as usize].to_bits()));
     frontier.advance(&mut changed, rdo, rd);
     delta_loop(
-        cfg, &kernel, csr, scores, cur, record, None, frontier, out, lap,
+        exec, kernel, csr, limits, scores, cur, record, None, frontier, out, lap,
     )
 }
 
@@ -814,6 +637,8 @@ pub(crate) fn run_replay<O: Operator>(
 mod tests {
     use super::*;
     use crate::config::Variant;
+    use crate::engine::deps::SlotEval;
+    use crate::engine::parallel::Runtime;
     use crate::engine::rows::Maxima;
     use crate::engine::session::{build_label_eval, AlignedLabels};
     use crate::operators::VariantOp;
@@ -891,35 +716,31 @@ mod tests {
             scores
         }
 
+        fn kernel(&self) -> SlotEval<'_, VariantOp> {
+            self.csr
+                .kernel(&self.cfg, &self.op, &self.store, &self.label_terms)
+        }
+
         fn sweep(&self, g: &Graph) -> (IterationOutcome, Vec<f64>) {
             let (mut scores, mut cur) = (self.init(g), Vec::new());
-            let out = run_sweep_slots(
-                &self.cfg,
-                &self.op,
-                &self.store,
-                &self.csr,
-                &self.label_terms,
-                &mut scores,
-                &mut cur,
-                None,
-            );
+            let mut exec = Exec::new(None, 1);
+            let limits = Limits::of(&self.cfg);
+            let out = run_sweep(&mut exec, &self.kernel(), limits, &mut scores, &mut cur);
             (out, scores)
         }
 
-        fn delta(&self, g: &Graph, rt: Option<&Runtime>) -> (IterationOutcome, Vec<f64>) {
+        fn delta(&self, g: &Graph, mut exec: Exec<'_>) -> (IterationOutcome, Vec<f64>) {
             let (mut scores, mut cur) = (self.init(g), Vec::new());
             let out = run_delta(
-                &self.cfg,
-                &self.op,
-                &self.store,
+                &mut exec,
+                &self.kernel(),
                 &self.csr,
-                &self.label_terms,
+                Limits::of(&self.cfg),
                 &mut scores,
                 &mut cur,
                 None,
                 None,
                 None,
-                rt,
             );
             (out, scores)
         }
@@ -936,8 +757,7 @@ mod tests {
             let mut prev = self.init(g);
             let (mut scheduled, mut dense) = (vec![n], vec![false]);
             for _ in 1..self.cfg.effective_max_iters() {
-                let (cfg, op, store) = (&self.cfg, &self.op, &self.store);
-                let kernel = self.csr.kernel(cfg, op, store, &self.label_terms);
+                let kernel = self.kernel();
                 let next: Vec<f64> = (0..n)
                     .map(|s| kernel.eval(s, &prev, Maxima::lazy(), &mut scratch))
                     .collect();
@@ -988,7 +808,7 @@ mod tests {
             assert!(dense[push..].contains(&true), "dense → sparse → dense");
 
             let (sweep, sweep_scores) = f.sweep(&g);
-            let (delta, delta_scores) = f.delta(&g, None);
+            let (delta, delta_scores) = f.delta(&g, Exec::new(None, 1));
             let what = format!("pin_identical={pin_identical}");
             assert_same_bits(&sweep_scores, &delta_scores, &what);
             assert_eq!(delta.iterations, sweep.iterations, "{what}");
@@ -1002,8 +822,9 @@ mod tests {
             );
             assert_eq!(delta.iter_seconds.len(), delta.iterations, "{what}");
 
-            // Four workers: the same bits and the same schedule.
-            let (par, par_scores) = f.delta(&g, Some(&rt));
+            // Every step on four workers: the same bits and the same
+            // schedule, dense pulls included.
+            let (par, par_scores) = f.delta(&g, Exec::with_min_pooled(Some(&rt), 1));
             assert_same_bits(&delta_scores, &par_scores, &what);
             assert_eq!(par.iterations, delta.iterations, "{what}");
             assert_eq!(par.final_delta.to_bits(), delta.final_delta.to_bits());

@@ -1,39 +1,44 @@
-//! The persistent parallel runtime of §3.4.
+//! The step executor every iteration driver evaluates through, and the
+//! session's worker pool it dispatches long steps to.
 //!
-//! The seed implementation spawned a fresh `crossbeam::scope` with a
-//! `Mutex<Vec>` work queue on **every iteration** of Algorithm 1, and its
-//! first replacement still spawned a `std::thread::scope` pool on every
-//! *run* — four separate spawn sites across the sweep, delta, replay and
-//! shard drivers. This module replaces all of them with a single
-//! [`Runtime`]: a worker pool spawned **once per engine session** (the
-//! only `thread::spawn` call in the crate — `tests/spawn_sites.rs` pins
-//! that). Workers park on a condition variable between dispatches and
-//! live until the engine is dropped, so per-worker state — the
-//! [`OpScratch`] buffers and the dirty-set staging vector in
-//! [`WorkerState`] — survives across iterations, runs, reruns and shard
-//! visits instead of being reallocated per run.
+//! Algorithm 1 is a Jacobi update: each slot's new score is a pure
+//! function of the previous iterate (Theorem 1), so the slots of one
+//! iteration may be evaluated in any order, on any number of threads,
+//! without changing a bit. [`Exec`] evaluates one **step** — a sparse
+//! worklist, a dense masked pull over the live slots, or every slot of a
+//! sweep ([`Slots`]) — reading `prev`, writing `next`, and reporting the
+//! max delta, the evaluation count and the bitwise-changed slots. A step
+//! runs **inline** on the calling thread unless it is long enough for
+//! [`effective_threads`] to grant it more than one worker; then it runs
+//! on the **pool**. The drivers in [`super::iterate`] and
+//! [`super::shards`] are written once over the executor and never ask
+//! which branch ran.
 //!
-//! The iteration drivers below are plain sequential coordinators that
-//! dispatch one job per iteration: workers pull disjoint slot ranges via
-//! a lock-free atomic cursor (chunk size scaled to the worklist length by
+//! The pool is a [`Runtime`]: workers spawned **once per engine session**
+//! (the only `thread::spawn` call in the crate — `tests/spawn_sites.rs`
+//! pins that). Workers park on a condition variable between dispatches
+//! and live until the engine is dropped, so per-worker state — the
+//! [`OpScratch`] buffers and the changed-slot staging vector in
+//! [`WorkerState`] — survives across steps, runs and shard visits.
+//! Within a pooled step, workers pull disjoint ranges of the step through
+//! a lock-free atomic cursor (chunk size scaled to the step length by
 //! [`chunk_size`]), and [`Runtime::run`] blocks until every worker has
 //! finished, which both publishes the workers' writes and keeps the
 //! borrows captured by the job alive for exactly as long as they are
 //! used.
 //!
-//! The bitwise sequential ≡ parallel guarantee is preserved: each slot's
-//! new score is a pure function of the previous iteration's buffer (which
-//! no worker writes), the cursor hands out disjoint write ranges, and the
-//! convergence metric is an order-independent max-reduction.
+//! Both branches produce the same bits: each slot's score depends only on
+//! `prev` (which no one writes during a step), every slot of a step has
+//! exactly one writer, the max delta is an order-independent reduction,
+//! and the changed slots form a set whose order no consumer reads.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 use super::deps::PairDepCsr;
-use super::frontier::{slot_ids, Frontier, Step};
-use super::iterate::{ApproxState, Recorder};
+use super::frontier::{slot_ids, ChangedBits, Step};
 use super::rows::Maxima;
 use crate::operators::OpScratch;
 
@@ -113,7 +118,7 @@ pub(crate) fn step_maxima<'b, K: SlotKernel>(
     Maxima::Filled(buf)
 }
 
-/// What a (sequential or parallel) run of the iteration loop reports.
+/// What a run of an iteration driver reports.
 #[derive(Debug, Clone)]
 pub(crate) struct IterationOutcome {
     /// Iterations executed.
@@ -131,7 +136,7 @@ pub(crate) struct IterationOutcome {
     /// trajectory recording.
     pub iter_seconds: Vec<f64>,
     /// Iterations a delta run took as a dense pull (see
-    /// [`Frontier`]); 0 for every other driver.
+    /// [`Frontier`](super::frontier::Frontier)); 0 for every other driver.
     pub dense_iterations: usize,
 }
 
@@ -180,7 +185,7 @@ pub(crate) struct WorkerState {
     /// Operator scratch buffers (matcher state, gather values, …).
     pub scratch: OpScratch,
     /// Staging buffer for the slots this worker changed in the current
-    /// iteration (drained into the coordinator's sink once per dispatch).
+    /// step (drained into the step's sink once per dispatch).
     pub changed: Vec<u32>,
 }
 
@@ -352,13 +357,275 @@ fn worker_loop(shared: Arc<Shared>, wid: usize) {
     }
 }
 
-/// A score buffer shared with the worker pool.
+/// Pairs each worker should own at least: below two workers' worth,
+/// coordinating a dispatch costs more than it saves.
+const PAIRS_PER_WORKER: usize = 2048;
+
+/// The worker count actually used for a step of `len` slots: auto-degraded
+/// so each worker owns at least [`PAIRS_PER_WORKER`] pairs.
+pub(crate) fn effective_threads(cfg_threads: usize, len: usize) -> usize {
+    cfg_threads.min((len / PAIRS_PER_WORKER).max(1))
+}
+
+/// The slots one step evaluates.
+#[derive(Clone, Copy)]
+pub(crate) enum Slots<'a> {
+    /// Every slot of the buffer (a sweep).
+    All,
+    /// Exactly these distinct slots (ascending, for locality).
+    List(&'a [u32]),
+    /// Every live slot of the CSR that reads a slot in the set (a dense
+    /// pull; see [`Step::Dense`]).
+    Pull(&'a PairDepCsr, &'a ChangedBits),
+}
+
+impl<'a> Slots<'a> {
+    /// A frontier step over `csr`.
+    pub(crate) fn of(step: Step<'a>, csr: &'a PairDepCsr) -> Self {
+        match step {
+            Step::Sparse(worklist) => Slots::List(worklist),
+            Step::Dense(changed) => Slots::Pull(csr, changed),
+        }
+    }
+
+    /// The step's length over a buffer of `n` slots: the positions it
+    /// hands out (every slot, the list, or the live list), and how many
+    /// slots it may evaluate (what [`step_maxima`] sizes its fill by).
+    fn len(self, n: usize) -> (usize, usize) {
+        match self {
+            Slots::All => (n, n),
+            Slots::List(list) => (list.len(), list.len()),
+            Slots::Pull(csr, _) => (csr.live().len(), n),
+        }
+    }
+}
+
+/// The step executor (see the module docs): the session's pool, if any,
+/// and the calling thread's buffers for inline steps.
+pub(crate) struct Exec<'r> {
+    rt: Option<&'r Runtime>,
+    /// The shortest step that runs on the pool.
+    min_pooled: usize,
+    /// Operator scratch of inline steps.
+    scratch: OpScratch,
+    /// Row maxima filled by [`step`](Self::step).
+    maxima: Vec<f64>,
+}
+
+impl<'r> Exec<'r> {
+    /// The executor of a session configured for `threads` workers, over
+    /// its pool `rt`: a step of `len` slots runs on the pool iff
+    /// `effective_threads(threads, len) > 1`.
+    pub(crate) fn new(rt: Option<&'r Runtime>, threads: usize) -> Self {
+        Self {
+            rt: rt.filter(|_| threads > 1),
+            min_pooled: 2 * PAIRS_PER_WORKER,
+            scratch: OpScratch::new(),
+            maxima: Vec::new(),
+        }
+    }
+
+    /// An executor that runs steps of at least `min_pooled` slots on `rt`
+    /// — the seam that lets tests drive the pool on toy systems.
+    #[cfg(test)]
+    pub(crate) fn with_min_pooled(rt: Option<&'r Runtime>, min_pooled: usize) -> Self {
+        Self {
+            min_pooled,
+            ..Self::new(rt, 2)
+        }
+    }
+
+    /// The pool a step of `len` slots runs on; `None` runs it inline.
+    pub(crate) fn pool(&self, len: usize) -> Option<&'r Runtime> {
+        self.rt.filter(|_| len >= self.min_pooled)
+    }
+
+    /// Evaluates one step of `kernel` from `prev` into `next`, filling
+    /// the row maxima it reads first ([`step_maxima`]). Appends the slots
+    /// whose score changed bitwise to `changed` (a sweep, which schedules
+    /// nothing from them, appends none); returns the step's max delta and
+    /// the number of slots evaluated. Slots the step does not evaluate are
+    /// not written.
+    pub(crate) fn step<K: SlotKernel>(
+        &mut self,
+        kernel: &K,
+        slots: Slots<'_>,
+        prev: &[f64],
+        next: &mut [f64],
+        changed: &mut Vec<u32>,
+    ) -> (f64, usize) {
+        let (len, scheduled) = slots.len(prev.len());
+        let rt = self.pool(len);
+        let maxima = step_maxima(kernel, prev, scheduled, prev.len(), &mut self.maxima, rt);
+        eval_step(
+            rt,
+            kernel,
+            slots,
+            maxima,
+            prev,
+            next,
+            changed,
+            &mut self.scratch,
+        )
+    }
+
+    /// [`step`](Self::step) with row maxima the caller filled (the
+    /// sharded driver fills one set per iteration for every shard).
+    pub(crate) fn step_with<K: SlotKernel>(
+        &mut self,
+        kernel: &K,
+        slots: Slots<'_>,
+        maxima: Maxima<'_>,
+        prev: &[f64],
+        next: &mut [f64],
+        changed: &mut Vec<u32>,
+    ) -> (f64, usize) {
+        let rt = self.pool(slots.len(prev.len()).0);
+        eval_step(
+            rt,
+            kernel,
+            slots,
+            maxima,
+            prev,
+            next,
+            changed,
+            &mut self.scratch,
+        )
+    }
+}
+
+/// One step, inline (`rt` is `None`) or on the pool.
+#[allow(clippy::too_many_arguments)]
+fn eval_step<K: SlotKernel>(
+    rt: Option<&Runtime>,
+    kernel: &K,
+    slots: Slots<'_>,
+    maxima: Maxima<'_>,
+    prev: &[f64],
+    next: &mut [f64],
+    changed: &mut Vec<u32>,
+    scratch: &mut OpScratch,
+) -> (f64, usize) {
+    let len = slots.len(prev.len()).0;
+    let Some(rt) = rt else {
+        let write = |slot: usize, score: f64| next[slot] = score;
+        return eval_range(kernel, slots, 0..len, prev, maxima, scratch, changed, write);
+    };
+    let out = SharedScores::new(next);
+    let chunk = chunk_size(len, rt.threads());
+    let cursor = AtomicUsize::new(0);
+    let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
+    let evaluated = AtomicUsize::new(0);
+    let sink = Mutex::new(std::mem::take(changed));
+    rt.run(&|wid, ws| {
+        ws.changed.clear();
+        let (mut delta, mut count) = (0.0f64, 0usize);
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= len {
+                break;
+            }
+            // SAFETY: the cursor hands each range of positions to one
+            // worker, and a step's slots are distinct, so every slot this
+            // dispatch writes has exactly one writer; `prev` is a
+            // different buffer, read only.
+            let write = |slot: usize, score: f64| unsafe { out.write(slot, score) };
+            let range = start..(start + chunk).min(len);
+            let (d, c) = eval_range(
+                kernel,
+                slots,
+                range,
+                prev,
+                maxima,
+                &mut ws.scratch,
+                &mut ws.changed,
+                write,
+            );
+            delta = delta.max(d);
+            count += c;
+        }
+        deltas[wid].store(delta.to_bits(), Ordering::Relaxed);
+        evaluated.fetch_add(count, Ordering::Relaxed);
+        if !ws.changed.is_empty() {
+            let mut sink = sink.lock().expect("changed sink");
+            sink.extend_from_slice(&ws.changed);
+        }
+    });
+    *changed = sink.into_inner().expect("changed sink");
+    let delta = deltas
+        .iter()
+        .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
+        .fold(0.0, f64::max);
+    (delta, evaluated.load(Ordering::Relaxed))
+}
+
+/// The step body both branches share: evaluates the step's positions
+/// `range` (slot ids of a sweep, list positions, or live-list positions
+/// of a pull), handing each score to `write`. Returns the range's max
+/// delta and evaluation count, appending its changed slots to `changed`
+/// unless the step is a sweep.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn eval_range<K: SlotKernel>(
+    kernel: &K,
+    slots: Slots<'_>,
+    range: Range<usize>,
+    prev: &[f64],
+    maxima: Maxima<'_>,
+    scratch: &mut OpScratch,
+    changed: &mut Vec<u32>,
+    mut write: impl FnMut(usize, f64),
+) -> (f64, usize) {
+    let mut delta = 0.0f64;
+    // `record` is a constant per arm, so the sweep's loop carries no
+    // changed-slot test at all.
+    let mut eval = |slot_id: u32, record: bool| {
+        let slot = slot_id as usize;
+        let score = kernel.eval(slot, prev, maxima, scratch);
+        let d = (score - prev[slot]).abs();
+        if d > delta {
+            delta = d;
+        }
+        if record && score.to_bits() != prev[slot].to_bits() {
+            changed.push(slot_id);
+        }
+        write(slot, score);
+    };
+    let evaluated = match slots {
+        Slots::All => {
+            slot_ids(range.end)
+                .skip(range.start)
+                .for_each(|slot_id| eval(slot_id, false));
+            range.len()
+        }
+        Slots::List(list) => {
+            for &slot_id in &list[range.clone()] {
+                eval(slot_id, true);
+            }
+            range.len()
+        }
+        Slots::Pull(csr, bits) => {
+            let mut evaluated = 0;
+            for &slot_id in &csr.live()[range] {
+                if csr.reads_any(slot_id as usize, bits) {
+                    eval(slot_id, true);
+                    evaluated += 1;
+                }
+            }
+            evaluated
+        }
+    };
+    (delta, evaluated)
+}
+
+/// A buffer one pooled dispatch writes — a step's `next`, or its row
+/// maxima — shared with the workers for the duration of that dispatch.
 ///
-/// Workers read the *previous* buffer (never written during an iteration)
-/// and write disjoint slot ranges of the *current* buffer, so no location
+/// Workers read the step's `prev` (a different buffer, never written
+/// during the step) and write distinct slots of this one, so no location
 /// is ever accessed mutably by two parties. `UnsafeCell` expresses exactly
 /// that hand-verified aliasing discipline; the dispatch gate's mutex at
-/// each iteration boundary publishes the writes.
+/// the end of the dispatch publishes the writes.
 struct SharedScores<'a> {
     cells: &'a [UnsafeCell<f64>],
 }
@@ -377,562 +644,19 @@ impl<'a> SharedScores<'a> {
         }
     }
 
-    /// The buffer as a plain slice.
-    ///
-    /// # Safety
-    /// Caller must guarantee no concurrent writes for the borrow's
-    /// lifetime (true for the read buffer within one iteration).
-    unsafe fn as_read_slice(&self) -> &[f64] {
-        std::slice::from_raw_parts(self.cells.as_ptr() as *const f64, self.cells.len())
-    }
-
     /// Writes one slot.
     ///
     /// # Safety
-    /// Caller must be the only writer of `slot` this iteration.
+    /// Caller must be the only writer of `slot` this dispatch.
     #[inline]
     unsafe fn write(&self, slot: usize, value: f64) {
         *self.cells[slot].get() = value;
-    }
-
-    /// Overwrites the whole buffer from `src`.
-    ///
-    /// # Safety
-    /// Caller must guarantee no concurrent access at all (true for the
-    /// coordinator between dispatches).
-    unsafe fn copy_from(&self, src: &[f64]) {
-        debug_assert_eq!(src.len(), self.cells.len());
-        let dst = std::slice::from_raw_parts_mut(self.cells.as_ptr() as *mut f64, self.cells.len());
-        dst.copy_from_slice(src);
-    }
-}
-
-/// Runs the full-sweep iteration loop on the session's [`Runtime`].
-///
-/// `prev` holds `FSim⁰` on entry and the final scores on exit; `cur` is
-/// the same-length double buffer. Every iteration is a dense step: the
-/// kernel's row maxima are filled first, then every slot is evaluated.
-pub(crate) fn run_parallel<K: SlotKernel>(
-    rt: &Runtime,
-    max_iters: usize,
-    epsilon: f64,
-    prev: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    kernel: &K,
-) -> IterationOutcome {
-    let n = prev.len();
-    debug_assert_eq!(n, cur.len());
-    let chunk = chunk_size(n, rt.threads());
-    let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let cursor = AtomicUsize::new(0);
-    let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-    let mut maxima_buf = Vec::new();
-
-    let mut out = IterationOutcome::empty();
-    let mut read = 0usize;
-    while out.iterations < max_iters {
-        let t0 = Instant::now();
-        // SAFETY: no dispatch is in flight, and this iteration's
-        // dispatches only read `buffers[read]`.
-        let read_buf = unsafe { buffers[read].as_read_slice() };
-        let maxima = step_maxima(kernel, read_buf, n, n, &mut maxima_buf, Some(rt));
-        cursor.store(0, Ordering::Relaxed);
-        rt.run(&|wid, ws| {
-            // This iteration writes disjoint cursor ranges of
-            // `buffers[1 - read]` only.
-            let write = &buffers[1 - read];
-            let mut local_delta = 0.0f64;
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for slot in start..end {
-                    let score = kernel.eval(slot, read_buf, maxima, &mut ws.scratch);
-                    let d = (score - read_buf[slot]).abs();
-                    if d > local_delta {
-                        local_delta = d;
-                    }
-                    // SAFETY: `start..end` ranges from the cursor are
-                    // disjoint across workers.
-                    unsafe { write.write(slot, score) };
-                }
-            }
-            deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
-        });
-        out.final_delta = deltas
-            .iter()
-            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-            .fold(0.0, f64::max);
-        out.pairs_evaluated.push(n);
-        out.iter_seconds.push(t0.elapsed().as_secs_f64());
-        out.iterations += 1;
-        read = 1 - read;
-        if out.final_delta < epsilon {
-            out.converged = true;
-            break;
-        }
-    }
-
-    // The last-written buffer alternates; normalize so `prev` holds the
-    // final scores exactly like the sequential path.
-    if out.iterations % 2 == 1 {
-        std::mem::swap(prev, cur);
-    }
-    out
-}
-
-/// Evaluates an explicit worklist against a read-only previous-iteration
-/// buffer, writing `out[i]` for `worklist[i]`. Used by the sharded driver
-/// ([`super::shards`]): each slot's value is a pure function of `prev`
-/// (Jacobi) and the caller folds the results back in worklist order, so
-/// the outcome is bitwise identical to a sequential evaluation regardless
-/// of the worker count.
-pub(crate) fn eval_worklist_parallel<K: SlotKernel>(
-    rt: &Runtime,
-    worklist: &[u32],
-    prev: &[f64],
-    out: &mut [f64],
-    kernel: &K,
-    maxima: Maxima<'_>,
-) {
-    debug_assert_eq!(worklist.len(), out.len());
-    let n = worklist.len();
-    let chunk = chunk_size(n, rt.threads());
-    let shared_out = SharedScores::new(out);
-    let cursor = AtomicUsize::new(0);
-    rt.run(&|_wid, ws| {
-        loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            for (i, &slot) in worklist.iter().enumerate().take(end).skip(start) {
-                let v = kernel.eval(slot as usize, prev, maxima, &mut ws.scratch);
-                // SAFETY: cursor ranges are disjoint across workers.
-                unsafe { shared_out.write(i, v) };
-            }
-        }
-    });
-}
-
-/// Runs the **delta-driven** iteration loop on the session's [`Runtime`].
-///
-/// Iteration 1 evaluates every slot; iteration `k > 1` evaluates only the
-/// dependents (per `csr`'s reverse CSR) of slots whose score changed
-/// bitwise in iteration `k−1`, scheduled by the direction-optimizing
-/// [`Frontier`]. Slots outside the schedule keep their previous score
-/// exactly (the update is a pure function of inputs that did not change),
-/// so results are bitwise identical to [`run_parallel`] and to the
-/// sequential loops.
-///
-/// `initial_worklist` and `approx` mirror
-/// [`run_delta`](super::iterate::run_delta): a warm-start worklist and
-/// ε-aware approximate gating. All scheduling decisions (accumulator
-/// arithmetic, threshold crossings, the push/pull direction) are made by
-/// the coordinator between dispatches from order-independent reductions,
-/// so every mode is bitwise identical to its sequential counterpart.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel_delta<K: SlotKernel>(
-    rt: &Runtime,
-    max_iters: usize,
-    epsilon: f64,
-    prev: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    csr: &PairDepCsr,
-    mut record: Option<&mut Recorder<'_>>,
-    initial_worklist: Option<&[u32]>,
-    approx: Option<&mut ApproxState>,
-    kernel: &K,
-) -> IterationOutcome {
-    let lap = Instant::now();
-    let n = prev.len();
-    debug_assert_eq!(n, cur.len());
-    if let Some(h) = record.as_deref_mut() {
-        h.push(prev);
-    }
-    let mut frontier = match initial_worklist {
-        Some(slots) => {
-            // Warm start: slots outside the worklist must read through the
-            // double buffer as-is.
-            cur.copy_from_slice(prev);
-            Frontier::seeded(n, slots)
-        }
-        None => Frontier::all(n),
-    };
-    let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let pool = DeltaDispatch::new(rt, csr, &buffers, kernel);
-    let mut out = IterationOutcome::empty();
-    pool.iterate(
-        0,
-        &mut frontier,
-        record,
-        approx,
-        &mut out,
-        lap,
-        max_iters,
-        epsilon,
-    );
-    if out.iterations % 2 == 1 {
-        std::mem::swap(prev, cur);
-    }
-    out
-}
-
-/// Parallel **trajectory replay** (see
-/// [`run_replay`](super::iterate::run_replay) for the algorithm and the
-/// bitwise-identity argument). The worker pool evaluates the per-iteration
-/// worklists; the coordinator pre-fills each iteration's write buffer from
-/// the recorded trajectory before the dispatch, then scans the completed
-/// buffer for the convergence delta and the divergence set between
-/// dispatches. Once the trajectory is exhausted the run continues as
-/// [`run_parallel_delta`] does.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel_replay<K: SlotKernel>(
-    rt: &Runtime,
-    max_iters: usize,
-    epsilon: f64,
-    old_traj: &[Vec<f64>],
-    always_dirty: &[u32],
-    csr: &PairDepCsr,
-    prev: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-    mut record: Option<&mut Recorder<'_>>,
-    kernel: &K,
-) -> IterationOutcome {
-    let mut lap = Instant::now();
-    let n = prev.len();
-    debug_assert_eq!(n, cur.len());
-    debug_assert!(old_traj.len() >= 2, "replay needs at least one iterate");
-    if let Some(h) = record.as_deref_mut() {
-        h.push(prev);
-    }
-    let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
-    let mut changed: Vec<u32> = slot_ids(n)
-        .filter(|&s| prev[s as usize].to_bits() != old_traj[0][s as usize].to_bits())
-        .collect();
-    let mut frontier = Frontier::new(n);
-    frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
-
-    let buffers = [SharedScores::new(prev), SharedScores::new(cur)];
-    let pool = DeltaDispatch::new(rt, csr, &buffers, kernel);
-    let mut out = IterationOutcome::empty();
-    let mut read = 0usize;
-    let mut maxima_buf = Vec::new();
-    let hist_iters = old_traj.len() - 1;
-
-    // Phase A: replay along the recorded trajectory. The coordinator
-    // pre-fills the write buffer from history between dispatches; worker
-    // writes of worklist slots land on top.
-    let mut k = 1usize;
-    while out.iterations < max_iters && k <= hist_iters {
-        let hist = &old_traj[k];
-        // SAFETY: no dispatch is in flight.
-        unsafe { buffers[1 - read].copy_from(hist) };
-        let (_, evaluated) = pool.run(frontier.step(), read, &mut maxima_buf);
-        out.pairs_evaluated.push(evaluated);
-        // Full scan between dispatches: the convergence delta over all
-        // slots, and divergence from the old trajectory for worklist
-        // propagation. The workers' changed sets compare against the
-        // previous iterate, not the trajectory: drop them.
-        pool.take_changed(&mut changed);
-        // SAFETY: no dispatch is in flight; both buffers are stable.
-        let prev_buf = unsafe { buffers[read].as_read_slice() };
-        // SAFETY: as above — both reads share the quiescent window.
-        let cur_buf = unsafe { buffers[1 - read].as_read_slice() };
-        let mut delta = 0.0f64;
-        changed.clear();
-        for slot_id in slot_ids(n) {
-            let s = slot_id as usize;
-            let d = (cur_buf[s] - prev_buf[s]).abs();
-            if d > delta {
-                delta = d;
-            }
-            if cur_buf[s].to_bits() != hist[s].to_bits() {
-                changed.push(slot_id);
-            }
-        }
-        if let Some(h) = record.as_deref_mut() {
-            h.push(cur_buf);
-        }
-        out.final_delta = delta;
-        out.iterations += 1;
-        k += 1;
-        read = 1 - read;
-        let done = delta < epsilon;
-        if !done {
-            frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
-        }
-        out.iter_seconds.push(lap.elapsed().as_secs_f64());
-        lap = Instant::now();
-        if done {
-            out.converged = true;
-            break;
-        }
-    }
-
-    // Phase B: history exhausted — the standard dirty iteration of
-    // `run_parallel_delta`, seeded from the last two iterates.
-    if !out.converged && out.iterations < max_iters {
-        // SAFETY: no dispatch is in flight; both buffers are stable.
-        let prev_buf = unsafe { buffers[1 - read].as_read_slice() };
-        // SAFETY: as above — both reads share the quiescent window.
-        let cur_buf = unsafe { buffers[read].as_read_slice() };
-        changed.clear();
-        changed.extend(
-            slot_ids(n)
-                .filter(|&s| cur_buf[s as usize].to_bits() != prev_buf[s as usize].to_bits()),
-        );
-        frontier.advance(&mut changed, rdo, rd);
-        pool.iterate(
-            read,
-            &mut frontier,
-            record,
-            None,
-            &mut out,
-            lap,
-            max_iters,
-            epsilon,
-        );
-    }
-
-    if out.iterations % 2 == 1 {
-        std::mem::swap(prev, cur);
-    }
-    out
-}
-
-/// One delta run's dispatch state: the pool, the dependency structure and
-/// the double buffer it iterates over, the kernel, and the coordination
-/// the workers share — the cursor, per-worker deltas, the evaluation count
-/// and the sink the workers drain their changed slots into.
-struct DeltaDispatch<'a, K> {
-    rt: &'a Runtime,
-    csr: &'a PairDepCsr,
-    buffers: &'a [SharedScores<'a>; 2],
-    kernel: &'a K,
-    cursor: AtomicUsize,
-    deltas: Vec<AtomicU64>,
-    evaluated: AtomicUsize,
-    changed: Mutex<Vec<u32>>,
-}
-
-impl<'a, K: SlotKernel> DeltaDispatch<'a, K> {
-    fn new(
-        rt: &'a Runtime,
-        csr: &'a PairDepCsr,
-        buffers: &'a [SharedScores<'a>; 2],
-        kernel: &'a K,
-    ) -> Self {
-        Self {
-            rt,
-            csr,
-            buffers,
-            kernel,
-            cursor: AtomicUsize::new(0),
-            deltas: (0..rt.threads()).map(|_| AtomicU64::new(0)).collect(),
-            evaluated: AtomicUsize::new(0),
-            changed: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Evaluates `step` on the pool, reading `buffers[read]` and writing
-    /// `buffers[1 - read]`: a sparse step's listed slots (the cursor hands
-    /// out worklist ranges), or — for a dense step — every live slot that
-    /// reads a changed one (the cursor hands out ranges of the live list;
-    /// the caller has copied the changed slots forward, and every other
-    /// slot already holds its current value). A long step fills the row
-    /// maxima into `maxima_buf` first ([`step_maxima`]). Returns the step's max delta and
-    /// the number of slots evaluated; the changed slots wait for
-    /// [`take_changed`](Self::take_changed).
-    fn run(&self, step: Step<'_>, read: usize, maxima_buf: &mut Vec<f64>) -> (f64, usize) {
-        let live = self.csr.live();
-        let len = match step {
-            Step::Sparse(worklist) => worklist.len(),
-            Step::Dense(_) => live.len(),
-        };
-        // SAFETY: no dispatch is in flight, and this step's dispatches
-        // only read `buffers[read]`.
-        let read_buf = unsafe { self.buffers[read].as_read_slice() };
-        let scheduled = match step {
-            Step::Sparse(worklist) => worklist.len(),
-            Step::Dense(_) => read_buf.len(),
-        };
-        let maxima = step_maxima(
-            self.kernel,
-            read_buf,
-            scheduled,
-            read_buf.len(),
-            maxima_buf,
-            Some(self.rt),
-        );
-        let chunk = chunk_size(len, self.rt.threads());
-        self.cursor.store(0, Ordering::Relaxed);
-        self.evaluated.store(0, Ordering::Relaxed);
-        self.rt.run(&|wid, ws| {
-            // This step writes disjoint slots of `buffers[1 - read]` only.
-            let write = &self.buffers[1 - read];
-            let mut local_delta = 0.0f64;
-            let mut evaluated = 0usize;
-            ws.changed.clear();
-            let mut eval = |slot_id: u32| {
-                let slot = slot_id as usize;
-                let score = self.kernel.eval(slot, read_buf, maxima, &mut ws.scratch);
-                let d = (score - read_buf[slot]).abs();
-                if d > local_delta {
-                    local_delta = d;
-                }
-                if score.to_bits() != read_buf[slot].to_bits() {
-                    ws.changed.push(slot_id);
-                }
-                evaluated += 1;
-                // SAFETY: the cursor hands each worklist range (sparse) or
-                // live-list range (dense) to one worker, and the slots of
-                // either list are distinct; the coordinator writes only
-                // between dispatches.
-                unsafe { write.write(slot, score) };
-            };
-            loop {
-                let start = self.cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                let end = (start + chunk).min(len);
-                match step {
-                    Step::Sparse(worklist) => {
-                        for &slot_id in &worklist[start..end] {
-                            eval(slot_id);
-                        }
-                    }
-                    Step::Dense(bits) => {
-                        for &slot_id in &live[start..end] {
-                            if self.csr.reads_any(slot_id as usize, bits) {
-                                eval(slot_id);
-                            }
-                        }
-                    }
-                }
-            }
-            self.deltas[wid].store(local_delta.to_bits(), Ordering::Relaxed);
-            self.evaluated.fetch_add(evaluated, Ordering::Relaxed);
-            if !ws.changed.is_empty() {
-                self.changed
-                    .lock()
-                    .expect("changed sink")
-                    .extend_from_slice(&ws.changed);
-            }
-        });
-        let delta = self
-            .deltas
-            .iter()
-            .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-            .fold(0.0, f64::max);
-        (delta, self.evaluated.load(Ordering::Relaxed))
-    }
-
-    /// Moves the last dispatch's changed slots into `into` (replacing its
-    /// contents).
-    fn take_changed(&self, into: &mut Vec<u32>) {
-        into.clear();
-        std::mem::swap(into, &mut *self.changed.lock().expect("changed sink"));
-    }
-
-    /// The delta iteration from `frontier`'s step on, continuing `out`
-    /// with `buffers[read]` holding the current iterate: each iteration
-    /// copies the stale slots forward, dispatches the step, and schedules
-    /// the next one. `lap` started when the first of these iterations'
-    /// work did, so `iter_seconds` covers repair, evaluation, frontier
-    /// construction and recording.
-    #[allow(clippy::too_many_arguments)]
-    fn iterate(
-        &self,
-        mut read: usize,
-        frontier: &mut Frontier,
-        mut record: Option<&mut Recorder<'_>>,
-        mut approx: Option<&mut ApproxState>,
-        out: &mut IterationOutcome,
-        mut lap: Instant,
-        max_iters: usize,
-        epsilon: f64,
-    ) {
-        let (rdo, rd) = (self.csr.rdep_offsets(), self.csr.rdeps());
-        let mut changed: Vec<u32> = Vec::new();
-        let mut maxima_buf = Vec::new();
-        while out.iterations < max_iters {
-            {
-                // Repair before the dispatch: copy last iteration's value
-                // forward for changed slots that may not be re-evaluated
-                // (their two-iterations-old copy in the write buffer is
-                // stale).
-                // SAFETY: no dispatch is in flight; the coordinator has
-                // exclusive access to both buffers.
-                let read_buf = unsafe { self.buffers[read].as_read_slice() };
-                let write = &self.buffers[1 - read];
-                for s in frontier.stale() {
-                    // SAFETY: same window — no dispatch in flight, and
-                    // stale slots are distinct, so this is the sole
-                    // writer of `s`.
-                    unsafe { write.write(s, read_buf[s]) };
-                }
-            }
-            let step = frontier.step();
-            let (delta, evaluated) = self.run(step, read, &mut maxima_buf);
-            out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
-            out.pairs_evaluated.push(evaluated);
-            out.final_delta = delta;
-            out.iterations += 1;
-            read = 1 - read;
-            if let Some(h) = record.as_deref_mut() {
-                // SAFETY: no dispatch is in flight; the freshly written
-                // buffer is stable.
-                h.push(unsafe { self.buffers[read].as_read_slice() });
-            }
-            self.take_changed(&mut changed);
-            let done = if let Some(ap) = approx.as_deref_mut() {
-                // Approximate error accounting, mirroring the sequential
-                // loop: reset evaluated slots, fold this iteration's
-                // changes into their dependents' accumulators (per-slot
-                // max — order-independent, so bitwise equal to the
-                // sequential schedule), then gate the next worklist on the
-                // threshold. Runs before the convergence check so the
-                // final accumulators certify the returned scores.
-                for &s in frontier.worklist() {
-                    ap.acc[s as usize] = 0.0;
-                }
-                // SAFETY: no dispatch is in flight; both buffers are stable.
-                let new_buf = unsafe { self.buffers[read].as_read_slice() };
-                // SAFETY: as above — both reads share the quiescent window.
-                let old_buf = unsafe { self.buffers[1 - read].as_read_slice() };
-                ap.begin();
-                for &c in &changed {
-                    let c = c as usize;
-                    let d = (new_buf[c] - old_buf[c]).abs();
-                    for &dep in &rd[rdo[c]..rdo[c + 1]] {
-                        ap.bump(dep, d);
-                    }
-                }
-                frontier.push_slots(&mut changed, ap.commit());
-                delta < ap.stop_delta
-            } else if delta < epsilon {
-                true
-            } else {
-                frontier.advance(&mut changed, rdo, rd);
-                false
-            };
-            out.iter_seconds.push(lap.elapsed().as_secs_f64());
-            lap = Instant::now();
-            if done {
-                out.converged = true;
-                break;
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::iterate::{run_delta, run_replay, run_sweep, Limits, Recorder};
     use super::*;
     use crate::operators::DepEntry;
 
@@ -977,8 +701,20 @@ mod tests {
         toy_update(slot, prev)
     }
 
+    fn limits(max_iters: usize, epsilon: f64) -> Limits {
+        Limits { max_iters, epsilon }
+    }
+
+    fn assert_same_run(a: &IterationOutcome, b: &IterationOutcome, what: &str) {
+        assert_eq!(a.iterations, b.iterations, "{what}");
+        assert_eq!(a.converged, b.converged, "{what}");
+        assert_eq!(a.final_delta.to_bits(), b.final_delta.to_bits(), "{what}");
+        assert_eq!(a.pairs_evaluated, b.pairs_evaluated, "{what}");
+        assert_eq!(a.dense_iterations, b.dense_iterations, "{what}");
+    }
+
     #[test]
-    fn parallel_matches_sequential_bitwise_on_toy_system() {
+    fn pooled_sweep_matches_inline_and_reference_bitwise_on_toy_system() {
         let n = 4096;
         let init: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 97.0).collect();
         let mut seq = init.clone();
@@ -986,16 +722,26 @@ mod tests {
         let seq_out = run_seq(&mut seq, &mut seq_cur, 25, 1e-6, toy_update);
 
         let rt = Runtime::new(4);
-        let mut par = init.clone();
-        let mut par_cur = vec![0.0; n];
-        let par_out = run_parallel(&rt, 25, 1e-6, &mut par, &mut par_cur, &toy);
-
-        assert_eq!(seq_out.iterations, par_out.iterations);
-        assert_eq!(seq_out.converged, par_out.converged);
-        assert_eq!(seq_out.final_delta.to_bits(), par_out.final_delta.to_bits());
-        assert_eq!(par_out.iter_seconds.len(), par_out.iterations);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits(), "parallel diverged");
+        let run = |mut exec: Exec<'_>| {
+            let (mut scores, mut cur) = (init.clone(), Vec::new());
+            let out = run_sweep(&mut exec, &toy, limits(25, 1e-6), &mut scores, &mut cur);
+            (out, scores)
+        };
+        let (inline, inline_scores) = run(Exec::new(None, 1));
+        // 4096 slots on four workers: the default executor pools every step.
+        assert!(
+            Exec::new(Some(&rt), 4).pool(n).is_some(),
+            "must reach the pool"
+        );
+        let (pooled, pooled_scores) = run(Exec::new(Some(&rt), 4));
+        assert_same_run(&inline, &pooled, "inline vs pool");
+        assert_eq!(seq_out.iterations, pooled.iterations);
+        assert_eq!(seq_out.converged, pooled.converged);
+        assert_eq!(seq_out.final_delta.to_bits(), pooled.final_delta.to_bits());
+        assert_eq!(pooled.iter_seconds.len(), pooled.iterations);
+        for ((a, b), c) in seq.iter().zip(&pooled_scores).zip(&inline_scores) {
+            assert_eq!(a.to_bits(), b.to_bits(), "pool diverged");
+            assert_eq!(a.to_bits(), c.to_bits(), "inline diverged");
         }
     }
 
@@ -1005,7 +751,8 @@ mod tests {
         let mut prev = vec![0.5; 600];
         let original = prev.clone();
         let mut cur = vec![0.0; 600];
-        let out = run_parallel(&rt, 0, 1e-3, &mut prev, &mut cur, &toy);
+        let mut exec = Exec::with_min_pooled(Some(&rt), 1);
+        let out = run_sweep(&mut exec, &toy, limits(0, 1e-3), &mut prev, &mut cur);
         assert_eq!(out.iterations, 0);
         assert!(!out.converged);
         assert_eq!(prev, original);
@@ -1020,11 +767,14 @@ mod tests {
             let mut seq = init.clone();
             let mut seq_cur = vec![0.0; n];
             run_seq(&mut seq, &mut seq_cur, cap, 0.0, toy_update);
-            let mut par = init.clone();
-            let mut par_cur = vec![0.0; n];
-            let out = run_parallel(&rt, cap, 0.0, &mut par, &mut par_cur, &toy);
-            assert_eq!(out.iterations, cap);
-            assert_eq!(seq, par, "cap={cap}");
+            for min_pooled in [usize::MAX, 1] {
+                let mut exec = Exec::with_min_pooled(Some(&rt), min_pooled);
+                let mut scores = init.clone();
+                let mut cur = vec![0.0; n];
+                let out = run_sweep(&mut exec, &toy, limits(cap, 0.0), &mut scores, &mut cur);
+                assert_eq!(out.iterations, cap);
+                assert_eq!(seq, scores, "cap={cap} min_pooled={min_pooled}");
+            }
         }
     }
 
@@ -1058,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_delta_matches_sequential_bitwise_on_toy_system() {
+    fn pooled_delta_matches_inline_bitwise_on_toy_system() {
         let n = 4096;
         // A locally-perturbed start: most slots begin at the fixpoint-ish
         // plateau so the dirty worklist actually shrinks.
@@ -1071,45 +821,49 @@ mod tests {
 
         let csr = toy_csr(n);
         let rt = Runtime::new(4);
-        let mut par = init.clone();
-        let mut par_cur = vec![0.0; n];
-        let mut history: Vec<Vec<f64>> = Vec::new();
-        let mut recorder = super::super::iterate::Recorder::new(&mut history, usize::MAX);
-        let par_out = run_parallel_delta(
-            &rt,
-            30,
-            1e-9,
-            &mut par,
-            &mut par_cur,
-            &csr,
-            Some(&mut recorder),
-            None,
-            None,
-            &toy,
-        );
-        let _ = recorder;
+        let run = |mut exec: Exec<'_>| {
+            let (mut scores, mut cur) = (init.clone(), Vec::new());
+            let mut history: Vec<Vec<f64>> = Vec::new();
+            let mut recorder = Recorder::new(&mut history, usize::MAX);
+            let out = run_delta(
+                &mut exec,
+                &toy,
+                &csr,
+                limits(30, 1e-9),
+                &mut scores,
+                &mut cur,
+                Some(&mut recorder),
+                None,
+                None,
+            );
+            (out, scores, history)
+        };
+        let (inline, inline_scores, _) = run(Exec::new(None, 1));
+        let (pooled, pooled_scores, history) = run(Exec::with_min_pooled(Some(&rt), 1));
+        assert_same_run(&inline, &pooled, "inline vs pool");
+        assert_eq!(inline_scores, pooled_scores);
 
-        assert_eq!(seq_out.iterations, par_out.iterations);
-        assert_eq!(seq_out.converged, par_out.converged);
-        assert_eq!(seq_out.final_delta.to_bits(), par_out.final_delta.to_bits());
-        assert_eq!(par_out.pairs_evaluated.len(), par_out.iterations);
-        assert_eq!(par_out.iter_seconds.len(), par_out.iterations);
-        assert_eq!(par_out.pairs_evaluated[0], n, "first iteration is full");
+        assert_eq!(seq_out.iterations, pooled.iterations);
+        assert_eq!(seq_out.converged, pooled.converged);
+        assert_eq!(seq_out.final_delta.to_bits(), pooled.final_delta.to_bits());
+        assert_eq!(pooled.pairs_evaluated.len(), pooled.iterations);
+        assert_eq!(pooled.iter_seconds.len(), pooled.iterations);
+        assert_eq!(pooled.pairs_evaluated[0], n, "first iteration is full");
         assert!(
-            par_out.pairs_evaluated.iter().sum::<usize>() < n * par_out.iterations,
+            pooled.pairs_evaluated.iter().sum::<usize>() < n * pooled.iterations,
             "dirty scheduling must skip clean slots on this workload"
         );
-        for (a, b) in seq.iter().zip(&par) {
+        for (a, b) in seq.iter().zip(&pooled_scores) {
             assert_eq!(a.to_bits(), b.to_bits(), "delta runner diverged");
         }
         // The recorded trajectory covers init plus every iterate.
-        assert_eq!(history.len(), par_out.iterations + 1);
+        assert_eq!(history.len(), pooled.iterations + 1);
         assert_eq!(history[0], init);
-        assert_eq!(history.last().unwrap(), &par);
+        assert_eq!(history.last().unwrap(), &pooled_scores);
     }
 
     #[test]
-    fn parallel_replay_matches_cold_run_on_edited_system() {
+    fn pooled_replay_matches_inline_and_cold_run_on_edited_system() {
         let n = 4096;
         let init: Vec<f64> = (0..n).map(|i| (i % 193) as f64 / 193.0).collect();
         // Record the original system's trajectory.
@@ -1118,18 +872,17 @@ mod tests {
         let csr = toy_csr(n);
         let rt = Runtime::new(4);
         let mut history: Vec<Vec<f64>> = Vec::new();
-        let mut recorder = super::super::iterate::Recorder::new(&mut history, usize::MAX);
-        run_parallel_delta(
-            &rt,
-            40,
-            1e-9,
+        let mut recorder = Recorder::new(&mut history, usize::MAX);
+        run_delta(
+            &mut Exec::new(Some(&rt), 4),
+            &toy,
+            &csr,
+            limits(40, 1e-9),
             &mut base,
             &mut base_cur,
-            &csr,
             Some(&mut recorder),
             None,
             None,
-            &toy,
         );
         let _ = recorder;
         // "Edit": slot 777's update function changes.
@@ -1144,23 +897,27 @@ mod tests {
         let mut cold_cur = vec![0.0; n];
         let cold_out = run_seq(&mut cold, &mut cold_cur, 40, 1e-9, edited_update);
 
-        let mut warm = init.clone();
-        let mut warm_cur = vec![0.0; n];
-        let mut new_traj: Vec<Vec<f64>> = Vec::new();
-        let mut new_rec = super::super::iterate::Recorder::new(&mut new_traj, usize::MAX);
-        let warm_out = run_parallel_replay(
-            &rt,
-            40,
-            1e-9,
-            &history,
-            &[777],
-            &csr,
-            &mut warm,
-            &mut warm_cur,
-            Some(&mut new_rec),
-            &|slot: usize, prev: &[f64], _: &mut OpScratch| edited_update(slot, prev),
-        );
-        let _ = new_rec;
+        let replay = |mut exec: Exec<'_>| {
+            let (mut warm, mut warm_cur) = (init.clone(), Vec::new());
+            let mut new_traj: Vec<Vec<f64>> = Vec::new();
+            let mut new_rec = Recorder::new(&mut new_traj, usize::MAX);
+            let out = run_replay(
+                &mut exec,
+                &|slot: usize, prev: &[f64], _: &mut OpScratch| edited_update(slot, prev),
+                &csr,
+                limits(40, 1e-9),
+                &history,
+                &[777],
+                &mut warm,
+                &mut warm_cur,
+                Some(&mut new_rec),
+            );
+            (out, warm, new_traj)
+        };
+        let (inline, inline_warm, _) = replay(Exec::new(None, 1));
+        let (warm_out, warm, new_traj) = replay(Exec::with_min_pooled(Some(&rt), 1));
+        assert_same_run(&inline, &warm_out, "inline vs pool");
+        assert_eq!(inline_warm, warm);
         assert_eq!(warm_out.iterations, cold_out.iterations);
         assert_eq!(warm_out.converged, cold_out.converged);
         assert_eq!(
@@ -1182,21 +939,33 @@ mod tests {
     }
 
     #[test]
-    fn eval_worklist_parallel_matches_sequential_order() {
+    fn pooled_worklist_step_matches_inline() {
         let n = 5000;
         let prev: Vec<f64> = (0..n).map(|i| (i % 31) as f64 / 31.0).collect();
         let worklist: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let mut seq = vec![0.0; worklist.len()];
-        for (i, &s) in worklist.iter().enumerate() {
-            seq[i] = toy_update(s as usize, &prev);
+        let step = |mut exec: Exec<'_>| {
+            let (mut next, mut changed) = (vec![-1.0; n], Vec::new());
+            let slots = Slots::List(&worklist);
+            let (delta, evaluated) = exec.step(&toy, slots, &prev, &mut next, &mut changed);
+            changed.sort_unstable();
+            (delta.to_bits(), evaluated, next, changed)
+        };
+        let inline = step(Exec::new(None, 1));
+        assert_eq!(inline.1, worklist.len());
+        for (s, &v) in inline.2.iter().enumerate() {
+            let want = if s % 3 == 0 {
+                toy_update(s, &prev)
+            } else {
+                -1.0
+            };
+            assert_eq!(v.to_bits(), want.to_bits(), "slot {s}");
         }
         for threads in [2, 3, 7] {
             let rt = Runtime::new(threads);
-            let mut par = vec![0.0; worklist.len()];
-            eval_worklist_parallel(&rt, &worklist, &prev, &mut par, &toy, Maxima::lazy());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
+            let exec = Exec::with_min_pooled(Some(&rt), 1);
+            assert!(exec.pool(worklist.len()).is_some(), "must reach the pool");
+            let pooled = step(exec);
+            assert!(pooled == inline, "threads={threads}");
         }
     }
 
@@ -1213,7 +982,8 @@ mod tests {
         let mut prev = vec![0.9; 2000];
         let mut cur = vec![0.0; 2000];
         let half = |_: usize, p: &[f64], _: &mut OpScratch| p[0] * 0.5;
-        let out = run_parallel(&rt, 10, 1e-9, &mut prev, &mut cur, &half);
+        let mut exec = Exec::with_min_pooled(Some(&rt), 1);
+        let out = run_sweep(&mut exec, &half, limits(10, 1e-9), &mut prev, &mut cur);
         assert!(out.iterations > 1, "toy system should iterate");
         // …and the scratch allocations observed afterwards are the ones
         // from before: no per-run reallocation means capacity is retained.
@@ -1227,6 +997,17 @@ mod tests {
             retained.load(Ordering::Relaxed) >= 1,
             "per-worker state must survive across dispatches"
         );
+    }
+
+    #[test]
+    fn steps_pool_exactly_when_effective_threads_exceeds_one() {
+        let rt = Runtime::new(4);
+        for len in [0, 1, 4095, 4096, 100_000] {
+            let pooled = effective_threads(4, len) > 1;
+            assert_eq!(Exec::new(Some(&rt), 4).pool(len).is_some(), pooled, "{len}");
+            assert!(Exec::new(Some(&rt), 1).pool(len).is_none(), "one thread");
+            assert!(Exec::new(None, 4).pool(len).is_none(), "no runtime");
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@ use super::edits::{
     net_side_delta, validate_side, DirtyNodes, EditError, GraphEdit, GraphSide, SideDelta,
 };
 use super::iterate::{
-    effective_threads, init_score, initialize, pair_update, run_delta, run_replay, run_sweep_slots,
-    run_to_convergence, ApproxState, Recorder,
+    init_score, initialize, pair_update, run_delta, run_replay, run_sweep, run_to_convergence,
+    ApproxState, Limits, Recorder,
 };
-use super::parallel::{run_parallel_replay, Runtime};
+use super::parallel::{effective_threads, Exec, Runtime};
 use super::shards::{auto_shard_count, forced_shards, run_sharded, ShardState};
 use crate::candidates::{estimated_dep_entries, repair_candidates, StoreRepair, NO_SLOT};
 use crate::config::{ConfigError, ConvergenceMode, FsimConfig, LabelTermMode, ShardSpec};
@@ -636,19 +636,6 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         }
     }
 
-    /// The runtime to hand the iteration drivers for a worklist of
-    /// (at most) `worklist` slots — `None` degrades to the sequential
-    /// path when coordination overhead would dominate.
-    fn active_runtime<'a>(
-        runtime: &'a Option<Runtime>,
-        cfg: &FsimConfig,
-        worklist: usize,
-    ) -> Option<&'a Runtime> {
-        runtime
-            .as_ref()
-            .filter(|_| effective_threads(cfg.threads, worklist) > 1)
-    }
-
     /// Iterates Equation 3 to convergence (Algorithm 1) from a fresh
     /// initialization, reusing every cached precomputation and the score
     /// buffers of previous runs.
@@ -707,7 +694,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         } = self;
         let (g1, g2): (&Graph, &Graph) = (g1, g2);
         initialize(store, cfg, g1, g2, label_terms, scores);
-        let rt = Self::active_runtime(runtime, cfg, store.len());
+        let mut exec = Exec::new(runtime.as_ref(), cfg.threads);
         let mut shard_peak = 0usize;
         let outcome = if let Some(state) = shards.as_mut() {
             let ctx = OpCtx {
@@ -717,6 +704,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                 theta: cfg.theta,
             };
             let (outcome, peak) = run_sharded(
+                &mut exec,
                 g1,
                 g2,
                 &ctx,
@@ -729,31 +717,30 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                 cur,
                 None,
                 approx_state.as_mut(),
-                rt,
             );
             shard_peak = peak;
             outcome
         } else {
+            let limits = Limits::of(cfg);
             match deps {
                 Some(csr) if cfg.convergence == ConvergenceMode::FullSweep => {
-                    run_sweep_slots(cfg, op, store, csr, label_terms, scores, cur, rt)
+                    let kernel = csr.kernel(cfg, op, store, label_terms);
+                    run_sweep(&mut exec, &kernel, limits, scores, cur)
                 }
                 Some(csr) => {
                     let mut recorder = recorded
                         .as_mut()
                         .map(|h| Recorder::new(h, cfg.trajectory_budget));
                     run_delta(
-                        cfg,
-                        op,
-                        store,
+                        &mut exec,
+                        &csr.kernel(cfg, op, store, label_terms),
                         csr,
-                        label_terms,
+                        limits,
                         scores,
                         cur,
                         recorder.as_mut(),
                         None,
                         approx_state.as_mut(),
-                        rt,
                     )
                 }
                 None => {
@@ -763,7 +750,8 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         label_eval,
                         theta: cfg.theta,
                     };
-                    run_to_convergence(g1, g2, &ctx, cfg, op, store, label_terms, scores, cur, rt)
+                    let exec = &mut exec;
+                    run_to_convergence(exec, g1, g2, &ctx, cfg, op, store, label_terms, scores, cur)
                 }
             }
         };
@@ -1276,7 +1264,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     runtime,
                     ..
                 } = self;
-                let rt = Self::active_runtime(runtime, cfg, store.len());
+                let mut exec = Exec::new(runtime.as_ref(), cfg.threads);
                 if let Some(shard_state) = shards.as_mut() {
                     let ctx = OpCtx {
                         labels1: labels1.as_slice(),
@@ -1285,6 +1273,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         theta: cfg.theta,
                     };
                     let (outcome, peak) = run_sharded(
+                        &mut exec,
                         g1,
                         g2,
                         &ctx,
@@ -1297,24 +1286,21 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         cur,
                         Some(&worklist),
                         Some(&mut state),
-                        rt,
                     );
                     shard_peak = peak;
                     outcome
                 } else {
                     let csr = deps.as_ref().expect("substrate checked above");
                     run_delta(
-                        cfg,
-                        op,
-                        store,
+                        &mut exec,
+                        &csr.kernel(cfg, op, store, label_terms),
                         csr,
-                        label_terms,
+                        Limits::of(cfg),
                         scores,
                         cur,
                         None,
                         Some(&worklist),
                         Some(&mut state),
-                        rt,
                     )
                 }
             };
@@ -1365,36 +1351,17 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             let mut recorder = recorded
                 .as_mut()
                 .map(|h| Recorder::new(h, cfg.trajectory_budget));
-            let n = store.len();
-            if let Some(rt) = Self::active_runtime(runtime, cfg, n) {
-                cur.clear();
-                cur.resize(n, 0.0);
-                run_parallel_replay(
-                    rt,
-                    cfg.effective_max_iters(),
-                    cfg.epsilon,
-                    &old_traj,
-                    &always_dirty,
-                    csr,
-                    scores,
-                    cur,
-                    recorder.as_mut(),
-                    &csr.kernel(cfg, op, store, label_terms),
-                )
-            } else {
-                run_replay(
-                    cfg,
-                    op,
-                    store,
-                    csr,
-                    label_terms,
-                    &old_traj,
-                    &always_dirty,
-                    scores,
-                    cur,
-                    recorder.as_mut(),
-                )
-            }
+            run_replay(
+                &mut Exec::new(runtime.as_ref(), cfg.threads),
+                &csr.kernel(cfg, op, store, label_terms),
+                csr,
+                Limits::of(cfg),
+                &old_traj,
+                &always_dirty,
+                scores,
+                cur,
+                recorder.as_mut(),
+            )
         };
         // An abandoned (over-budget) recording comes back empty.
         self.trajectory = recorded.filter(|h| h.len() >= 2);

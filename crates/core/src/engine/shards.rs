@@ -48,11 +48,12 @@
 //! are evaluated slot by slot.
 
 use super::deps::{CsrCols, MappedShardCsr, ShardCsr, SlotEval};
-use super::iterate::{effective_threads, ApproxState};
-use super::parallel::{eval_worklist_parallel, step_maxima, IterationOutcome, Runtime, SlotKernel};
+use super::frontier::{slot_ids, ChangedBits};
+use super::iterate::ApproxState;
+use super::parallel::{step_maxima, Exec, IterationOutcome, Slots};
 use super::rows::{Maxima, RowKeys};
 use crate::config::{FsimConfig, ShardSpec};
-use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
+use crate::operators::{DepEntry, OpCtx, Operator};
 use crate::store::PairStore;
 use fsim_graph::Graph;
 use fsim_snapshot::SnapshotError;
@@ -430,18 +431,40 @@ fn full_mask(k: usize) -> u64 {
     u64::MAX >> (64 - k)
 }
 
+/// The shards whose dependency lists read a slot in `changed`: every shard
+/// until the boundary masks are complete.
+fn readers(boundary: &BoundaryTable, changed: &[u32], k: usize) -> u64 {
+    if !boundary.complete {
+        return full_mask(k);
+    }
+    changed
+        .iter()
+        .fold(0, |m, &c| m | boundary.read_by[c as usize])
+}
+
+/// The largest last delta among `slot`'s dependencies in `changed` — what
+/// the approximate pull charges to the slot's accumulator.
+fn pending_delta(csr: &ShardCsr, slot: usize, changed: &ChangedBits, delta_of: &[f64]) -> f64 {
+    csr.deps_of(slot)
+        .filter(|e| changed.is_read_by(e))
+        .map(|e| delta_of[e.slot as usize])
+        .fold(0.0, f64::max)
+}
+
 /// Iterates Equation 3 to convergence shard-by-shard (see the module
 /// docs). `scores` holds `FSim⁰` (or, warm-started, a carried iterate) on
 /// entry and the final scores on exit; `cur` is the reusable double
 /// buffer. `initial_worklist` replaces the evaluate-everything first
 /// sweep (the approximate edit warm restart); `approx` switches on
 /// ε-aware scheduling exactly as in
-/// [`run_delta`](super::iterate::run_delta).
+/// [`run_delta`](super::iterate::run_delta). Each shard's worklist is one
+/// step of `exec`.
 ///
 /// Returns the outcome plus the **peak resident shard-CSR bytes** — the
 /// largest single shard structure held at any point of the run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sharded<O: Operator>(
+    exec: &mut Exec<'_>,
     g1: &Graph,
     g2: &Graph,
     ctx: &OpCtx<'_>,
@@ -454,8 +477,8 @@ pub(crate) fn run_sharded<O: Operator>(
     cur: &mut Vec<f64>,
     initial_worklist: Option<&[u32]>,
     mut approx: Option<&mut ApproxState>,
-    rt: Option<&Runtime>,
 ) -> (IterationOutcome, usize) {
+    let mut lap = Instant::now();
     let n = store.len();
     debug_assert_eq!(scores.len(), n);
     cur.clear();
@@ -475,55 +498,31 @@ pub(crate) fn run_sharded<O: Operator>(
         on
     });
 
-    // The boundary frontier: C_{k−1} as a list + a bitmap (bit `s % 64`
-    // of word `s / 64`), and each changed slot's last score delta (read by
-    // the approximate pull).
+    // The boundary frontier: C_{k−1} as a list and a bitmap, and each
+    // changed slot's last score delta (read by the approximate pull).
     let mut changed: Vec<u32> = Vec::new();
     let mut next_changed: Vec<u32> = Vec::new();
-    let mut bits: Vec<u64> = vec![0; n.div_ceil(64)];
-    let is_changed = |bits: &[u64], e: &DepEntry| {
-        e.slot != DepEntry::CONST && bits[e.slot as usize / 64] >> (e.slot % 64) & 1 != 0
-    };
+    let mut bits = ChangedBits::default();
     let mut delta_of: Vec<f64> = vec![0.0; n];
 
     let mut local_wl: Vec<u32> = Vec::new();
-    let mut eval_out: Vec<f64> = Vec::new();
-    let mut scratch = OpScratch::new();
     let mut maxima_buf: Vec<f64> = Vec::new();
     let mut peak_bytes = 0usize;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut final_delta = f64::INFINITY;
-    let mut pairs_evaluated = Vec::new();
-    let mut iter_seconds = Vec::new();
+    let mut out = IterationOutcome::empty();
 
-    while iterations < max_iters {
-        let t0 = Instant::now();
-        let first = iterations == 0;
+    while out.iterations < max_iters {
+        let first = out.iterations == 0;
         let filling_masks = !state.boundary.complete;
         // Shards to visit: all of them while the masks are incomplete or
         // on a cold first sweep; the union of the changed frontier's
         // reader masks afterwards. A warm first sweep visits only the
         // shards owning worklist slots.
-        let visit: u64 = if filling_masks {
-            full_mask(k)
-        } else if first {
-            match initial_worklist {
-                Some(wl) => {
-                    let mut m = 0u64;
-                    for &s in wl {
-                        m |= 1u64 << state.plan.shard_of(s as usize);
-                    }
-                    m
-                }
-                None => full_mask(k),
-            }
-        } else {
-            let mut m = 0u64;
-            for &c in &changed {
-                m |= state.boundary.read_by[c as usize];
-            }
-            m
+        let visit: u64 = match (first, initial_worklist) {
+            (true, Some(wl)) if !filling_masks => wl
+                .iter()
+                .fold(0, |m, &s| m | 1u64 << state.plan.shard_of(s as usize)),
+            (true, _) => full_mask(k),
+            (false, _) => readers(&state.boundary, &changed, k),
         };
 
         // The store's row-key table over the retained spill mappings
@@ -550,9 +549,10 @@ pub(crate) fn run_sharded<O: Operator>(
                 let scheduled = match (first, initial_worklist) {
                     (true, Some(wl)) => wl.len(),
                     (true, None) => n,
-                    (false, _) => pairs_evaluated.last().copied().unwrap_or(n),
+                    (false, _) => out.pairs_evaluated.last().copied().unwrap_or(n),
                 };
                 let fill = SlotEval::over_parts(cfg, op, store, label_terms, r, parts);
+                let rt = exec.pool(scheduled);
                 step_maxima(&fill, scores, scheduled, n, &mut maxima_buf, rt)
             }
             None => Maxima::lazy(),
@@ -562,9 +562,8 @@ pub(crate) fn run_sharded<O: Operator>(
         // that changed last iteration but is not re-evaluated now still
         // holds its two-iterations-old value in `cur` (evaluated slots
         // overwrite their copy below) — exactly `run_delta`'s repair.
-        bits.fill(0);
+        bits.assign(n, &changed);
         for &c in &changed {
-            bits[c as usize / 64] |= 1 << (c % 64);
             cur[c as usize] = scores[c as usize];
         }
 
@@ -592,90 +591,49 @@ pub(crate) fn run_sharded<O: Operator>(
             }
 
             // The shard's local worklist for this sweep.
+            let ids = slot_ids(lo).end..slot_ids(hi).end;
             local_wl.clear();
             if first {
                 match &warm_on {
-                    Some(on) => {
-                        local_wl.extend((lo..hi).filter(|&s| on[s]).map(|s| s as u32));
-                    }
-                    None => local_wl.extend(lo as u32..hi as u32),
+                    Some(on) => local_wl.extend(ids.filter(|&s| on[s as usize])),
+                    None => local_wl.extend(ids),
                 }
             } else if let Some(ap) = approx.as_deref_mut() {
                 // ε-aware pull: fold the frontier's deltas into each
                 // slot's accumulator; wake it on a threshold crossing
                 // (the accumulator resets on evaluation below).
-                for slot in lo..hi {
-                    let mut m = 0.0f64;
-                    for e in csr.deps_of(slot) {
-                        if is_changed(&bits, e) {
-                            let d = delta_of[e.slot as usize];
-                            if d > m {
-                                m = d;
-                            }
-                        }
-                    }
-                    let pending = ap.acc[slot] + m;
+                for slot in ids {
+                    let s = slot as usize;
+                    let pending = ap.acc[s] + pending_delta(&csr, s, &bits, &delta_of);
                     if pending > ap.threshold {
-                        local_wl.push(slot as u32);
+                        local_wl.push(slot);
                     } else {
-                        ap.acc[slot] = pending;
+                        ap.acc[s] = pending;
                     }
                 }
             } else {
                 // Exact: re-evaluate exactly the dependents of C_{k−1}.
-                for slot in lo..hi {
-                    let dirty = csr.deps_of(slot).any(|e| is_changed(&bits, e));
-                    if dirty {
-                        local_wl.push(slot as u32);
-                    }
-                }
+                local_wl
+                    .extend(ids.filter(|&s| csr.deps_of(s as usize).any(|e| bits.is_read_by(e))));
             }
 
-            // Evaluate the worklist (Jacobi: pure reads of `scores`,
-            // disjoint writes of `cur` — thread count cannot change any
-            // bit). The session runtime is used only when the worklist is
-            // long enough to amortize a dispatch.
+            // One step of the executor: pure reads of `scores`, distinct
+            // writes of `cur`.
             let kernel = csr.kernel(cfg, op, store, label_terms, rows);
-            let use_rt = rt.filter(|_| effective_threads(cfg.threads, local_wl.len()) > 1);
-            if let Some(rt) = use_rt {
-                eval_out.clear();
-                eval_out.resize(local_wl.len(), 0.0);
-                eval_worklist_parallel(rt, &local_wl, scores, &mut eval_out, &kernel, maxima);
-                for (i, &slot_id) in local_wl.iter().enumerate() {
-                    let slot = slot_id as usize;
-                    let s = eval_out[i];
-                    let d = (s - scores[slot]).abs();
-                    if d > delta {
-                        delta = d;
-                    }
-                    if s.to_bits() != scores[slot].to_bits() {
-                        next_changed.push(slot_id);
-                        delta_of[slot] = d;
-                    }
-                    cur[slot] = s;
-                    if let Some(ap) = approx.as_deref_mut() {
-                        ap.acc[slot] = 0.0;
-                    }
-                }
-            } else {
-                for &slot_id in &local_wl {
-                    let slot = slot_id as usize;
-                    let s = kernel.eval(slot, scores, maxima, &mut scratch);
-                    let d = (s - scores[slot]).abs();
-                    if d > delta {
-                        delta = d;
-                    }
-                    if s.to_bits() != scores[slot].to_bits() {
-                        next_changed.push(slot_id);
-                        delta_of[slot] = d;
-                    }
-                    cur[slot] = s;
-                    if let Some(ap) = approx.as_deref_mut() {
-                        ap.acc[slot] = 0.0;
-                    }
+            let first_changed = next_changed.len();
+            let slots = Slots::List(&local_wl);
+            let (d, e) = exec.step_with(&kernel, slots, maxima, scores, cur, &mut next_changed);
+            delta = delta.max(d);
+            evaluated += e;
+            for &c in &next_changed[first_changed..] {
+                let c = c as usize;
+                delta_of[c] = (cur[c] - scores[c]).abs();
+            }
+            if let Some(ap) = approx.as_deref_mut() {
+                for &s in &local_wl {
+                    ap.acc[s as usize] = 0.0;
                 }
             }
-            evaluated += local_wl.len();
             // `csr` drops here: only one shard's CSR is ever resident.
         }
         if filling_masks {
@@ -684,47 +642,26 @@ pub(crate) fn run_sharded<O: Operator>(
             state.boundary.complete = true;
         }
 
-        pairs_evaluated.push(evaluated);
-        iter_seconds.push(t0.elapsed().as_secs_f64());
+        out.pairs_evaluated.push(evaluated);
         std::mem::swap(scores, cur);
         std::mem::swap(&mut changed, &mut next_changed);
-        final_delta = delta;
-        iterations += 1;
-        let stop = match approx.as_deref() {
-            Some(ap) => ap.stop_delta,
-            None => cfg.epsilon,
-        };
-        if delta < stop {
-            converged = true;
-            break;
-        }
-    }
-
-    // Approximate runs: the terminating iteration's deltas have not been
-    // folded yet (the pull happens one sweep later, which never runs).
-    // One scan pass — builds, no evaluations, no resets — charges them to
-    // the accumulators so the reported bound certifies the returned
-    // scores, mirroring the unsharded rule that propagation runs even on
-    // the converging iteration.
-    if let Some(ap) = approx {
-        if !changed.is_empty() {
-            bits.fill(0);
-            for &c in &changed {
-                bits[c as usize / 64] |= 1 << (c % 64);
-            }
-            let visit = if state.boundary.complete {
-                let mut m = 0u64;
-                for &c in &changed {
-                    m |= state.boundary.read_by[c as usize];
-                }
-                m
-            } else {
-                full_mask(k)
-            };
-            for shard in 0..k {
-                if visit & (1u64 << shard) == 0 {
-                    continue;
-                }
+        out.final_delta = delta;
+        out.iterations += 1;
+        let done = delta < approx.as_deref().map_or(cfg.epsilon, |ap| ap.stop_delta);
+        let last = done || out.iterations == max_iters;
+        if let Some(ap) = approx
+            .as_deref_mut()
+            .filter(|_| last && !changed.is_empty())
+        {
+            // The terminating iteration's deltas have not been folded
+            // (the pull happens one sweep later, which never runs). One
+            // scan pass — builds, no evaluations, no resets — charges them
+            // to the accumulators so the reported bound certifies the
+            // returned scores, mirroring the unsharded rule that
+            // propagation runs even on the converging iteration.
+            bits.assign(n, &changed);
+            let visit = readers(&state.boundary, &changed, k);
+            for shard in (0..k).filter(|&shard| visit & (1u64 << shard) != 0) {
                 let (lo, hi) = state.plan.range(shard);
                 if lo == hi {
                     continue;
@@ -732,32 +669,18 @@ pub(crate) fn run_sharded<O: Operator>(
                 let csr = obtain_shard_csr(&mut state.spill, shard, g1, g2, ctx, store, op, lo, hi);
                 peak_bytes = peak_bytes.max(csr.bytes());
                 for slot in lo..hi {
-                    let mut m = 0.0f64;
-                    for e in csr.deps_of(slot) {
-                        if is_changed(&bits, e) {
-                            let d = delta_of[e.slot as usize];
-                            if d > m {
-                                m = d;
-                            }
-                        }
-                    }
-                    ap.acc[slot] += m;
+                    ap.acc[slot] += pending_delta(&csr, slot, &bits, &delta_of);
                 }
             }
         }
+        out.iter_seconds.push(lap.elapsed().as_secs_f64());
+        lap = Instant::now();
+        if done {
+            out.converged = true;
+            break;
+        }
     }
-
-    (
-        IterationOutcome {
-            iterations,
-            converged,
-            final_delta,
-            pairs_evaluated,
-            iter_seconds,
-            dense_iterations: 0,
-        },
-        peak_bytes,
-    )
+    (out, peak_bytes)
 }
 
 /// Resolves the shard count an auto-sharded session should use for an

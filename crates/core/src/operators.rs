@@ -564,10 +564,11 @@ fn slots_injective_sum(
 // reduce, interleaved multi-stream accumulation, software prefetch) were
 // 4–40% *slower*. Beyond sharing rows, the vectorization that pays for
 // the variant operators lives one level up: the engine routes full sweeps
-// through the CSR's contiguous slot-indexed buffers (`run_sweep_slots`)
-// instead of on-the-fly neighbor enumeration with hash-map score lookups,
-// and the CSR build reorders each slot's entries and folds constant runs
-// (`Operator::fold_const_rows`) so those loops stream forward.
+// through the CSR's contiguous slot-indexed buffers (`run_sweep` over the
+// CSR's slot kernel) instead of on-the-fly neighbor enumeration with
+// hash-map score lookups, and the CSR build reorders each slot's entries
+// and folds constant runs (`Operator::fold_const_rows`) so those loops
+// stream forward.
 //
 // SimRank is the exception: its reduction is a plain sum over *every*
 // neighbor pair — long, dense, branch-free — which is exactly the shape a

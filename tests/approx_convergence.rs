@@ -11,9 +11,14 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_graph_pair(rng: &mut ChaCha8Rng, max_n: usize) -> (Graph, Graph) {
+    graph_pair(rng, 2..=max_n)
+}
+
+/// Two random graphs whose node counts are drawn from `nodes`.
+fn graph_pair(rng: &mut ChaCha8Rng, nodes: std::ops::RangeInclusive<usize>) -> (Graph, Graph) {
     let names = ["a", "b", "c"];
     let mk = |rng: &mut ChaCha8Rng, b: &mut GraphBuilder| {
-        let n = rng.gen_range(2..=max_n);
+        let n = rng.gen_range(nodes.clone());
         for _ in 0..n {
             b.add_node(names[rng.gen_range(0..3usize)]);
         }
@@ -144,16 +149,22 @@ fn approx_error_within_bound_under_pruning() {
 #[test]
 fn parallel_approx_matches_sequential_approx_bitwise() {
     let mut rng = ChaCha8Rng::seed_from_u64(9303);
-    for case in 0..10 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 7);
+    let mut cases: Vec<_> = (0..10).map(|_| arb_graph_pair(&mut rng, 7)).collect();
+    // One store long enough for four workers to run its long steps on the
+    // pool (shorter steps run inline at any thread count).
+    cases.push(graph_pair(&mut rng, 72..=72));
+    for (case, (g1, g2)) in cases.iter().enumerate() {
         let mut cfg = FsimConfig::new(Variant::Bi)
             .label_fn(LabelFn::Indicator)
             .convergence(ConvergenceMode::Approximate { tolerance: 1.0 });
         cfg.epsilon = 1e-6;
-        let mut seq = FsimEngine::new(&g1, &g2, &cfg).unwrap();
+        let mut seq = FsimEngine::new(g1, g2, &cfg).unwrap();
         seq.run();
-        let mut par = FsimEngine::new(&g1, &g2, &cfg.clone().threads(4)).unwrap();
+        let mut par = FsimEngine::new(g1, g2, &cfg.clone().threads(4)).unwrap();
         par.run();
+        if case == cases.len() - 1 {
+            assert!(par.pair_count() >= 4096, "store too small to go parallel");
+        }
         assert_eq!(seq.iterations(), par.iterations(), "case {case}");
         assert_eq!(
             seq.pairs_evaluated(),

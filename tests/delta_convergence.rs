@@ -10,9 +10,14 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_graph_pair(rng: &mut ChaCha8Rng, max_n: usize) -> (Graph, Graph) {
+    graph_pair(rng, 2..=max_n)
+}
+
+/// Two random graphs whose node counts are drawn from `nodes`.
+fn graph_pair(rng: &mut ChaCha8Rng, nodes: std::ops::RangeInclusive<usize>) -> (Graph, Graph) {
     let names = ["a", "b", "c"];
     let mk = |rng: &mut ChaCha8Rng, b: &mut GraphBuilder| {
-        let n = rng.gen_range(2..=max_n);
+        let n = rng.gen_range(nodes.clone());
         for _ in 0..n {
             b.add_node(names[rng.gen_range(0..3usize)]);
         }
@@ -161,15 +166,21 @@ fn delta_matches_sweep_with_hungarian_matcher() {
 #[test]
 fn parallel_delta_matches_sequential_delta() {
     let mut rng = ChaCha8Rng::seed_from_u64(8303);
-    for case in 0..10 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 7);
+    let mut cases: Vec<_> = (0..10).map(|_| arb_graph_pair(&mut rng, 7)).collect();
+    // One store long enough for four workers to run its long steps on the
+    // pool (shorter steps run inline at any thread count).
+    cases.push(graph_pair(&mut rng, 72..=72));
+    for (case, (g1, g2)) in cases.iter().enumerate() {
         let cfg = FsimConfig::new(Variant::Bi)
             .label_fn(LabelFn::Indicator)
             .convergence(ConvergenceMode::DeltaDriven);
-        let mut seq = FsimEngine::new(&g1, &g2, &cfg).unwrap();
+        let mut seq = FsimEngine::new(g1, g2, &cfg).unwrap();
         seq.run();
-        let mut par = FsimEngine::new(&g1, &g2, &cfg.clone().threads(4)).unwrap();
+        let mut par = FsimEngine::new(g1, g2, &cfg.clone().threads(4)).unwrap();
         par.run();
+        if case == cases.len() - 1 {
+            assert!(par.pair_count() >= 4096, "store too small to go parallel");
+        }
         let a: Vec<_> = seq.iter_pairs().collect();
         let b: Vec<_> = par.iter_pairs().collect();
         assert_eq!(a.len(), b.len(), "case {case}");

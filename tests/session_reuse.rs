@@ -9,9 +9,14 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_graph_pair(rng: &mut ChaCha8Rng, max_n: usize) -> (Graph, Graph) {
+    graph_pair(rng, 2..=max_n)
+}
+
+/// Two random graphs whose node counts are drawn from `nodes`.
+fn graph_pair(rng: &mut ChaCha8Rng, nodes: std::ops::RangeInclusive<usize>) -> (Graph, Graph) {
     let names = ["a", "b", "c"];
     let mk = |rng: &mut ChaCha8Rng, b: &mut GraphBuilder| {
-        let n = rng.gen_range(2..=max_n);
+        let n = rng.gen_range(nodes.clone());
         for _ in 0..n {
             b.add_node(names[rng.gen_range(0..3usize)]);
         }
@@ -217,13 +222,19 @@ fn session_top_k_matches_one_shot_top_k() {
 #[test]
 fn parallel_rerun_matches_sequential_rerun() {
     let mut rng = ChaCha8Rng::seed_from_u64(7007);
-    for _ in 0..12 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 7);
+    let mut cases: Vec<_> = (0..12).map(|_| arb_graph_pair(&mut rng, 7)).collect();
+    // One store long enough for four workers to run its long steps on the
+    // pool at every θ below (a third of the pairs share a label).
+    cases.push(graph_pair(&mut rng, 120..=120));
+    for (case, (g1, g2)) in cases.iter().enumerate() {
         let cfg = FsimConfig::new(Variant::Bi).label_fn(LabelFn::Indicator);
-        let mut seq = FsimEngine::new(&g1, &g2, &cfg).unwrap();
-        let mut par = FsimEngine::new(&g1, &g2, &cfg.clone().threads(4)).unwrap();
+        let mut seq = FsimEngine::new(g1, g2, &cfg).unwrap();
+        let mut par = FsimEngine::new(g1, g2, &cfg.clone().threads(4)).unwrap();
         seq.run();
         par.run();
+        if case == cases.len() - 1 {
+            assert!(par.pair_count() >= 4096, "store too small to go parallel");
+        }
         for theta in [0.5, 0.0, 1.0] {
             seq.rerun(|c| c.theta = theta).unwrap();
             par.rerun(|c| c.theta = theta).unwrap();

@@ -12,9 +12,14 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_graph_pair(rng: &mut ChaCha8Rng, max_n: usize) -> (Graph, Graph) {
+    graph_pair(rng, 2..=max_n)
+}
+
+/// Two random graphs whose node counts are drawn from `nodes`.
+fn graph_pair(rng: &mut ChaCha8Rng, nodes: std::ops::RangeInclusive<usize>) -> (Graph, Graph) {
     let names = ["a", "b", "c"];
     let mk = |rng: &mut ChaCha8Rng, b: &mut GraphBuilder| {
-        let n = rng.gen_range(2..=max_n);
+        let n = rng.gen_range(nodes.clone());
         for _ in 0..n {
             b.add_node(names[rng.gen_range(0..3usize)]);
         }
@@ -153,15 +158,24 @@ fn sharded_matches_unsharded_under_pruning_and_matchers() {
 #[test]
 fn parallel_sharded_matches_sequential_sharded() {
     let mut rng = ChaCha8Rng::seed_from_u64(9303);
-    for case in 0..8 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 7);
+    let mut cases: Vec<_> = (0..8).map(|_| arb_graph_pair(&mut rng, 7)).collect();
+    // One store long enough that a shard's worklist (about a quarter of
+    // it) runs on the pool.
+    cases.push(graph_pair(&mut rng, 150..=150));
+    for (case, (g1, g2)) in cases.iter().enumerate() {
         let cfg = FsimConfig::new(Variant::Bi)
             .label_fn(LabelFn::Indicator)
             .shards(ShardSpec::Fixed(4));
-        let mut seq = FsimEngine::new(&g1, &g2, &cfg).unwrap();
+        let mut seq = FsimEngine::new(g1, g2, &cfg).unwrap();
         seq.run();
-        let mut par = FsimEngine::new(&g1, &g2, &cfg.clone().threads(4)).unwrap();
+        let mut par = FsimEngine::new(g1, g2, &cfg.clone().threads(4)).unwrap();
         par.run();
+        if case == cases.len() - 1 {
+            assert!(
+                par.pair_count() >= 4 * 4096,
+                "shards too small to go parallel"
+            );
+        }
         assert_eq!(seq.pair_count(), par.pair_count(), "case {case}");
         for ((u1, v1, s1), (u2, v2, s2)) in seq.iter_pairs().zip(par.iter_pairs()) {
             assert_eq!((u1, v1), (u2, v2), "case {case}");
