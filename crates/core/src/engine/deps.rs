@@ -17,7 +17,7 @@
 //! bitwise identical to the full sweep (`tests/delta_convergence.rs`
 //! property-checks this across variants, θ, pruning and thread counts).
 
-use super::frontier::{slot_ids, ChangedBits};
+use super::frontier::slot_ids;
 use super::parallel::SlotKernel;
 use super::rows::{slot_terms, Maxima, RowKeys};
 use crate::config::FsimConfig;
@@ -59,8 +59,8 @@ pub(crate) struct PairDepCsr {
     /// the frontier's epoch marks deduplicate for free.
     rdeps: Vec<u32>,
     /// The slots with at least one maintained dependency, ascending —
-    /// the only slots a dense pull can find dirty (derived, never
-    /// persisted).
+    /// what a dense step sweeps, and a superset of every slot's
+    /// dependents (derived, never persisted).
     live: Vec<u32>,
     /// The row-key table, for operators that sum row maxima
     /// ([`Operator::sums_row_maxima`]) when some key is shared: derived
@@ -364,21 +364,6 @@ impl PairDepCsr {
     /// Concatenated dependents (for the delta frontier).
     pub(crate) fn rdeps(&self) -> &[u32] {
         &self.rdeps
-    }
-
-    /// Whether any maintained dependency of `slot` (either direction) is
-    /// in `changed` — the dense pull's membership test, stopping at the
-    /// first hit. Exactly the slots the reverse CSR lists as dependents of
-    /// the set answer true.
-    #[inline]
-    pub(crate) fn reads_any(&self, slot: usize, changed: &ChangedBits) -> bool {
-        let hit = |e: &DepEntry| changed.is_read_by(e);
-        self.out_entries[self.out_offsets[slot]..self.out_offsets[slot + 1]]
-            .iter()
-            .any(hit)
-            || self.in_entries[self.in_offsets[slot]..self.in_offsets[slot + 1]]
-                .iter()
-                .any(hit)
     }
 
     /// Borrows the seven raw columns for the snapshot codec
@@ -1338,8 +1323,15 @@ mod tests {
     }
 
     #[test]
-    fn reads_any_pulls_exactly_the_pushed_dependents() {
-        let (g1, g2, cfg) = setup();
+    fn every_dependent_is_live() {
+        let (_, _, cfg) = setup();
+        // g1's node 3 is a sink and g2's node 4 a source: pairs of the two
+        // read nothing, so not every slot is live.
+        let g1 = graph_from_parts(&["a", "b", "a", "b"], &[(0, 1), (1, 2), (2, 0), (0, 3)]);
+        let g2 = graph_from_parts(
+            &["a", "b", "b", "a", "b"],
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)],
+        );
         let aligned = super::super::session::AlignedLabels::new(&g1, &g2);
         let eval = super::super::session::build_label_eval(&cfg, &aligned.interner);
         let ctx = OpCtx {
@@ -1351,26 +1343,14 @@ mod tests {
         let op = VariantOp::new(cfg.variant);
         let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
         let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
-        let n = store.len();
-        for stride in [1, 2, 5, n + 1] {
-            let changed: Vec<u32> = slot_ids(n).step_by(stride).collect();
-            let mut bits = ChangedBits::default();
-            bits.assign(n, &changed);
-            let mut pushed = vec![false; n];
-            for &c in &changed {
-                let c = c as usize;
-                for &d in &csr.rdeps[csr.rdep_offsets[c]..csr.rdep_offsets[c + 1]] {
-                    pushed[d as usize] = true;
-                }
-            }
-            for (slot, &want) in pushed.iter().enumerate() {
-                assert_eq!(
-                    csr.reads_any(slot, &bits),
-                    want,
-                    "stride {stride} slot {slot}"
-                );
-            }
+        // A dense step sweeps `live()` instead of the dependents of the
+        // changed set, so it must cover every slot the reverse CSR names.
+        for &d in &csr.rdeps {
+            assert!(csr.live().binary_search(&d).is_ok(), "dependent {d}");
         }
+        assert!(csr.live().windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert!(!csr.rdeps.is_empty(), "the fixture has dependents");
+        assert!(csr.live().len() < store.len(), "the fixture has dead slots");
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! `k − 1`.
 //!
 //! Algorithm 1 updates every pair Jacobi-style from the previous iterate,
-//! so the order in which slots are evaluated cannot change the fixpoint or
-//! a single bit of it (Theorem 1). The frontier spends that freedom on
-//! locality and picks, after every iteration, the cheaper of two ways to
-//! find the *same* slot set — the push/pull switch of direction-optimizing
-//! BFS (Beamer et al., SC'12) applied to Equation 3:
+//! and its fixpoint is unique (Theorem 1), so a slot whose inputs did not
+//! change reproduces its score bit for bit, and the order in which slots
+//! are evaluated cannot change a bit either. The frontier spends that
+//! freedom on work and locality and picks, after every iteration, one of
+//! two steps — the push/sweep switch of direction-optimizing BFS (Beamer
+//! et al., SC'12) applied to Equation 3:
 //!
 //! * **sparse push** while the changed slots have fewer dependents in
 //!   total than there are slots (`Σ |rdeps(c)| < |H|`): walk the reverse
@@ -15,23 +16,22 @@
 //!   visit the worklist in slot order — extracted by a slot-order scan of
 //!   the marks when it holds at least 1/16 of the slots, sorted
 //!   otherwise;
-//! * **dense pull** otherwise: one slot-order pass over the *live* slots
-//!   (those with at least one maintained dependency,
-//!   [`PairDepCsr::live`](super::deps::PairDepCsr::live)) evaluates
-//!   exactly those with a dependency set in the changed bitmap
-//!   ([`PairDepCsr::reads_any`](super::deps::PairDepCsr::reads_any)).
-//!   No other slot needs a write: the changed slots are copied forward
-//!   first, and every unchanged slot already holds its current value in
-//!   the write buffer.
+//! * **dense live sweep** otherwise: every *live* slot (one with at least
+//!   one maintained dependency,
+//!   [`PairDepCsr::live`](super::deps::PairDepCsr::live)) is evaluated
+//!   unconditionally, in slot order. A live slot outside the dependents of
+//!   the changed set re-evaluates to the bits it already holds; a non-live
+//!   slot reads only constants and its label term, so it never changes
+//!   after iteration 1 and is never a dependent. The changed slots are
+//!   copied forward first, so every slot the sweep does not write already
+//!   holds its current value in the write buffer.
 //!
-//! Both rules select the dependents of the changed set, so the evaluated
-//! slots, `pairs_evaluated`, iteration counts and every score bit are the
-//! same whichever direction runs. The rule reads only `|H|`, the changed
-//! set and the reverse CSR's offsets. Schedules that are not "dependents
-//! of the changed set" — replay's always-dirty seed, approximate
-//! threshold gating — take the slot-ordered sparse path only.
-
-use crate::operators::DepEntry;
+//! Both steps produce the same scores, changed sets, iteration counts and
+//! bits. They differ in `pairs_evaluated`: a push evaluates the dependents
+//! of the changed set, a live sweep every live slot. The rule reads only
+//! `|H|`, the changed set and the reverse CSR's offsets. Schedules that
+//! are not "dependents of the changed set" — replay's always-dirty seed,
+//! approximate threshold gating — take the slot-ordered sparse path only.
 
 /// The slot ids `0..n`. Slots are `u32` throughout the dependency CSR
 /// (entries and reverse CSR), so a store of more slots cannot be
@@ -40,44 +40,13 @@ pub(crate) fn slot_ids(n: usize) -> std::ops::Range<u32> {
     0..u32::try_from(n).expect("slot ids are u32 in the dependency CSR")
 }
 
-/// A set of slots as a bitmap: bit `s % 64` of word `s / 64`.
-#[derive(Default)]
-pub(crate) struct ChangedBits {
-    words: Vec<u64>,
-}
-
-impl ChangedBits {
-    /// Makes the set exactly `slots`, over `n` slots.
-    pub(crate) fn assign(&mut self, n: usize, slots: &[u32]) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-        for &s in slots {
-            self.words[s as usize / 64] |= 1 << (s % 64);
-        }
-    }
-
-    /// Whether slot `s` is in the set.
-    #[inline]
-    pub(crate) fn contains(&self, s: u32) -> bool {
-        self.words[s as usize / 64] >> (s % 64) & 1 != 0
-    }
-
-    /// Whether dependency entry `e` reads a slot in the set (a constant
-    /// entry reads none).
-    #[inline]
-    pub(crate) fn is_read_by(&self, e: &DepEntry) -> bool {
-        e.slot != DepEntry::CONST && self.contains(e.slot)
-    }
-}
-
 /// What one iteration evaluates.
 #[derive(Clone, Copy)]
 pub(crate) enum Step<'a> {
     /// Exactly these slots, in ascending slot order.
     Sparse(&'a [u32]),
-    /// Every slot that reads a slot in this set; every other slot keeps
-    /// its value.
-    Dense(&'a ChangedBits),
+    /// Every live slot, in slot order; every other slot keeps its value.
+    Dense,
 }
 
 /// The scheduled slot set of the next iteration plus the changed set it
@@ -90,8 +59,7 @@ pub(crate) struct Frontier {
     worklist: Vec<u32>,
     /// `C_{k−1}`: the slots whose score changed in the previous iteration.
     changed: Vec<u32>,
-    /// `changed` as a bitmap — valid while `dense` is set.
-    bits: ChangedBits,
+    /// Whether the step is a live sweep.
     dense: bool,
 }
 
@@ -103,7 +71,6 @@ impl Frontier {
             epoch: 0,
             worklist: Vec::new(),
             changed: Vec::new(),
-            bits: ChangedBits::default(),
             dense: false,
         }
     }
@@ -125,7 +92,7 @@ impl Frontier {
     /// The current step.
     pub(crate) fn step(&self) -> Step<'_> {
         if self.dense {
-            Step::Dense(&self.bits)
+            Step::Dense
         } else {
             Step::Sparse(&self.worklist)
         }
@@ -145,7 +112,8 @@ impl Frontier {
     /// there differs from the previous iterate — minus a sparse step's
     /// worklist. Each must be copied forward before the step so the
     /// buffer ends the iteration complete. A dense step copies all of
-    /// `C_{k−1}`, since it does not know which of them it re-evaluates.
+    /// `C_{k−1}`: it re-evaluates the live ones, but a non-live slot that
+    /// changed in iteration 1 is never written again.
     pub(crate) fn stale(&self) -> impl Iterator<Item = usize> + '_ {
         self.changed
             .iter()
@@ -173,7 +141,6 @@ impl Frontier {
         }
         self.take_changed(changed);
         self.dense = true;
-        self.bits.assign(self.mark.len(), &self.changed);
     }
 
     /// Sparse push: schedules `seed` plus the dependents of `changed`
@@ -301,15 +268,10 @@ mod tests {
         f.advance(&mut changed, &offsets, &rdeps);
         assert!(changed.is_empty(), "the changed set is taken over");
         assert!(matches!(f.step(), Step::Sparse(w) if w.len() == 297));
-        // 100 changed slots have 300: dense pull, bitmap = changed set.
+        // 100 changed slots have 300: a dense live sweep.
         let mut changed: Vec<u32> = (0..100).map(|s| 3 * s).collect();
         f.advance(&mut changed, &offsets, &rdeps);
-        let Step::Dense(bits) = f.step() else {
-            panic!("expected a dense step")
-        };
-        for s in 0..n as u32 {
-            assert_eq!(bits.contains(s), s % 3 == 0, "slot {s}");
-        }
+        assert!(matches!(f.step(), Step::Dense));
         assert!(f.worklist().is_empty());
         let stale: Vec<usize> = f.stale().collect();
         let changed: Vec<usize> = (0..100).map(|s| 3 * s).collect();

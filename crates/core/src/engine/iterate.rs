@@ -10,17 +10,19 @@
 //!   [`PairDepCsr`] or, without one, the on-the-fly per-pair update
 //!   ([`run_to_convergence`]);
 //! * the **delta** loop ([`run_delta`]) walks the prepared
-//!   [`PairDepCsr`] and re-evaluates a pair only if one of its
-//!   dependencies changed in the previous iteration — bitwise identical to
-//!   the sweep. Its [`Frontier`] switches direction per iteration like
-//!   direction-optimizing BFS: while the changed slots have fewer
-//!   dependents in total than there are slots (`Σ |rdeps(changed)| < |H|`)
-//!   it **pushes** through the reverse CSR and visits the worklist in slot
-//!   order; otherwise it **pulls** — one slot-order pass over the live
-//!   slots evaluates exactly those with a dependency in the changed
-//!   bitmap. Both select the same slots (the update is Jacobi, so the
-//!   visit order cannot change a bit); only locality and frontier cost
-//!   differ. With an [`ApproxState`] the same loop runs the
+//!   [`PairDepCsr`]: iteration 1 evaluates every slot, and its
+//!   [`Frontier`] picks each later step like direction-optimizing BFS.
+//!   While the changed slots have fewer dependents in total than there
+//!   are slots (`Σ |rdeps(changed)| < |H|`) it **pushes** through the
+//!   reverse CSR and evaluates exactly the dependents, in slot order;
+//!   otherwise it **sweeps the live slots** — every slot with a
+//!   maintained dependency, unconditionally, in slot order. No slot's
+//!   inputs are tested: the update is Jacobi with a unique fixpoint
+//!   (Theorem 1), so a live slot whose inputs did not change re-evaluates
+//!   to the bits it holds, and a non-live slot never changes after
+//!   iteration 1. Both steps are therefore bitwise identical to the
+//!   sweep; a live sweep just counts more evaluations. With an
+//!   [`ApproxState`] the same loop runs the
 //!   **approximate** (ε-aware) schedule, which suppresses pairs whose
 //!   accumulated incoming-delta bound stays below `tolerance·ε/(w⁺+w⁻)` —
 //!   not bitwise, but certified: suppressed deltas accumulate until a
@@ -77,15 +79,21 @@ impl Limits {
 /// recording alive for runs that converge far earlier than the bound.
 pub(crate) struct Recorder<'a> {
     history: &'a mut Vec<Vec<f64>>,
+    /// Buffers of a previous trajectory, refilled before a new one is
+    /// allocated.
+    spares: Vec<Vec<f64>>,
     budget: usize,
     bytes: usize,
     abandoned: bool,
 }
 
 impl<'a> Recorder<'a> {
+    /// A recording into `history`. Iterates it already holds (a previous
+    /// run's trajectory) become spare buffers, so a warm rerun refills
+    /// them instead of allocating a trajectory afresh.
     pub(crate) fn new(history: &'a mut Vec<Vec<f64>>, budget: usize) -> Self {
-        history.clear();
         Self {
+            spares: std::mem::take(history),
             history,
             budget,
             bytes: 0,
@@ -102,10 +110,14 @@ impl<'a> Recorder<'a> {
         if self.bytes > self.budget {
             self.history.clear();
             self.history.shrink_to_fit();
+            self.spares = Vec::new();
             self.abandoned = true;
             return;
         }
-        self.history.push(iterate.to_vec());
+        let mut buf = self.spares.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(iterate);
+        self.history.push(buf);
     }
 }
 
@@ -399,11 +411,12 @@ pub(crate) fn run_sweep<K: SlotKernel>(
 
 /// Iterates `kernel` to convergence with **dirty-pair scheduling** over a
 /// prepared [`PairDepCsr`]: iteration 1 evaluates every slot; iteration
-/// `k > 1` evaluates only the dependents of slots whose score changed
-/// (bitwise) in iteration `k−1`, found by the direction-optimizing
-/// [`Frontier`] and visited in slot order. Clean slots keep their previous
-/// score exactly — the update is a pure function of inputs that did not
-/// change — so the outcome is bitwise identical to [`run_sweep`].
+/// `k > 1` is the [`Frontier`]'s step — the dependents of slots whose
+/// score changed (bitwise) in iteration `k−1`, or, when those are dense,
+/// every live slot — visited in slot order. Slots outside the step keep
+/// their previous score exactly, and live slots with unchanged inputs
+/// re-evaluate to it — the update is a pure function of inputs that did
+/// not change — so the outcome is bitwise identical to [`run_sweep`].
 ///
 /// Two optional refinements:
 /// * `initial_worklist` replaces the evaluate-everything first iteration
@@ -477,7 +490,7 @@ fn delta_loop<K: SlotKernel>(
         }
         let step = frontier.step();
         let (delta, evaluated) = exec.step(kernel, Slots::of(step, csr), scores, cur, &mut changed);
-        out.dense_iterations += usize::from(matches!(step, Step::Dense(_)));
+        out.dense_iterations += usize::from(matches!(step, Step::Dense));
         out.pairs_evaluated.push(evaluated);
         std::mem::swap(scores, cur);
         if let Some(h) = record.as_deref_mut() {
@@ -537,8 +550,8 @@ fn delta_loop<K: SlotKernel>(
 ///
 /// When the old trajectory is exhausted before `Δ < ε` (the edited system
 /// needs more iterations than the previous run), the loop degrades to the
-/// standard dirty-worklist iteration of [`run_delta`] (both directions),
-/// seeded from the last two iterates.
+/// standard delta iteration of [`run_delta`] (push or live sweep), seeded
+/// from the last two iterates.
 ///
 /// `scores` holds the edited run's `FSim⁰` on entry; `record` receives
 /// the edited run's full trajectory (enabling the *next* edit batch to
@@ -745,17 +758,18 @@ mod tests {
             (out, scores)
         }
 
-        /// The push rule written out naively from a full sweep's iterates:
-        /// per iteration, how many slots it schedules (every slot first,
-        /// then the dependents of the slots the previous iteration
-        /// changed), and whether the frontier's rule takes that step as a
-        /// dense pull (`Σ |rdeps(changed)| ≥ |H|`).
-        fn push_reference(&self, g: &Graph) -> (Vec<usize>, Vec<bool>) {
+        /// The step rule written out naively from a full sweep's iterates,
+        /// per iteration: whether the frontier takes the step as a dense
+        /// live sweep (`Σ |rdeps(changed)| ≥ |H|`), how many slots it
+        /// schedules (every slot first; then every live slot when dense,
+        /// the dependents of the slots the previous iteration changed
+        /// otherwise), and how many dependents it has.
+        fn push_reference(&self, g: &Graph) -> (Vec<bool>, Vec<usize>, Vec<usize>) {
             let n = self.store.len();
             let (rdo, rd) = (self.csr.rdep_offsets(), self.csr.rdeps());
             let mut scratch = OpScratch::new();
             let mut prev = self.init(g);
-            let (mut scheduled, mut dense) = (vec![n], vec![false]);
+            let (mut dense, mut scheduled, mut dependents) = (vec![false], vec![n], vec![n]);
             for _ in 1..self.cfg.effective_max_iters() {
                 let kernel = self.kernel();
                 let next: Vec<f64> = (0..n)
@@ -771,15 +785,20 @@ mod tests {
                 if delta < self.cfg.epsilon {
                     break;
                 }
-                let dependents: BTreeSet<u32> = changed
+                let reached: BTreeSet<u32> = changed
                     .iter()
                     .flat_map(|&c| rd[rdo[c]..rdo[c + 1]].iter().copied())
                     .collect();
                 let fanout: usize = changed.iter().map(|&c| rdo[c + 1] - rdo[c]).sum();
-                scheduled.push(dependents.len());
                 dense.push(fanout >= n);
+                scheduled.push(if fanout >= n {
+                    self.csr.live().len()
+                } else {
+                    reached.len()
+                });
+                dependents.push(reached.len());
             }
-            (scheduled, dense)
+            (dense, scheduled, dependents)
         }
     }
 
@@ -796,16 +815,24 @@ mod tests {
         let rt = Runtime::new(4);
         for pin_identical in [false, true] {
             let f = Fixture::new(&g, pin_identical);
-            let (scheduled, dense) = f.push_reference(&g);
-            // The fixture takes both directions in one run: a dense pull,
-            // then a sparse push, then a dense pull again.
-            let pull = dense.iter().position(|&d| d).expect("a dense step");
-            let push = pull
-                + dense[pull..]
+            let (dense, scheduled, dependents) = f.push_reference(&g);
+            // The fixture takes both directions in one run: a live sweep,
+            // then a sparse push, then a live sweep again.
+            let first = dense.iter().position(|&d| d).expect("a dense step");
+            let push = first
+                + dense[first..]
                     .iter()
                     .position(|&d| !d)
                     .expect("a sparse step");
             assert!(dense[push..].contains(&true), "dense → sparse → dense");
+            // Some live sweep evaluates more slots than the dependents of
+            // the changed set, so the counts below tell the live-sweep
+            // rule from one that evaluates only the dependents.
+            let live = f.csr.live().len();
+            assert!(
+                dense.iter().zip(&dependents).any(|(&d, &n)| d && n < live),
+                "a live sweep beyond the dependents"
+            );
 
             let (sweep, sweep_scores) = f.sweep(&g);
             let (delta, delta_scores) = f.delta(&g, Exec::new(None, 1));
@@ -823,7 +850,7 @@ mod tests {
             assert_eq!(delta.iter_seconds.len(), delta.iterations, "{what}");
 
             // Every step on four workers: the same bits and the same
-            // schedule, dense pulls included.
+            // schedule, live sweeps included.
             let (par, par_scores) = f.delta(&g, Exec::with_min_pooled(Some(&rt), 1));
             assert_same_bits(&delta_scores, &par_scores, &what);
             assert_eq!(par.iterations, delta.iterations, "{what}");

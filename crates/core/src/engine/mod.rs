@@ -12,7 +12,7 @@
 //!   edit replay);
 //! * `frontier` (private) — the delta scheduler's direction-optimizing
 //!   frontier: slot-ordered sparse push through the reverse CSR, or a
-//!   masked dense pull, whichever the changed set makes cheaper;
+//!   sweep of the live slots, whichever the changed set makes cheaper;
 //! * `deps` (private) — the pair-dependency CSR: the iteration-invariant
 //!   structure of Equation 3 (θ-prefiltered neighbor-pair slot lists,
 //!   fallback constants, the reverse dependents CSR) materialized once per

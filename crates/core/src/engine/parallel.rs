@@ -5,8 +5,8 @@
 //! function of the previous iterate (Theorem 1), so the slots of one
 //! iteration may be evaluated in any order, on any number of threads,
 //! without changing a bit. [`Exec`] evaluates one **step** — a sparse
-//! worklist, a dense masked pull over the live slots, or every slot of a
-//! sweep ([`Slots`]) — reading `prev`, writing `next`, and reporting the
+//! worklist, every live slot of a dense step, or every slot of a sweep
+//! ([`Slots`]) — reading `prev`, writing `next`, and reporting the
 //! max delta, the evaluation count and the bitwise-changed slots. A step
 //! runs **inline** on the calling thread unless it is long enough for
 //! [`effective_threads`] to grant it more than one worker; then it runs
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use super::deps::PairDepCsr;
-use super::frontier::{slot_ids, ChangedBits, Step};
+use super::frontier::{slot_ids, Step};
 use super::rows::Maxima;
 use crate::operators::OpScratch;
 
@@ -77,10 +77,10 @@ where
 
 /// The row maxima a step that may evaluate `scheduled` of its
 /// substrate's `slots` reads. A step covering at least a quarter of the
-/// slots — every sweep and dense pull, and the all-slots first iteration
-/// of a delta run — gets every key's maximum under `prev` filled in key
-/// order into `buf` first, on the pool when one is given (each key
-/// written by one worker). A shorter step, or a kernel without row keys,
+/// slots — every sweep and dense live sweep, and the all-slots first
+/// iteration of a delta run — gets every key's maximum under `prev`
+/// filled in key order into `buf` first, on the pool when one is given
+/// (each key written by one worker). A shorter step, or a kernel without row keys,
 /// gets a fresh lazy token: each worker fills the keys it reads in its
 /// own scratch. The quarter bound keeps short edit-replay steps lazy.
 pub(crate) fn step_maxima<'b, K: SlotKernel>(
@@ -127,15 +127,19 @@ pub(crate) struct IterationOutcome {
     pub converged: bool,
     /// The final `Δ = max |FSim^k − FSim^{k−1}|` (∞ if no iteration ran).
     pub final_delta: f64,
-    /// Pairs re-evaluated per iteration (`|H|` every iteration for the
-    /// full sweep; the dirty-worklist length under delta scheduling).
+    /// Pairs re-evaluated per iteration: `|H|` every iteration of the
+    /// full sweep. Under delta scheduling, a sparse push counts its
+    /// worklist (the dependents of the changed set), and a dense step
+    /// counts every live slot ([`PairDepCsr::live`]) — including live
+    /// slots outside the dependents, which re-evaluate to the bits they
+    /// hold.
     pub pairs_evaluated: Vec<usize>,
     /// Wall-clock seconds per iteration, aligned with `pairs_evaluated`
     /// (the per-iteration pairs-per-second metric is their ratio). Covers
     /// the whole iteration: repair, evaluation, frontier construction and
     /// trajectory recording.
     pub iter_seconds: Vec<f64>,
-    /// Iterations a delta run took as a dense pull (see
+    /// Iterations a delta run took as a dense live sweep (see
     /// [`Frontier`](super::frontier::Frontier)); 0 for every other driver.
     pub dense_iterations: usize,
 }
@@ -374,9 +378,10 @@ pub(crate) enum Slots<'a> {
     All,
     /// Exactly these distinct slots (ascending, for locality).
     List(&'a [u32]),
-    /// Every live slot of the CSR that reads a slot in the set (a dense
-    /// pull; see [`Step::Dense`]).
-    Pull(&'a PairDepCsr, &'a ChangedBits),
+    /// Exactly these live slots, ascending (a dense step; see
+    /// [`Step::Dense`]): evaluated like a list, with its row maxima filled
+    /// like a sweep's.
+    Live(&'a [u32]),
 }
 
 impl<'a> Slots<'a> {
@@ -384,18 +389,18 @@ impl<'a> Slots<'a> {
     pub(crate) fn of(step: Step<'a>, csr: &'a PairDepCsr) -> Self {
         match step {
             Step::Sparse(worklist) => Slots::List(worklist),
-            Step::Dense(changed) => Slots::Pull(csr, changed),
+            Step::Dense => Slots::Live(csr.live()),
         }
     }
 
     /// The step's length over a buffer of `n` slots: the positions it
-    /// hands out (every slot, the list, or the live list), and how many
-    /// slots it may evaluate (what [`step_maxima`] sizes its fill by).
+    /// hands out, and the slot count [`step_maxima`] sizes its fill by
+    /// (all `n` for a dense step, as for a sweep).
     fn len(self, n: usize) -> (usize, usize) {
         match self {
             Slots::All => (n, n),
             Slots::List(list) => (list.len(), list.len()),
-            Slots::Pull(csr, _) => (csr.live().len(), n),
+            Slots::Live(live) => (live.len(), n),
         }
     }
 }
@@ -509,17 +514,17 @@ fn eval_step<K: SlotKernel>(
     let len = slots.len(prev.len()).0;
     let Some(rt) = rt else {
         let write = |slot: usize, score: f64| next[slot] = score;
-        return eval_range(kernel, slots, 0..len, prev, maxima, scratch, changed, write);
+        let delta = eval_range(kernel, slots, 0..len, prev, maxima, scratch, changed, write);
+        return (delta, len);
     };
     let out = SharedScores::new(next);
     let chunk = chunk_size(len, rt.threads());
     let cursor = AtomicUsize::new(0);
     let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-    let evaluated = AtomicUsize::new(0);
     let sink = Mutex::new(std::mem::take(changed));
     rt.run(&|wid, ws| {
         ws.changed.clear();
-        let (mut delta, mut count) = (0.0f64, 0usize);
+        let mut delta = 0.0f64;
         loop {
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
             if start >= len {
@@ -531,7 +536,7 @@ fn eval_step<K: SlotKernel>(
             // different buffer, read only.
             let write = |slot: usize, score: f64| unsafe { out.write(slot, score) };
             let range = start..(start + chunk).min(len);
-            let (d, c) = eval_range(
+            let d = eval_range(
                 kernel,
                 slots,
                 range,
@@ -542,10 +547,8 @@ fn eval_step<K: SlotKernel>(
                 write,
             );
             delta = delta.max(d);
-            count += c;
         }
         deltas[wid].store(delta.to_bits(), Ordering::Relaxed);
-        evaluated.fetch_add(count, Ordering::Relaxed);
         if !ws.changed.is_empty() {
             let mut sink = sink.lock().expect("changed sink");
             sink.extend_from_slice(&ws.changed);
@@ -556,14 +559,14 @@ fn eval_step<K: SlotKernel>(
         .iter()
         .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
         .fold(0.0, f64::max);
-    (delta, evaluated.load(Ordering::Relaxed))
+    (delta, len)
 }
 
 /// The step body both branches share: evaluates the step's positions
-/// `range` (slot ids of a sweep, list positions, or live-list positions
-/// of a pull), handing each score to `write`. Returns the range's max
-/// delta and evaluation count, appending its changed slots to `changed`
-/// unless the step is a sweep.
+/// `range` (slot ids of a sweep, or positions in a list or the live
+/// list), handing each score to `write`. Returns the range's max
+/// delta, appending its changed slots to `changed` unless the step is a
+/// sweep.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn eval_range<K: SlotKernel>(
@@ -575,7 +578,7 @@ fn eval_range<K: SlotKernel>(
     scratch: &mut OpScratch,
     changed: &mut Vec<u32>,
     mut write: impl FnMut(usize, f64),
-) -> (f64, usize) {
+) -> f64 {
     let mut delta = 0.0f64;
     // `record` is a constant per arm, so the sweep's loop carries no
     // changed-slot test at all.
@@ -591,31 +594,17 @@ fn eval_range<K: SlotKernel>(
         }
         write(slot, score);
     };
-    let evaluated = match slots {
-        Slots::All => {
-            slot_ids(range.end)
-                .skip(range.start)
-                .for_each(|slot_id| eval(slot_id, false));
-            range.len()
-        }
-        Slots::List(list) => {
+    match slots {
+        Slots::All => slot_ids(range.end)
+            .skip(range.start)
+            .for_each(|slot_id| eval(slot_id, false)),
+        Slots::List(list) | Slots::Live(list) => {
             for &slot_id in &list[range.clone()] {
                 eval(slot_id, true);
             }
-            range.len()
         }
-        Slots::Pull(csr, bits) => {
-            let mut evaluated = 0;
-            for &slot_id in &csr.live()[range] {
-                if csr.reads_any(slot_id as usize, bits) {
-                    eval(slot_id, true);
-                    evaluated += 1;
-                }
-            }
-            evaluated
-        }
-    };
-    (delta, evaluated)
+    }
+    delta
 }
 
 /// A buffer one pooled dispatch writes — a step's `next`, or its row

@@ -663,7 +663,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             && self.cfg.convergence != ConvergenceMode::FullSweep)
             || self.shards.is_some();
         self.ensure_runtime();
-        let mut recorded: Option<Vec<Vec<f64>>> = self.should_record().then(Vec::new);
+        // The previous trajectory's buffers are the recording's spares
+        // (see `Recorder::new`). That trajectory is held through the run
+        // either way, so refilling its buffers adds no peak memory.
+        let previous = self.trajectory.take();
+        let mut recorded = self.should_record().then(|| previous.unwrap_or_default());
         // ε-aware approximate scheduling is active only when a slot-based
         // substrate is available (operators without a slot path fall back
         // to the exact full sweep, error bound 0).
@@ -1481,9 +1485,14 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         self.error_bound
     }
 
-    /// Pairs re-evaluated per iteration by the last run: `|H|` every
-    /// iteration under the full sweep, the dirty-worklist length under
-    /// delta-driven scheduling (empty before any run).
+    /// Pairs re-evaluated per iteration by the last run (empty before any
+    /// run): `|H|` every iteration under the full sweep. Under
+    /// delta-driven and sharded scheduling, iteration 1 counts every
+    /// slot, a sparse step the dependents of the slots the previous
+    /// iteration changed, and a dense step every *live* slot (one that
+    /// reads at least one maintained score) — including live slots whose
+    /// inputs did not change, so a dense step may count more than the
+    /// slots that can change.
     pub fn pairs_evaluated(&self) -> &[usize] {
         &self.pairs_evaluated
     }

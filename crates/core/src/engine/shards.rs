@@ -17,15 +17,18 @@
 //! a reverse CSR (that alone would be `O(total entries)` resident — the
 //! memory the mode exists to avoid). Instead the [`BoundaryTable`] keeps,
 //! per slot, a `u64` mask of the shards whose dependency lists read it
-//! (filled as a byproduct of the first full sweep's shard builds), and the
-//! driver carries the previous iteration's **frontier** — the changed
-//! slots and their score deltas — across shard visits. A sweep visits a
-//! shard only if some changed slot's mask names it; within a visited
-//! shard, a slot is re-evaluated exactly when one of its forward entries
-//! references a changed slot. That is the same "dependents of the changed
-//! set" rule the unsharded dirty scheduler applies through its reverse
-//! CSR, so **sharded exact execution is bitwise identical to unsharded**
-//! — scores, iteration counts, deltas and per-iteration evaluation counts
+//! and the number of entries that read it (both filled as a byproduct of
+//! the first full sweep's shard builds), and the driver carries the
+//! previous iteration's **frontier** — the changed slots and their score
+//! deltas — across shard visits. An exact iteration takes the unsharded
+//! frontier's step by the same rule, from the same numbers (a slot's
+//! reader count is its reverse-CSR length): while
+//! `Σ readers(changed) < |H|` it visits a shard only if some changed
+//! slot's mask names it, and re-evaluates a slot of a visited shard
+//! exactly when one of its forward entries references a changed slot;
+//! otherwise it sweeps the live slots of every shard that holds one. So
+//! **sharded exact execution is bitwise identical to unsharded** —
+//! scores, iteration counts, deltas and per-iteration evaluation counts
 //! (`tests/sharded_convergence.rs` property-checks this across variants ×
 //! θ × pruning × threads × K).
 //!
@@ -48,7 +51,7 @@
 //! are evaluated slot by slot.
 
 use super::deps::{CsrCols, MappedShardCsr, ShardCsr, SlotEval};
-use super::frontier::{slot_ids, ChangedBits};
+use super::frontier::slot_ids;
 use super::iterate::ApproxState;
 use super::parallel::{step_maxima, Exec, IterationOutcome, Slots};
 use super::rows::{Maxima, RowKeys};
@@ -150,21 +153,27 @@ impl ShardPlan {
 
 /// The boundary-exchange table: for each slot, the set of shards whose
 /// dependency lists read it, as a `u64` bitmask (hence
-/// [`FsimConfig::MAX_SHARDS`] = 64). Together with the per-iteration
-/// changed-slot frontier this is the cross-shard half of dirty
-/// scheduling: a changed slot's mask names exactly the shards that must
-/// be visited next sweep.
+/// [`FsimConfig::MAX_SHARDS`] = 64), and the number of dependency entries
+/// that read it. Together with the per-iteration changed-slot frontier
+/// this is the cross-shard half of dirty scheduling: a changed slot's
+/// mask names exactly the shards that must be visited by a sparse step,
+/// and the reader counts decide between a sparse step and a live sweep.
 ///
-/// Masks are filled as a byproduct of shard-CSR builds during a sweep
-/// that visits *every* shard (the first sweep of a run, or the first
-/// after [`reset`](Self::reset)); until then `complete` is `false` and
-/// the driver conservatively visits all shards. Masks may safely be a
+/// Masks and counts are filled as a byproduct of shard-CSR builds during
+/// a sweep that visits *every* shard (the first sweep of a run, or the
+/// first after [`reset`](Self::reset)); until then `complete` is `false`
+/// and the driver conservatively visits all shards. Masks may safely be a
 /// *superset* of the true reader sets — extra bits cost an unnecessary
 /// shard visit that evaluates nothing, missing bits would break bitwise
 /// identity — which is why any edit that re-derives dependency entries
-/// resets the table.
+/// resets the table. Counts must be exact: they are the unsharded reverse
+/// CSR's lengths, so the step choice, and with it every per-iteration
+/// evaluation count, matches an unsharded run.
 pub(crate) struct BoundaryTable {
     read_by: Vec<u64>,
+    readers: Vec<usize>,
+    /// The shards holding a live slot (one with a maintained entry).
+    live: u64,
     complete: bool,
 }
 
@@ -172,15 +181,51 @@ impl BoundaryTable {
     fn new(n: usize) -> Self {
         Self {
             read_by: vec![0; n],
+            readers: vec![0; n],
+            live: 0,
             complete: false,
         }
     }
 
-    /// Invalidates the masks (dependency entries changed under the same
-    /// slot numbering); the next run's first sweep rebuilds them.
+    /// Invalidates the masks and counts (dependency entries changed under
+    /// the same slot numbering); the next run's first sweep rebuilds them.
     pub(crate) fn reset(&mut self) {
         self.read_by.iter_mut().for_each(|m| *m = 0);
+        self.readers.iter_mut().for_each(|c| *c = 0);
+        self.live = 0;
         self.complete = false;
+    }
+
+    /// Whether the step after `changed` sweeps the live slots: the
+    /// unsharded frontier's rule, `Σ |rdeps(changed)| ≥ |H|`.
+    fn dense(&self, changed: &[u32]) -> bool {
+        let fanout: usize = changed.iter().map(|&c| self.readers[c as usize]).sum();
+        self.complete && fanout >= self.readers.len()
+    }
+}
+
+/// The changed slots of a sparse or approximate step as a bitmap: bit
+/// `s % 64` of word `s / 64`.
+#[derive(Default)]
+struct ChangedBits {
+    words: Vec<u64>,
+}
+
+impl ChangedBits {
+    /// Makes the set exactly `slots`, over `n` slots.
+    fn assign(&mut self, n: usize, slots: &[u32]) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        for &s in slots {
+            self.words[s as usize / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// Whether dependency entry `e` reads a slot in the set (a constant
+    /// entry reads none).
+    #[inline]
+    fn is_read_by(&self, e: &DepEntry) -> bool {
+        e.slot != DepEntry::CONST && self.words[e.slot as usize / 64] >> (e.slot % 64) & 1 != 0
     }
 }
 
@@ -498,8 +543,9 @@ pub(crate) fn run_sharded<O: Operator>(
         on
     });
 
-    // The boundary frontier: C_{k−1} as a list and a bitmap, and each
-    // changed slot's last score delta (read by the approximate pull).
+    // The boundary frontier: C_{k−1} as a list and (for sparse and
+    // approximate steps) a bitmap, and each changed slot's last score
+    // delta (read by the approximate pull).
     let mut changed: Vec<u32> = Vec::new();
     let mut next_changed: Vec<u32> = Vec::new();
     let mut bits = ChangedBits::default();
@@ -513,15 +559,20 @@ pub(crate) fn run_sharded<O: Operator>(
     while out.iterations < max_iters {
         let first = out.iterations == 0;
         let filling_masks = !state.boundary.complete;
+        // An exact step after the first sweeps the live slots when the
+        // unsharded frontier would.
+        let dense = !first && approx.is_none() && state.boundary.dense(&changed);
         // Shards to visit: all of them while the masks are incomplete or
-        // on a cold first sweep; the union of the changed frontier's
-        // reader masks afterwards. A warm first sweep visits only the
-        // shards owning worklist slots.
+        // on a cold first sweep; every shard holding a live slot on a
+        // dense step; the union of the changed frontier's reader masks
+        // otherwise. A warm first sweep visits only the shards owning
+        // worklist slots.
         let visit: u64 = match (first, initial_worklist) {
             (true, Some(wl)) if !filling_masks => wl
                 .iter()
                 .fold(0, |m, &s| m | 1u64 << state.plan.shard_of(s as usize)),
             (true, _) => full_mask(k),
+            (false, _) if dense => state.boundary.live,
             (false, _) => readers(&state.boundary, &changed, k),
         };
 
@@ -529,9 +580,10 @@ pub(crate) fn run_sharded<O: Operator>(
         // (see `SpillState::shared_rows`), and the row maxima the whole
         // iteration reads: filled once before the first shard when the
         // iteration is expected to evaluate at least a quarter of the
-        // store (a cold first sweep, or as many slots as the last
-        // iteration), otherwise filled on first use under one token for
-        // every shard, so keys shared between shards are computed once.
+        // store (a cold first sweep, a live sweep as in the unsharded
+        // driver, or as many slots as the last iteration), otherwise
+        // filled on first use under one token for every shard, so keys
+        // shared between shards are computed once.
         let shared = {
             let plan = &state.plan;
             state
@@ -549,6 +601,7 @@ pub(crate) fn run_sharded<O: Operator>(
                 let scheduled = match (first, initial_worklist) {
                     (true, Some(wl)) => wl.len(),
                     (true, None) => n,
+                    (false, _) if dense => n,
                     (false, _) => out.pairs_evaluated.last().copied().unwrap_or(n),
                 };
                 let fill = SlotEval::over_parts(cfg, op, store, label_terms, r, parts);
@@ -562,7 +615,9 @@ pub(crate) fn run_sharded<O: Operator>(
         // that changed last iteration but is not re-evaluated now still
         // holds its two-iterations-old value in `cur` (evaluated slots
         // overwrite their copy below) — exactly `run_delta`'s repair.
-        bits.assign(n, &changed);
+        if !dense {
+            bits.assign(n, &changed);
+        }
         for &c in &changed {
             cur[c as usize] = scores[c as usize];
         }
@@ -581,11 +636,12 @@ pub(crate) fn run_sharded<O: Operator>(
             let csr = obtain_shard_csr(&mut state.spill, shard, g1, g2, ctx, store, op, lo, hi);
             peak_bytes = peak_bytes.max(csr.bytes() + rows_bytes);
             if filling_masks {
+                let table = &mut state.boundary;
                 for slot in lo..hi {
-                    for e in csr.deps_of(slot) {
-                        if e.slot != DepEntry::CONST {
-                            state.boundary.read_by[e.slot as usize] |= 1u64 << shard;
-                        }
+                    for e in csr.deps_of(slot).filter(|e| e.slot != DepEntry::CONST) {
+                        table.read_by[e.slot as usize] |= 1u64 << shard;
+                        table.readers[e.slot as usize] += 1;
+                        table.live |= 1u64 << shard;
                     }
                 }
             }
@@ -598,6 +654,11 @@ pub(crate) fn run_sharded<O: Operator>(
                     Some(on) => local_wl.extend(ids.filter(|&s| on[s as usize])),
                     None => local_wl.extend(ids),
                 }
+            } else if dense {
+                // A live sweep: every slot with a maintained entry.
+                local_wl.extend(
+                    ids.filter(|&s| csr.deps_of(s as usize).any(|e| e.slot != DepEntry::CONST)),
+                );
             } else if let Some(ap) = approx.as_deref_mut() {
                 // ε-aware pull: fold the frontier's deltas into each
                 // slot's accumulator; wake it on a threshold crossing

@@ -11,7 +11,7 @@ use fsim_graph::{Graph, GraphBuilder};
 use fsim_labels::LabelFn;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -60,6 +60,8 @@ struct Shared {
     cfg: ServerConfig,
     namespaces: RwLock<HashMap<String, Arc<Namespace>>>,
     stop: AtomicBool,
+    /// This daemon's live threads (see [`Daemon::live_threads`]).
+    live: Arc<AtomicUsize>,
 }
 
 /// A running `fsimd` instance.
@@ -79,10 +81,11 @@ impl Daemon {
             cfg,
             namespaces: RwLock::new(HashMap::new()),
             stop: AtomicBool::new(false),
+            live: Arc::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
-            let _guard = ThreadGuard::new();
+            let _guard = ThreadGuard::new(&accept_shared.live);
             accept_loop(listener, accept_shared);
         });
         Ok(Daemon {
@@ -97,14 +100,22 @@ impl Daemon {
         self.addr
     }
 
+    /// This daemon's live threads: its accept loop, connection handlers
+    /// and namespace writers. Exactly 0 once [`shutdown`](Self::shutdown)
+    /// has returned, whatever other daemons of the process are doing.
+    pub fn live_threads(&self) -> usize {
+        self.shared.live.load(Ordering::SeqCst)
+    }
+
     /// Registers (and if necessary converges) a namespace directly,
     /// bypassing HTTP — the programmatic twin of `POST /namespaces`.
     pub fn add_namespace(&self, name: &str, engine: FsimEngine<'static>) {
-        let ns = Namespace::start(
+        let ns = Namespace::start_counted(
             name,
             engine,
             self.shared.cfg.queue_capacity,
             self.shared.cfg.writer_throttle,
+            &self.shared.live,
         );
         write_lock(&self.shared.namespaces).insert(name.to_string(), ns);
     }
@@ -176,7 +187,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
                 let conn_shared = Arc::clone(&shared);
                 conns.push(std::thread::spawn(move || {
-                    let _guard = ThreadGuard::new();
+                    let _guard = ThreadGuard::new(&conn_shared.live);
                     serve_conn(Conn::new(stream), conn_shared);
                 }));
                 // Reap finished handlers so a long-lived daemon does not
@@ -623,11 +634,12 @@ fn create_namespace_inner(doc: &Json, shared: &Shared) -> Result<String, Respons
     let cfg = config_from_value(doc).map_err(|e| bad(&e))?;
     let engine =
         FsimEngine::new_owned(g1, g2, &cfg).map_err(|e| bad(&format!("invalid config: {e}")))?;
-    let ns = Namespace::start(
+    let ns = Namespace::start_counted(
         &name,
         engine,
         shared.cfg.queue_capacity,
         shared.cfg.writer_throttle,
+        &shared.live,
     );
     let epoch = ns.cell.load();
     let body = format!(

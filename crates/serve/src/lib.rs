@@ -28,8 +28,9 @@
 //!
 //! Shutdown is drain-and-join: [`Daemon::shutdown`] stops the accept
 //! loop, joins every connection thread, lets each writer drain its
-//! remaining queue, and joins it. [`live_daemon_threads`] counts the
-//! daemon's live threads the same way
+//! remaining queue, and joins it. [`Daemon::live_threads`] counts one
+//! daemon's live threads, and [`live_daemon_threads`] every daemon's in
+//! the process, the same way
 //! [`live_runtime_workers`](fsim_core::live_runtime_workers) counts
 //! engine workers, so tests can pin "no leaked threads" exactly.
 
@@ -47,31 +48,35 @@ pub use epoch::{Epoch, EpochCell};
 pub use namespace::{EnqueueError, Namespace, NamespaceStats};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 static LIVE_DAEMON_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of live daemon-owned threads (accept loops, connection
 /// handlers, namespace writers) across the process — the serving twin of
-/// [`fsim_core::live_runtime_workers`]. Returns to its baseline after
-/// every [`Daemon::shutdown`]; the `serving_epochs` stress test pins
-/// this.
+/// [`fsim_core::live_runtime_workers`], and a process-wide diagnostic:
+/// other daemons of the process count too. A daemon's own threads are
+/// [`Daemon::live_threads`].
 pub fn live_daemon_threads() -> usize {
     LIVE_DAEMON_THREADS.load(Ordering::SeqCst)
 }
 
-/// RAII increment of the live-thread counter; constructed first thing on
-/// every spawned daemon thread so panics still decrement on unwind.
-pub(crate) struct ThreadGuard;
+/// RAII increment of the process-wide live-thread counter and of the
+/// owning daemon's; constructed first thing on every spawned daemon
+/// thread so panics still decrement on unwind.
+pub(crate) struct ThreadGuard(Arc<AtomicUsize>);
 
 impl ThreadGuard {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(owner: &Arc<AtomicUsize>) -> Self {
         LIVE_DAEMON_THREADS.fetch_add(1, Ordering::SeqCst);
-        ThreadGuard
+        owner.fetch_add(1, Ordering::SeqCst);
+        ThreadGuard(Arc::clone(owner))
     }
 }
 
 impl Drop for ThreadGuard {
     fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
         LIVE_DAEMON_THREADS.fetch_sub(1, Ordering::SeqCst);
     }
 }

@@ -4,7 +4,7 @@
 use crate::epoch::{Epoch, EpochCell};
 use crate::ThreadGuard;
 use fsim_core::{FsimEngine, GraphEdit};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
@@ -83,9 +83,22 @@ impl Namespace {
     /// here on.
     pub fn start(
         name: impl Into<String>,
+        engine: FsimEngine<'static>,
+        queue_capacity: usize,
+        writer_throttle: Duration,
+    ) -> std::sync::Arc<Self> {
+        let live = std::sync::Arc::default();
+        Self::start_counted(name, engine, queue_capacity, writer_throttle, &live)
+    }
+
+    /// [`start`](Self::start) with the writer counted in `live` (its
+    /// daemon's live-thread counter) as well as process-wide.
+    pub(crate) fn start_counted(
+        name: impl Into<String>,
         mut engine: FsimEngine<'static>,
         queue_capacity: usize,
         writer_throttle: Duration,
+        live: &std::sync::Arc<AtomicUsize>,
     ) -> std::sync::Arc<Self> {
         if !engine.has_run() {
             engine.run();
@@ -104,8 +117,9 @@ impl Namespace {
         ns.stats.epochs_published.store(1, Ordering::SeqCst);
         let (tx, rx) = sync_channel(queue_capacity.max(1));
         let writer_ns = std::sync::Arc::clone(&ns);
+        let live = std::sync::Arc::clone(live);
         let handle = std::thread::spawn(move || {
-            let _guard = ThreadGuard::new();
+            let _guard = ThreadGuard::new(&live);
             writer_loop(writer_ns, engine, rx, writer_throttle);
         });
         *lock(&ns.tx) = Some(tx);

@@ -9,14 +9,14 @@
 //!   one score hash.
 //! * **Epoch monotonicity** — per connection, `X-Fsim-Epoch` never goes
 //!   backwards.
-//! * **Clean drain** — shutdown applies every accepted batch, and
-//!   `live_daemon_threads()` returns to its baseline (accept loop,
+//! * **Clean drain** — shutdown applies every accepted batch, and the
+//!   daemon's `live_threads()` returns to exactly 0 (accept loop,
 //!   connection handlers and namespace writers all joined).
 
 use fsim::prelude::*;
 use fsim::serve::client::HttpClient;
 use fsim::serve::json::Json;
-use fsim::serve::{live_daemon_threads, Daemon, ServerConfig};
+use fsim::serve::{Daemon, ServerConfig};
 use fsim_core::{score_hash, FsimEngine};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -121,7 +121,6 @@ fn reader(addr: std::net::SocketAddr, done: Arc<AtomicBool>) -> Vec<(u64, u64)> 
 
 #[test]
 fn readers_see_consistent_epochs_under_edit_churn() {
-    let baseline = live_daemon_threads();
     let (g1, g2) = graph_pair();
     let cfg = FsimConfig::new(Variant::Simple).label_fn(LabelFn::Indicator);
     let mut daemon = Daemon::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -186,17 +185,7 @@ fn readers_see_consistent_epochs_under_edit_churn() {
     // Clean drain: after shutdown every accepted batch has been applied
     // (none dropped) and the final epoch reflects all of them.
     daemon.shutdown();
-    for _ in 0..100 {
-        if live_daemon_threads() == baseline {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(
-        live_daemon_threads(),
-        baseline,
-        "daemon shutdown leaked threads"
-    );
+    assert_eq!(daemon.live_threads(), 0, "daemon shutdown leaked threads");
 }
 
 /// Shutdown with a loaded queue must drain: every accepted batch is

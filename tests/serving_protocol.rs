@@ -6,7 +6,7 @@
 use fsim::prelude::*;
 use fsim::serve::client::HttpClient;
 use fsim::serve::json::Json;
-use fsim::serve::{live_daemon_threads, Daemon, ServerConfig};
+use fsim::serve::{Daemon, ServerConfig};
 use fsim_core::FsimEngine;
 
 fn small_engine() -> FsimEngine<'static> {
@@ -247,78 +247,58 @@ fn full_edit_queue_is_a_structured_429() {
 /// serving, the writer keeps applying edits, and shutdown leaks nothing.
 #[test]
 fn poisoned_namespace_lock_degrades_without_killing_the_daemon() {
-    let baseline = live_daemon_threads();
-    {
-        let mut daemon = start(ServerConfig::default());
-        let ns = daemon.namespace("g").expect("registered namespace");
-        // Poison the namespace's last-error mutex: panic while holding
-        // its guard on a throwaway thread.
-        let victim = std::sync::Arc::clone(&ns);
-        let poisoner = std::thread::spawn(move || {
-            let _guard = victim.stats.last_error.lock().expect("first lock");
-            panic!("deliberately poison the stats lock");
-        });
-        assert!(poisoner.join().is_err(), "poisoner must have panicked");
-        assert!(ns.stats.last_error.is_poisoned(), "lock must be poisoned");
+    let mut daemon = start(ServerConfig::default());
+    let ns = daemon.namespace("g").expect("registered namespace");
+    // Poison the namespace's last-error mutex: panic while holding
+    // its guard on a throwaway thread.
+    let victim = std::sync::Arc::clone(&ns);
+    let poisoner = std::thread::spawn(move || {
+        let _guard = victim.stats.last_error.lock().expect("first lock");
+        panic!("deliberately poison the stats lock");
+    });
+    assert!(poisoner.join().is_err(), "poisoner must have panicked");
+    assert!(ns.stats.last_error.is_poisoned(), "lock must be poisoned");
 
-        // GET /stats reads through the poisoned lock — it must answer,
-        // not kill the connection thread.
-        let mut c = HttpClient::connect(daemon.addr()).expect("connect");
-        let resp = c.get("/stats?ns=g").expect("stats over poisoned lock");
-        assert_eq!(resp.status, 200, "body: {}", resp.text());
+    // GET /stats reads through the poisoned lock — it must answer,
+    // not kill the connection thread.
+    let mut c = HttpClient::connect(daemon.addr()).expect("connect");
+    let resp = c.get("/stats?ns=g").expect("stats over poisoned lock");
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
 
-        // The writer path (which records apply errors into that same
-        // lock) must also survive: a failing batch is rejected and
-        // recorded, a valid batch still advances the epoch.
-        let bad =
-            "{\"edits\": [{\"op\": \"add_edge\", \"side\": \"right\", \"src\": 99, \"dst\": 0}]}";
-        let good =
-            "{\"edits\": [{\"op\": \"add_edge\", \"side\": \"right\", \"src\": 2, \"dst\": 0}]}";
-        assert_eq!(c.post("/edits?ns=g", bad).expect("send").status, 202);
-        assert_eq!(c.post("/edits?ns=g", good).expect("send").status, 202);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let resp = c.get("/stats?ns=g").expect("poll stats");
-            let doc = Json::parse(&resp.text()).expect("stats json");
-            if doc.get("batches_applied").and_then(Json::as_u64) == Some(1)
-                && doc.get("batches_failed").and_then(Json::as_u64) == Some(1)
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "writer wedged after lock poison: {}",
-                resp.text()
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert_alive(&daemon);
-        daemon.shutdown();
-    }
-    for _ in 0..100 {
-        if live_daemon_threads() == baseline {
+    // The writer path (which records apply errors into that same
+    // lock) must also survive: a failing batch is rejected and
+    // recorded, a valid batch still advances the epoch.
+    let bad = "{\"edits\": [{\"op\": \"add_edge\", \"side\": \"right\", \"src\": 99, \"dst\": 0}]}";
+    let good = "{\"edits\": [{\"op\": \"add_edge\", \"side\": \"right\", \"src\": 2, \"dst\": 0}]}";
+    assert_eq!(c.post("/edits?ns=g", bad).expect("send").status, 202);
+    assert_eq!(c.post("/edits?ns=g", good).expect("send").status, 202);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let resp = c.get("/stats?ns=g").expect("poll stats");
+        let doc = Json::parse(&resp.text()).expect("stats json");
+        if doc.get("batches_applied").and_then(Json::as_u64) == Some(1)
+            && doc.get("batches_failed").and_then(Json::as_u64) == Some(1)
+        {
             break;
         }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "writer wedged after lock poison: {}",
+            resp.text()
+        );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    assert_eq!(live_daemon_threads(), baseline, "leaked daemon threads");
+    assert_alive(&daemon);
+    daemon.shutdown();
+    assert_eq!(daemon.live_threads(), 0, "leaked daemon threads");
 }
 
 #[test]
 fn abuse_leaves_no_threads_behind() {
-    let baseline = live_daemon_threads();
-    {
-        let mut daemon = start(ServerConfig::default());
-        let mut c = HttpClient::connect(daemon.addr()).expect("connect");
-        let _ = c.send_raw(b"GET /\r\n\r\n");
-        let _ = HttpClient::connect(daemon.addr()); // idle connection, never speaks
-        daemon.shutdown();
-    }
-    for _ in 0..100 {
-        if live_daemon_threads() == baseline {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(live_daemon_threads(), baseline, "leaked daemon threads");
+    let mut daemon = start(ServerConfig::default());
+    let mut c = HttpClient::connect(daemon.addr()).expect("connect");
+    let _ = c.send_raw(b"GET /\r\n\r\n");
+    let _ = HttpClient::connect(daemon.addr()); // idle connection, never speaks
+    daemon.shutdown();
+    assert_eq!(daemon.live_threads(), 0, "leaked daemon threads");
 }

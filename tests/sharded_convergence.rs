@@ -153,6 +153,84 @@ fn sharded_matches_unsharded_under_pruning_and_matchers() {
     }
 }
 
+/// A dense step sweeps every live slot (one with a maintained dependency)
+/// and counts them all, including live slots outside the dependents of
+/// the changed set. The sharded driver must take the same step: on this
+/// graph a dense step evaluates more slots than its dependents, so a
+/// sharded driver that evaluated only the dependents would report other
+/// per-iteration counts.
+#[test]
+fn sharded_live_sweeps_match_unsharded_counts() {
+    // One label and θ = 0: every pair is maintained and reads every pair
+    // of same-direction neighbors, so the dependency structure follows
+    // from the adjacency alone.
+    let g = fsim::graph::graph_from_parts(
+        &["a"; 7],
+        &[
+            (5, 2),
+            (6, 3),
+            (1, 3),
+            (0, 5),
+            (1, 0),
+            (2, 3),
+            (4, 2),
+            (4, 3),
+            (1, 4),
+            (1, 5),
+        ],
+    );
+    let mut cfg = FsimConfig::new(Variant::DegreePreserving)
+        .label_fn(LabelFn::Indicator)
+        .theta(0.0);
+    cfg.epsilon = 1e-9;
+    let mut whole = FsimEngine::new(
+        &g,
+        &g,
+        &cfg.clone().convergence(ConvergenceMode::DeltaDriven),
+    )
+    .unwrap();
+    whole.run();
+    let counts = whole.pairs_evaluated().to_vec();
+
+    let (out, inn) = (|u: u32| g.out_neighbors(u), |u: u32| g.in_neighbors(u));
+    let pairs: Vec<(u32, u32)> = whole.iter_pairs().map(|(u, v, _)| (u, v)).collect();
+    let live = pairs
+        .iter()
+        .filter(|&&(u, v)| out(u).len() * out(v).len() + inn(u).len() * inn(v).len() > 0)
+        .count();
+    let reads = |(u, v): (u32, u32), (x, y): (u32, u32)| {
+        (out(u).contains(&x) && out(v).contains(&y)) || (inn(u).contains(&x) && inn(v).contains(&y))
+    };
+    // Iterate `k` of a full sweep.
+    let iterate = |k: usize| -> Vec<u64> {
+        let mut c = cfg.clone().convergence(ConvergenceMode::FullSweep);
+        c.max_iters = Some(k);
+        c.epsilon = 0.0;
+        let mut e = FsimEngine::new(&g, &g, &c).unwrap();
+        e.run();
+        e.iter_pairs().map(|(_, _, s)| s.to_bits()).collect()
+    };
+    // A sparse step k evaluates the dependents of C_{k−1}, the slots
+    // iteration k − 1 changed, and a dense one every live slot; some step
+    // here evaluates every live slot although fewer depend on C_{k−1}.
+    let beyond = (2..=counts.len()).any(|k| {
+        let (a, b) = (iterate(k - 2), iterate(k - 1));
+        let changed: Vec<(u32, u32)> = (0..pairs.len())
+            .filter(|&s| a[s] != b[s])
+            .map(|s| pairs[s])
+            .collect();
+        let dependents = pairs
+            .iter()
+            .filter(|&&p| changed.iter().any(|&c| reads(p, c)))
+            .count();
+        counts[k - 1] == live && dependents < live
+    });
+    assert!(beyond, "no dense step beyond the dependents: {counts:?}");
+    for k in [2, 3, 7] {
+        assert_sharded_matches_unsharded(&g, &g, &cfg, k, &format!("live sweep K={k}"));
+    }
+}
+
 /// Multi-threaded sharded execution matches single-threaded sharded (and
 /// hence unsharded) execution bitwise.
 #[test]
