@@ -1,13 +1,17 @@
-//! Convergence-scheduling bench: full sweep vs delta-driven vs ε-aware
-//! **approximate** iteration on multi-iteration workloads, tracking pairs
-//! evaluated per iteration, wall-clock (warm vs cold), and — for the
-//! approximate mode — the observed max score error against the exact
-//! scheduler next to the certified bound the run reports. The process
-//! **fails** if the observed error ever exceeds the reported bound (the
-//! CI bench smoke runs this with `--test`). Unlike the Criterion targets
-//! this bench also **emits `BENCH_convergence.json` at the repository
-//! root** so the perf trajectory is recorded across PRs.
+//! Convergence-scheduling bench: full sweep vs delta-driven vs
+//! **approximate** iteration (the exact iteration stopped at a relaxed ε)
+//! on multi-iteration workloads, tracking pairs evaluated per iteration,
+//! wall-clock (warm vs cold), and — for the approximate mode — the
+//! observed max score error against the exact scheduler next to the
+//! certified bound the run reports. The process **fails** if the observed
+//! error ever exceeds the reported bound (the CI bench smoke runs this
+//! with `--test`), and in full mode if warm approximate runs are slower
+//! than warm exact delta runs in the median of interleaved repeats.
+//! Unlike the Criterion targets this bench also **emits
+//! `BENCH_convergence.json` at the repository root** so the perf
+//! trajectory is recorded across PRs.
 
+use fsim_bench::{spread, time};
 use fsim_core::{compute, force_scalar_kernel, ConvergenceMode, FsimConfig, FsimEngine, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_graph::Graph;
@@ -66,7 +70,11 @@ struct ApproxRow {
     per_iteration: Vec<usize>,
     max_error: f64,
     error_bound: f64,
+    /// Median warm run over the interleaved repeats.
     warm_s: f64,
+    /// Warm approximate / warm exact delta, each repeat timing the two
+    /// back to back: median, minimum and maximum.
+    vs_delta: (f64, f64, f64),
     pps: f64,
 }
 
@@ -185,22 +193,33 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
         }
     }
 
-    // The approximate variant: pairs evaluated vs the exact delta
-    // scheduler, with the observed error checked against the certified
-    // bound — a recorded error above the bound fails the bench (and CI).
-    // Tolerance 1/(1−(w⁺+w⁻)) = 5: the exact mode already accepts a
-    // fixpoint distance of ε·(w⁺+w⁻)/(1−(w⁺+w⁻)) at termination, so this
-    // setting adds suppression error of the same order the ε-convergence
-    // criterion tolerates anyway.
+    // The approximate variant: the exact iteration stopped at
+    // ε' = tolerance·ε/(w⁺+w⁻), with the observed error checked against
+    // the certified bound — a recorded error above the bound fails the
+    // bench (and CI). Tolerance 1/(1−(w⁺+w⁻)) = 5: the exact mode already
+    // accepts a fixpoint distance of ε·(w⁺+w⁻)/(1−(w⁺+w⁻)) at
+    // termination, so this setting stops where the remaining distance is
+    // of the order ε itself.
     let tolerance = 1.0 / (1.0 - cfg.w_out - cfg.w_in);
     let approx_cfg = cfg
         .clone()
         .convergence(ConvergenceMode::Approximate { tolerance });
     let mut approx = FsimEngine::new(g1, g2, &approx_cfg).expect("valid config");
     approx.run();
-    let warm_approx_s = best_of(reps, || {
-        approx.run();
-    });
+    // Warm approximate against warm exact delta, the two back to back in
+    // every repeat, so drift of a shared host between repeats moves both
+    // alike; the gate reads the median repeat.
+    let (mut approx_times, mut vs_delta) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let delta_s = time(|| {
+            delta.run();
+        });
+        let approx_s = time(|| {
+            approx.run();
+        });
+        approx_times.push(approx_s);
+        vs_delta.push(approx_s / delta_s.max(1e-12));
+    }
     let mut max_error = 0.0f64;
     for ((u1, v1, s1), (u2, v2, s2)) in delta.iter_pairs().zip(approx.iter_pairs()) {
         assert_eq!((u1, v1), (u2, v2), "{name}: approx pair order diverged");
@@ -244,7 +263,8 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
             per_iteration: approx.pairs_evaluated().to_vec(),
             max_error,
             error_bound: approx.error_bound(),
-            warm_s: warm_approx_s,
+            warm_s: spread(&approx_times).0,
+            vs_delta: spread(&vs_delta),
             pps: approx.pairs_per_second().unwrap_or(0.0),
         },
     }
@@ -278,7 +298,8 @@ fn row_to_json(r: &Row) -> String {
             "\"approx\":{{\"tolerance\":{},\"iterations\":{},",
             "\"pairs_evaluated\":{},\"per_iteration\":{},",
             "\"max_observed_error\":{:.3e},\"error_bound\":{:.3e},",
-            "\"warm_s\":{:.6}}}}}"
+            "\"warm_s\":{:.6},\"warm_vs_delta\":{:.4},",
+            "\"warm_vs_delta_min\":{:.4},\"warm_vs_delta_max\":{:.4}}}}}"
         ),
         r.name,
         r.pairs,
@@ -310,15 +331,18 @@ fn row_to_json(r: &Row) -> String {
         r.approx.max_error,
         r.approx.error_bound,
         r.approx.warm_s,
+        r.approx.vs_delta.0,
+        r.approx.vs_delta.1,
+        r.approx.vs_delta.2,
     )
 }
 
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let (scale, reps, epsilon) = if test_mode {
-        (0.05, 1, 1e-3)
+        (0.05, 3, 1e-3)
     } else {
-        (0.45, 5, 1e-4)
+        (0.45, 7, 1e-4)
     };
     let g = DatasetSpec::by_name("NELL")
         .expect("spec")
@@ -356,12 +380,12 @@ fn main() {
             r.warm_delta_s * 1e3,
             r.warm_sweep_s * 1e3,
         );
-        let approx_saved =
-            100.0 * (1.0 - r.approx.pairs_evaluated as f64 / r.delta_pairs_evaluated.max(1) as f64);
+        let (ratio, lo, hi) = r.approx.vs_delta;
         println!(
-            "bench convergence/{:<28} approx(tol={}) evaluated {:>10} vs delta ({approx_saved:.1}% saved)  max err {:.3e} <= bound {:.3e}  warm {:.3}ms",
+            "bench convergence/{:<28} approx(tol={}) iters {:>3}  evaluated {:>10}  max err {:.3e} <= bound {:.3e}  warm {:.3}ms = {ratio:.2}x delta ({lo:.2}–{hi:.2}x)",
             r.name,
             r.approx.tolerance,
+            r.approx.iterations,
             r.approx.pairs_evaluated,
             r.approx.max_error,
             r.approx.error_bound,
@@ -389,24 +413,26 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_convergence.json");
     println!("wrote {path}");
 
-    // Acceptance gate (full workload only — the --test workload is too
-    // small for the plateau to form), checked after the JSON is on disk
-    // so a failing record is still inspectable: the approximate mode must
-    // evaluate ≥ 30% fewer pairs than the exact delta scheduler on the
-    // θ=0.6 sweep, the workload whose dirty-pair plateau motivated it.
+    // Acceptance gates (full workload only — the --test workload runs in
+    // milliseconds, where timings measure noise), checked after the JSON
+    // is on disk so a failing record is still inspectable. The
+    // approximate mode must be no slower than the exact delta scheduler
+    // warm, in the median repeat, on every workload: a mode that trades
+    // exactness for nothing has no reason to exist.
     if !test_mode {
+        for r in &rows {
+            let (ratio, lo, hi) = r.approx.vs_delta;
+            assert!(
+                ratio <= 1.0,
+                "{}: warm approximate runs must be no slower than warm exact delta \
+                 runs in the median repeat, got {ratio:.2}x ({lo:.2}–{hi:.2}x)",
+                r.name
+            );
+        }
         let plateau = rows
             .iter()
             .find(|r| r.name.starts_with("theta_sweep"))
             .expect("theta sweep workload");
-        let ratio =
-            plateau.approx.pairs_evaluated as f64 / plateau.delta_pairs_evaluated.max(1) as f64;
-        assert!(
-            ratio <= 0.7,
-            "approximate mode must break the dirty-pair plateau: evaluated \
-             {:.1}% of the exact delta schedule (need <= 70%)",
-            ratio * 100.0
-        );
         // The vectorized strategy must beat the scalar reference by at
         // least 1.3x pairs/s on the θ-sweep workload (measured ~10x: the
         // CSR-routed sweep replaces on-the-fly neighbor enumeration and

@@ -28,6 +28,7 @@
 //! workload's baseline first; a bench measuring a wrong answer
 //! measures nothing.
 
+use fsim_bench::{spread, time};
 use fsim_core::{ConvergenceMode, FsimConfig, FsimEngine, ShardSpec, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_labels::LabelFn;
@@ -49,26 +50,6 @@ static SECTIONS: &[(u32, &str)] = &[
     (10, "diag"),
     (11, "label_table"),
 ];
-
-/// Wall-clock seconds of one call.
-fn time(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
-/// The median, minimum and maximum of `xs` (non-empty).
-fn spread(xs: &[f64]) -> (f64, f64, f64) {
-    let mut xs = xs.to_vec();
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    let median = if xs.len() % 2 == 0 {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    } else {
-        xs[mid]
-    };
-    (median, xs[0], xs[xs.len() - 1])
-}
 
 fn assert_bitwise(what: &str, a: &FsimEngine<'_>, b: &FsimEngine<'_>) {
     assert_eq!(a.pair_count(), b.pair_count(), "{what}: pair sets");

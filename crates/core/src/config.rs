@@ -94,9 +94,8 @@ pub struct UpperBoundPruning {
 ///
 /// The exact modes (`Auto`, `FullSweep`, `DeltaDriven`) produce **bitwise
 /// identical** scores, iteration counts and deltas; they differ only in
-/// how much work each iteration performs. `Approximate` trades bitwise
-/// equality for work: it skips pairs whose accumulated incoming-delta
-/// bound cannot move the ε-converged result, and reports a certified
+/// how much work each iteration performs. `Approximate` schedules like
+/// `Auto` but stops earlier, at a relaxed ε, and reports a certified
 /// per-score error bound in
 /// [`FsimResult::error_bound`](crate::FsimResult::error_bound).
 ///
@@ -127,30 +126,29 @@ pub enum ConvergenceMode {
     /// memory budget (an explicit opt-in); falls back to the sweep only
     /// for operators without a slot-based evaluation path.
     DeltaDriven,
-    /// ε-aware **approximate** delta scheduling: like [`DeltaDriven`],
-    /// but a pair is re-evaluated only once the accumulated bound on its
-    /// suppressed incoming deltas exceeds `tolerance·ε/(w⁺+w⁻)` —
-    /// Theorem 2 bounds the influence of inputs that drifted by at most
-    /// `b` on the pair's next value by `(w⁺+w⁻)·b`, so skipped pairs are
-    /// certified to sit within `tolerance·ε` of their exact re-evaluation.
-    /// Suppressed deltas **accumulate** (they are never reset without a
-    /// re-evaluation), so the run carries a certified per-score error
-    /// bound, reported via
+    /// An **ε-relaxed exact run**: scheduled exactly like `Auto`, but
+    /// stopped at the first iteration whose max delta falls below
+    /// `ε' = max(ε, tolerance·ε/(w⁺+w⁻))` instead of `ε`. The iteration
+    /// cap stays the one the configured ε sets, and the clamp keeps a
+    /// tolerance below `w⁺+w⁻` from running longer than the exact modes.
+    ///
+    /// The run is a prefix of the exact run's trajectory, so its scores
+    /// are the exact modes' bits at an earlier iteration — reproducible
+    /// bit for bit across thread counts, shard layouts, snapshot restore
+    /// and [`apply_edits`](crate::FsimEngine::apply_edits) (edits replay
+    /// the recorded trajectory like exact sessions). Equation 3 is a
+    /// contraction with factor `c = w⁺+w⁻ < 1` in the sup norm
+    /// (Theorem 2), so by Banach's fixed-point argument a run whose last
+    /// iteration moved no score by more than `Δ` sits within
+    /// `c/(1−c)·(Δ + ε)` of the ε-converged exact result; the run reports
+    /// that bound via
     /// [`FsimResult::error_bound`](crate::FsimResult::error_bound).
     ///
-    /// The stopping criterion is `Δ < ε·(1 + tolerance)` rather than the
-    /// exact modes' `Δ < ε`: a slot woken by a threshold crossing jumps
-    /// by up to `tolerance·ε`, so the exact criterion would chase the
-    /// suppression noise to the iteration cap without improving the
-    /// certified bound (which holds at any stopping point).
-    ///
-    /// Results are **not** bitwise identical to the exact modes. The
-    /// bound is exact for the row-max and Hungarian mapping operators
-    /// (both 1-Lipschitz in the sup norm); the greedy ½-approximate
-    /// matcher can violate Lipschitz continuity at sort ties, where the
-    /// bound becomes the paper's model rather than a hard guarantee.
-    /// Falls back to the exact full sweep (error bound 0) for operators
-    /// without a slot-based evaluation path.
+    /// The contraction is exact for the row-max and Hungarian mapping
+    /// operators (both 1-Lipschitz in the sup norm); the greedy
+    /// ½-approximate matcher can violate Lipschitz continuity at sort
+    /// ties, where the bound becomes the paper's model rather than a hard
+    /// guarantee.
     ///
     /// ```
     /// use fsim_core::{compute, ConvergenceMode, FsimConfig, Variant};
@@ -171,12 +169,11 @@ pub enum ConvergenceMode {
     ///     assert!((a.2 - b.2).abs() <= approx.error_bound());
     /// }
     /// ```
-    ///
-    /// [`DeltaDriven`]: ConvergenceMode::DeltaDriven
     Approximate {
-        /// Skip-threshold scale factor (> 0, finite). `1.0` skips pairs
-        /// whose pending value change is certified below ε itself;
-        /// smaller values trade work for tighter error bounds.
+        /// Stopping-delta scale factor (> 0, finite): the run stops at
+        /// `Δ < max(ε, tolerance·ε/(w⁺+w⁻))`. Larger values stop sooner
+        /// with a looser error bound; at or below `w⁺+w⁻` the run stops
+        /// where the exact modes do.
         tolerance: f64,
     },
 }
@@ -213,8 +210,8 @@ impl ConvergenceMode {
 /// unsharded execution — scores, iteration counts, deltas and
 /// per-iteration evaluation counts (`tests/sharded_convergence.rs`
 /// property-checks this across variants × θ × pruning × threads × K).
-/// Sharded approximate runs carry the same certified error bound as
-/// unsharded ones. [`ConvergenceMode::FullSweep`] ignores the setting:
+/// So is sharded approximate execution, which stops on the same rule.
+/// [`ConvergenceMode::FullSweep`] ignores the setting:
 /// the sweep never builds a CSR, so it is already memory-minimal.
 ///
 /// ```

@@ -10,22 +10,21 @@
 //! possibly touch. Everything outside those sets is provably unchanged and
 //! is reused verbatim by the repair passes.
 //!
-//! The same dirty sets drive both re-convergence strategies: the exact
-//! modes **replay** the recorded trajectory (bitwise identical to a cold
-//! recompute, re-evaluating the edit's full influence ball), while
+//! The same dirty sets drive re-convergence: a session holding a recorded
+//! trajectory **replays** it (bitwise identical to a cold recompute,
+//! re-evaluating the edit's full influence ball), and one without
+//! re-iterates cold over the repaired structures.
 //! [`ConvergenceMode::Approximate`](crate::config::ConvergenceMode)
-//! sessions **warm-restart** from the converged scores — the dirty slots
-//! seed `∞` into the carried error accumulators, and everything whose
-//! certified residual stays under the skip threshold is left alone,
-//! which is what lifts the replay's influence-ball floor.
+//! sessions take the same path: an approximate run is the exact run
+//! stopped early, so its replay is bitwise identical to a cold
+//! approximate recompute.
 //!
 //! Sharded sessions (`engine/shards.rs`) consume the same dirty sets at
 //! shard granularity: an edit that keeps pair membership resets only the
 //! boundary-exchange masks (dirty dependency entries may add reader
 //! bits), while a membership change — which renumbers slots — drops the
-//! slot-keyed shard plan for rebuild. Their exact edit path re-iterates
-//! cold over the repaired structures (sharded runs record no trajectory);
-//! the approximate warm restart works unchanged.
+//! slot-keyed shard plan for rebuild. They re-iterate cold over the
+//! repaired structures (sharded runs record no trajectory).
 
 use crate::config::{FsimConfig, LabelTermMode};
 use fsim_graph::{pair_key, FxHashMap, FxHashSet, Graph, LabelId, NodeId};

@@ -29,9 +29,9 @@
 //! Both steps produce the same scores, changed sets, iteration counts and
 //! bits. They differ in `pairs_evaluated`: a push evaluates the dependents
 //! of the changed set, a live sweep every live slot. The rule reads only
-//! `|H|`, the changed set and the reverse CSR's offsets. Schedules that
-//! are not "dependents of the changed set" — replay's always-dirty seed,
-//! approximate threshold gating — take the slot-ordered sparse path only.
+//! `|H|`, the changed set and the reverse CSR's offsets. Replay's steps
+//! are not "dependents of the changed set" (they add an always-dirty
+//! seed), so they take the slot-ordered sparse path only.
 
 /// The slot ids `0..n`. Slots are `u32` throughout the dependency CSR
 /// (entries and reverse CSR), so a store of more slots cannot be
@@ -82,28 +82,12 @@ impl Frontier {
         f
     }
 
-    /// A warm start scheduling exactly `slots`.
-    pub(crate) fn seeded(n: usize, slots: &[u32]) -> Self {
-        let mut f = Self::new(n);
-        f.push_slots(&mut Vec::new(), slots.iter().copied());
-        f
-    }
-
     /// The current step.
     pub(crate) fn step(&self) -> Step<'_> {
         if self.dense {
             Step::Dense
         } else {
             Step::Sparse(&self.worklist)
-        }
-    }
-
-    /// The sparse step's slots (empty under a dense step).
-    pub(crate) fn worklist(&self) -> &[u32] {
-        if self.dense {
-            &[]
-        } else {
-            &self.worklist
         }
     }
 
@@ -164,21 +148,6 @@ impl Frontier {
             }
         }
         self.changed = changed;
-        self.finish_sparse();
-    }
-
-    /// Sparse step over exactly `slots` (deduplicated), with `changed`
-    /// taken over as in [`advance`](Self::advance).
-    pub(crate) fn push_slots(
-        &mut self,
-        changed: &mut Vec<u32>,
-        slots: impl IntoIterator<Item = u32>,
-    ) {
-        self.take_changed(changed);
-        self.begin_sparse();
-        for s in slots {
-            self.mark(s);
-        }
         self.finish_sparse();
     }
 
@@ -254,7 +223,7 @@ mod tests {
             want.sort_unstable();
             want.dedup();
             f.push_dependents(&mut changed.clone(), &[], &offsets, &rdeps);
-            assert_eq!(f.worklist(), &want[..]);
+            assert!(matches!(f.step(), Step::Sparse(w) if w == &want[..]));
         }
     }
 
@@ -272,7 +241,6 @@ mod tests {
         let mut changed: Vec<u32> = (0..100).map(|s| 3 * s).collect();
         f.advance(&mut changed, &offsets, &rdeps);
         assert!(matches!(f.step(), Step::Dense));
-        assert!(f.worklist().is_empty());
         let stale: Vec<usize> = f.stale().collect();
         let changed: Vec<usize> = (0..100).map(|s| 3 * s).collect();
         assert_eq!(stale, changed, "a dense step copies every changed slot");
@@ -281,9 +249,11 @@ mod tests {
     #[test]
     fn stale_slots_are_changed_slots_off_the_worklist() {
         let n = 64;
+        // No slot has a dependent: the step is exactly the seed.
+        let offsets = vec![0; n + 1];
         let mut f = Frontier::new(n);
-        f.push_slots(&mut vec![1, 5, 9], [5u32, 6, 5]);
-        assert_eq!(f.worklist(), &[5, 6]);
+        f.push_dependents(&mut vec![1, 5, 9], &[5, 6, 5], &offsets, &[]);
+        assert!(matches!(f.step(), Step::Sparse(&[5, 6])));
         assert_eq!(f.stale().collect::<Vec<_>>(), vec![1, 9]);
     }
 }

@@ -21,19 +21,17 @@
 //!   (Theorem 1), so a live slot whose inputs did not change re-evaluates
 //!   to the bits it holds, and a non-live slot never changes after
 //!   iteration 1. Both steps are therefore bitwise identical to the
-//!   sweep; a live sweep just counts more evaluations. With an
-//!   [`ApproxState`] the same loop runs the
-//!   **approximate** (ε-aware) schedule, which suppresses pairs whose
-//!   accumulated incoming-delta bound stays below `tolerance·ε/(w⁺+w⁻)` —
-//!   not bitwise, but certified: suppressed deltas accumulate until a
-//!   re-evaluation, so the final accumulators bound the distance to the
-//!   exact result (Theorem 2's contraction). Approximate steps only push;
+//!   sweep; a live sweep just counts more evaluations;
 //! * **replay** ([`run_replay`]) re-converges an edited session along the
 //!   recorded trajectory, then continues as the delta loop;
 //! * the **sharded** loop ([`super::shards`]) applies the same dirty rule
-//!   (exact or approximate) over transient per-u-row-shard CSRs with
-//!   boundary exchange — still bitwise identical, with peak CSR memory
-//!   bounded to one shard.
+//!   over transient per-u-row-shard CSRs with boundary exchange — still
+//!   bitwise identical, with peak CSR memory bounded to one shard.
+//!
+//! Every loop stops on the same [`Limits`]. The approximate mode is no
+//! schedule of its own: it is any of these loops stopped at a relaxed
+//! `ε'`, certified by the Banach bound of [`error_bound`], so its bits are
+//! the exact run's up to the iteration it stops at.
 //!
 //! Every loop evaluates through one [`SlotKernel`]. For operators that sum
 //! row maxima, a step that evaluates at least a quarter of the slots first
@@ -62,13 +60,39 @@ pub(crate) struct Limits {
 }
 
 impl Limits {
-    /// The limits `cfg` sets.
+    /// The limits `cfg` sets — the one place a run's stop is derived.
+    /// The exact modes stop at `Δ < ε`.
+    /// [`ConvergenceMode::Approximate`](crate::config::ConvergenceMode::Approximate)
+    /// stops at `Δ < ε' = max(ε, tolerance·ε/(w⁺+w⁻))`: the clamp keeps a
+    /// tolerance below `w⁺+w⁻` from running longer than the exact modes.
+    /// The iteration cap is the configured ε's in every mode.
     pub(crate) fn of(cfg: &FsimConfig) -> Self {
+        let epsilon = match cfg.convergence.approximate_tolerance() {
+            Some(tolerance) => cfg
+                .epsilon
+                .max(tolerance * cfg.epsilon / (cfg.w_out + cfg.w_in)),
+            None => cfg.epsilon,
+        };
         Self {
             max_iters: cfg.effective_max_iters(),
-            epsilon: cfg.epsilon,
+            epsilon,
         }
     }
+}
+
+/// The certified error bound of a run of `cfg` whose last iteration moved
+/// no score by more than `final_delta`: `0` in the exact modes, and under
+/// [`ConvergenceMode::Approximate`](crate::config::ConvergenceMode::Approximate)
+/// the Banach bound `c/(1−c)·(final_delta + ε)` with `c = w⁺+w⁻`, the
+/// contraction factor of Theorem 2. The relaxed run is a prefix of the
+/// exact run's trajectory, and every later step moves the scores by at
+/// most `c` times the step before it.
+pub(crate) fn error_bound(cfg: &FsimConfig, final_delta: f64) -> f64 {
+    if cfg.convergence.approximate_tolerance().is_none() {
+        return 0.0;
+    }
+    let c = cfg.w_out + cfg.w_in;
+    c * (final_delta + cfg.epsilon.max(0.0)) / (1.0 - c)
 }
 
 /// Budget-gated trajectory recorder: snapshots every iterate of a run
@@ -121,134 +145,8 @@ impl<'a> Recorder<'a> {
     }
 }
 
-/// Per-slot error accounting for **ε-aware approximate scheduling**
-/// ([`ConvergenceMode::Approximate`](crate::config::ConvergenceMode)).
-///
-/// `acc[s]` is an upper bound on how far slot `s`'s inputs have drifted
-/// (sup norm) since `s` was last evaluated: each iteration adds, per
-/// slot, the **maximum** delta among its changed dependencies (per-slot
-/// max within an iteration, summed across iterations — exactly the
-/// triangle inequality over the drift path). Because Equation 3 is
-/// `(w⁺+w⁻)`-Lipschitz in its score inputs (Theorem 2; exact for the
-/// row-max and Hungarian mapping operators), a slot whose `acc` stays
-/// at or below `threshold = tolerance·ε/(w⁺+w⁻)` is certified to sit
-/// within `tolerance·ε` of what re-evaluating it would produce — so the
-/// scheduler may skip it. Accumulators are **reset only on evaluation**;
-/// at termination `max(acc)` therefore certifies the whole run:
-///
-/// `max |score − exact| ≤ (w⁺+w⁻)·(max(acc) + ε) / (1 − (w⁺+w⁻))`.
-///
-/// The state survives a run (the engine keeps it) so graph edits can
-/// **warm-restart**: carried accumulators stay valid for every slot
-/// whose update function and dependencies the edit did not touch.
-pub(crate) struct ApproxState {
-    /// Skip threshold `τ = tolerance·ε/(w⁺+w⁻)`.
-    pub(crate) threshold: f64,
-    /// Approximate stopping delta `ε·(1 + tolerance)`: a slot woken by a
-    /// threshold crossing jumps by up to `(w⁺+w⁻)·τ = tolerance·ε`, so
-    /// under the exact criterion (`Δ < ε`) the run would chase its own
-    /// suppression noise — each wake re-raises the delta above ε — all
-    /// the way to the iteration cap, evaluating a long trickle tail that
-    /// does not improve the certified bound. An iteration whose max delta
-    /// sits below the suppression noise floor plus ε is declared
-    /// converged; the accumulators certify the result at *any* stopping
-    /// point. Reduces to the exact criterion as `tolerance → 0`.
-    pub(crate) stop_delta: f64,
-    /// Per-slot accumulated incoming-delta bound.
-    pub(crate) acc: Vec<f64>,
-    /// This-iteration max incoming delta per slot (epoch-stamped).
-    pend: Vec<f64>,
-    pend_mark: Vec<u64>,
-    epoch: u64,
-    /// Slots with a pending contribution this iteration.
-    touched: Vec<u32>,
-}
-
-impl ApproxState {
-    /// Fresh state for a cold run of `cfg` (first iteration evaluates
-    /// every slot, after which zero accumulators are exact).
-    pub(crate) fn cold(n: usize, cfg: &FsimConfig, tolerance: f64) -> Self {
-        Self::warm(vec![0.0; n], cfg, tolerance)
-    }
-
-    /// State carrying accumulators from a previous run (edit warm
-    /// restart). Slots whose update function changed must carry
-    /// `f64::INFINITY` *and* sit on the initial worklist.
-    ///
-    /// The skip threshold is `τ = tolerance·ε/(w⁺+w⁻)`, never negative —
-    /// a non-positive ε disables skipping, degrading to the exact delta
-    /// schedule.
-    pub(crate) fn warm(acc: Vec<f64>, cfg: &FsimConfig, tolerance: f64) -> Self {
-        let n = acc.len();
-        Self {
-            threshold: (tolerance * cfg.epsilon / (cfg.w_out + cfg.w_in)).max(0.0),
-            stop_delta: cfg.epsilon * (1.0 + tolerance),
-            acc,
-            pend: vec![0.0; n],
-            pend_mark: vec![0; n],
-            epoch: 0,
-            touched: Vec::new(),
-        }
-    }
-
-    /// Starts an iteration's propagation pass.
-    pub(crate) fn begin(&mut self) {
-        self.epoch += 1;
-        self.touched.clear();
-    }
-
-    /// Records that dependency of `dep` changed by `delta` this iteration
-    /// (kept as a per-slot max).
-    #[inline]
-    pub(crate) fn bump(&mut self, dep: u32, delta: f64) {
-        let d = dep as usize;
-        if self.pend_mark[d] != self.epoch {
-            self.pend_mark[d] = self.epoch;
-            self.pend[d] = delta;
-            self.touched.push(dep);
-        } else if delta > self.pend[d] {
-            self.pend[d] = delta;
-        }
-    }
-
-    /// Folds the iteration's pending contributions into the accumulators
-    /// and returns every touched slot whose accumulator now exceeds the
-    /// threshold (each at most once).
-    pub(crate) fn commit(&mut self) -> impl Iterator<Item = u32> + '_ {
-        for &t in &self.touched {
-            self.acc[t as usize] += self.pend[t as usize];
-        }
-        self.touched
-            .iter()
-            .copied()
-            .filter(|&t| self.acc[t as usize] > self.threshold)
-    }
-
-    /// The largest accumulator — the residual term of the certified
-    /// error bound at termination.
-    pub(crate) fn max_acc(&self) -> f64 {
-        self.acc.iter().fold(0.0, |a, &b| a.max(b))
-    }
-
-    /// The certified error bound vs an exact run of the same
-    /// configuration (see the type docs; `0` when the state never
-    /// suppressed anything *and* ε-slack is excluded — callers report
-    /// this only for approximate runs).
-    pub(crate) fn error_bound(&self, cfg: &FsimConfig) -> f64 {
-        let c = cfg.w_out + cfg.w_in;
-        c * (self.max_acc() + cfg.epsilon.max(0.0)) / (1.0 - c)
-    }
-}
-
 /// `FSim⁰(u, v)` (§3.3) for one pair, with the pair's cached label term.
-pub(crate) fn init_score(
-    cfg: &FsimConfig,
-    g1: &Graph,
-    g2: &Graph,
-    u: NodeId,
-    v: NodeId,
-    label: f64,
-) -> f64 {
+fn init_score(cfg: &FsimConfig, g1: &Graph, g2: &Graph, u: NodeId, v: NodeId, label: f64) -> f64 {
     match cfg.init {
         InitScheme::LabelSim => label,
         InitScheme::Identity => {
@@ -351,6 +249,7 @@ pub(crate) fn run_to_convergence<O: Operator>(
     op: &O,
     store: &PairStore,
     label_terms: &[f64],
+    limits: Limits,
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
 ) -> IterationOutcome {
@@ -371,7 +270,7 @@ pub(crate) fn run_to_convergence<O: Operator>(
             label_terms[slot],
         )
     };
-    run_sweep(exec, &kernel, Limits::of(cfg), scores, cur)
+    run_sweep(exec, &kernel, limits, scores, cur)
 }
 
 /// Iterates `kernel` to convergence by **full sweep**: every slot is
@@ -417,18 +316,6 @@ pub(crate) fn run_sweep<K: SlotKernel>(
 /// their previous score exactly, and live slots with unchanged inputs
 /// re-evaluate to it — the update is a pure function of inputs that did
 /// not change — so the outcome is bitwise identical to [`run_sweep`].
-///
-/// Two optional refinements:
-/// * `initial_worklist` replaces the evaluate-everything first iteration
-///   (a **warm start** from a score buffer that already holds a valid
-///   iterate — the approximate edit path). Slots outside it keep their
-///   incoming scores.
-/// * `approx` switches on ε-aware scheduling: iteration `k+1` evaluates
-///   only dependents whose accumulated incoming-delta bound crossed the
-///   [`ApproxState`] threshold (always a sparse step), and the run stops
-///   at the state's `stop_delta`. No longer bitwise; the state's final
-///   accumulators certify the error.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_delta<K: SlotKernel>(
     exec: &mut Exec<'_>,
     kernel: &K,
@@ -437,28 +324,26 @@ pub(crate) fn run_delta<K: SlotKernel>(
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
-    initial_worklist: Option<&[u32]>,
-    approx: Option<&mut ApproxState>,
 ) -> IterationOutcome {
     let lap = Instant::now();
     let n = scores.len();
     cur.clear();
     cur.resize(n, 0.0);
-    let frontier = match initial_worklist {
-        Some(slots) => {
-            // Warm start: slots outside the worklist must read through the
-            // double buffer as-is.
-            cur.copy_from_slice(scores);
-            Frontier::seeded(n, slots)
-        }
-        None => Frontier::all(n),
-    };
     if let Some(h) = record.as_deref_mut() {
         h.push(scores);
     }
     let out = IterationOutcome::empty();
     delta_loop(
-        exec, kernel, csr, limits, scores, cur, record, approx, frontier, out, lap,
+        exec,
+        kernel,
+        csr,
+        limits,
+        scores,
+        cur,
+        record,
+        Frontier::all(n),
+        out,
+        lap,
     )
 }
 
@@ -476,7 +361,6 @@ fn delta_loop<K: SlotKernel>(
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
     mut record: Option<&mut Recorder<'_>>,
-    mut approx: Option<&mut ApproxState>,
     mut frontier: Frontier,
     mut out: IterationOutcome,
     mut lap: Instant,
@@ -498,31 +382,10 @@ fn delta_loop<K: SlotKernel>(
         }
         out.final_delta = delta;
         out.iterations += 1;
-        let done = if let Some(ap) = approx.as_deref_mut() {
-            // Evaluated slots are exact w.r.t. the iterate they read;
-            // reset their drift *before* folding in this iteration's
-            // changes (which postdate the reads). Propagation must run
-            // even on the converging iteration so the final accumulators
-            // certify the returned scores.
-            for &s in frontier.worklist() {
-                ap.acc[s as usize] = 0.0;
-            }
-            ap.begin();
-            for &c in &changed {
-                let c = c as usize;
-                let d = (scores[c] - cur[c]).abs();
-                for &dep in &rd[rdo[c]..rdo[c + 1]] {
-                    ap.bump(dep, d);
-                }
-            }
-            frontier.push_slots(&mut changed, ap.commit());
-            delta < ap.stop_delta
-        } else if delta < limits.epsilon {
-            true
-        } else {
+        let done = delta < limits.epsilon;
+        if !done {
             frontier.advance(&mut changed, rdo, rd);
-            false
-        };
+        }
         out.iter_seconds.push(lap.elapsed().as_secs_f64());
         lap = Instant::now();
         if done {
@@ -642,7 +505,7 @@ pub(crate) fn run_replay<K: SlotKernel>(
         .extend(slot_ids(n).filter(|&s| scores[s as usize].to_bits() != cur[s as usize].to_bits()));
     frontier.advance(&mut changed, rdo, rd);
     delta_loop(
-        exec, kernel, csr, limits, scores, cur, record, None, frontier, out, lap,
+        exec, kernel, csr, limits, scores, cur, record, frontier, out, lap,
     )
 }
 
@@ -751,8 +614,6 @@ mod tests {
                 Limits::of(&self.cfg),
                 &mut scores,
                 &mut cur,
-                None,
-                None,
                 None,
             );
             (out, scores)

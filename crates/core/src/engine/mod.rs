@@ -29,7 +29,7 @@
 //!   into u-row shards, per-shard CSRs are built transiently per sweep
 //!   (peak resident CSR memory = one shard), and cross-shard dirty
 //!   scheduling flows through a boundary-exchange table — bitwise
-//!   identical to unsharded execution for the exact modes;
+//!   identical to unsharded execution;
 //! * [`edits`] — the [`GraphEdit`] vocabulary and the dirty-set planning
 //!   behind [`FsimEngine::apply_edits`]: incremental rescoring after graph
 //!   edits, bitwise identical to a cold recompute on the edited graphs.

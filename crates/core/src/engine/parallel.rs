@@ -822,8 +822,6 @@ mod tests {
                 &mut scores,
                 &mut cur,
                 Some(&mut recorder),
-                None,
-                None,
             );
             (out, scores, history)
         };
@@ -870,8 +868,6 @@ mod tests {
             &mut base,
             &mut base_cur,
             Some(&mut recorder),
-            None,
-            None,
         );
         let _ = recorder;
         // "Edit": slot 777's update function changes.

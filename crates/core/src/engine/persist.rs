@@ -8,8 +8,8 @@
 //! config, the merged label interner, both graphs (labels already
 //! remapped to the merged interner), the candidate store, converged
 //! scores + label terms, the pair-dependency CSR (when cached), the
-//! recorded iterate trajectory (freeze-point delta-compressed), the
-//! approximate accumulators, the run diagnostics, and — when the label
+//! recorded iterate trajectory (freeze-point delta-compressed), the run
+//! diagnostics, and — when the label
 //! function builds one — the prepared `|Σ| × |Σ|` similarity table,
 //! whose O(|Σ|²) string-similarity rebuild would otherwise dominate
 //! cold start.
@@ -66,8 +66,10 @@ const SEC_SCORES: u32 = 6;
 const SEC_DEPS: u32 = 7;
 /// Freeze-point-compressed iterate trajectory (optional).
 const SEC_TRAJECTORY: u32 = 8;
-/// Approximate-mode accumulators (optional).
-const SEC_APPROX: u32 = 9;
+/// Retired: the per-slot accumulators of an approximate schedule that no
+/// longer exists. Never written; files from earlier builds that carry it
+/// still restore, the section skipped.
+const SEC_RETIRED_APPROX: u32 = 9;
 /// Run diagnostics: iterations, convergence, error bound, …
 const SEC_DIAG: u32 = 10;
 /// Prepared label-similarity table (optional — present when the label
@@ -86,7 +88,7 @@ const KNOWN_SECTIONS: &[(u32, &str)] = &[
     (SEC_SCORES, "scores"),
     (SEC_DEPS, "deps"),
     (SEC_TRAJECTORY, "trajectory"),
-    (SEC_APPROX, "approx"),
+    (SEC_RETIRED_APPROX, "approx"),
     (SEC_DIAG, "diag"),
     (SEC_LABEL_TABLE, "label_table"),
 ];
@@ -143,9 +145,6 @@ impl<'g> FsimEngine<'g, VariantOp> {
         }
         if let Some(traj) = parts.trajectory {
             encode_trajectory(b.section(SEC_TRAJECTORY), traj);
-        }
-        if let Some(acc) = parts.approx_acc {
-            put_f64_slice(b.section(SEC_APPROX), acc);
         }
         let buf = b.section(SEC_DIAG);
         put_usize(buf, parts.iterations);
@@ -217,20 +216,6 @@ impl FsimEngine<'static, VariantOp> {
         } else {
             None
         };
-        let approx_acc = if file.has_section(SEC_APPROX) {
-            let mut cur = Cursor::new("approx", file.section(SEC_APPROX)?);
-            let acc = cur.f64_vec()?;
-            cur.finish()?;
-            if acc.len() != n {
-                return Err(SnapshotError::Malformed {
-                    section: "approx",
-                    detail: format!("{} accumulators for {n} pairs", acc.len()),
-                });
-            }
-            Some(acc)
-        } else {
-            None
-        };
         let label_table = if file.has_section(SEC_LABEL_TABLE) {
             // Only sessions whose label function actually builds a table
             // write this section; a file claiming one for a table-free
@@ -282,7 +267,6 @@ impl FsimEngine<'static, VariantOp> {
             deps,
             scores,
             trajectory,
-            approx_acc,
             iterations,
             converged,
             final_delta,

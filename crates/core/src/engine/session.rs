@@ -16,8 +16,8 @@ use super::edits::{
     net_side_delta, validate_side, DirtyNodes, EditError, GraphEdit, GraphSide, SideDelta,
 };
 use super::iterate::{
-    init_score, initialize, pair_update, run_delta, run_replay, run_sweep, run_to_convergence,
-    ApproxState, Limits, Recorder,
+    error_bound, initialize, pair_update, run_delta, run_replay, run_sweep, run_to_convergence,
+    Limits, Recorder,
 };
 use super::parallel::{effective_threads, Exec, Runtime};
 use super::shards::{auto_shard_count, forced_shards, run_sharded, ShardState};
@@ -163,13 +163,6 @@ pub struct FsimEngine<'g, O: Operator = VariantOp> {
     /// [`apply_edits`](Self::apply_edits) to *replay* the iteration after
     /// a graph edit instead of recomputing from scratch.
     trajectory: Option<Vec<Vec<f64>>>,
-    /// The final per-slot accumulators of the last **approximate** run
-    /// (`None` after exact runs). Carried into
-    /// [`apply_edits`](Self::apply_edits) so approximate sessions can
-    /// warm-restart from the converged scores instead of replaying — the
-    /// accumulators remain valid residual bounds for every slot the edit
-    /// did not touch.
-    approx_acc: Option<Vec<f64>>,
     iterations: usize,
     converged: bool,
     final_delta: f64,
@@ -214,7 +207,6 @@ pub(crate) struct PersistParts<'e> {
     pub(crate) deps: Option<&'e PairDepCsr>,
     pub(crate) scores: &'e [f64],
     pub(crate) trajectory: Option<&'e Vec<Vec<f64>>>,
-    pub(crate) approx_acc: Option<&'e Vec<f64>>,
     pub(crate) iterations: usize,
     pub(crate) converged: bool,
     pub(crate) final_delta: f64,
@@ -237,7 +229,6 @@ pub(crate) struct RestoredParts {
     pub(crate) deps: Option<PairDepCsr>,
     pub(crate) scores: Vec<f64>,
     pub(crate) trajectory: Option<Vec<Vec<f64>>>,
-    pub(crate) approx_acc: Option<Vec<f64>>,
     pub(crate) iterations: usize,
     pub(crate) converged: bool,
     pub(crate) final_delta: f64,
@@ -246,15 +237,6 @@ pub(crate) struct RestoredParts {
     pub(crate) delta_scheduled: bool,
     pub(crate) shard_count: usize,
     pub(crate) has_run: bool,
-}
-
-/// Warm-start state for the approximate edit path: the pre-edit scores
-/// and error accumulators remapped to the repaired store's slots (added
-/// and structurally dirty slots carry `f64::INFINITY`, forcing their
-/// evaluation).
-struct WarmStart {
-    scores: Vec<f64>,
-    acc: Vec<f64>,
 }
 
 impl<'g> FsimEngine<'g, VariantOp> {
@@ -289,7 +271,6 @@ impl<'g> FsimEngine<'g, VariantOp> {
             deps: self.deps.as_ref(),
             scores: &self.scores,
             trajectory: self.trajectory.as_ref(),
-            approx_acc: self.approx_acc.as_ref(),
             iterations: self.iterations,
             converged: self.converged,
             final_delta: self.final_delta,
@@ -353,7 +334,6 @@ impl FsimEngine<'static, VariantOp> {
             scores: parts.scores,
             cur: Vec::new(),
             trajectory: parts.trajectory,
-            approx_acc: parts.approx_acc,
             iterations: parts.iterations,
             converged: parts.converged,
             final_delta: parts.final_delta,
@@ -410,7 +390,6 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             scores: Vec::new(),
             cur: Vec::new(),
             trajectory: None,
-            approx_acc: None,
             iterations: 0,
             converged: false,
             final_delta: 0.0,
@@ -457,13 +436,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             self.runtime.as_ref(),
         );
         self.store = store;
-        // The dependency CSR, the shard plan, the recorded trajectory and
-        // the approximate accumulators all index the old store's slots;
-        // drop them.
+        // The dependency CSR, the shard plan and the recorded trajectory
+        // all index the old store's slots; drop them.
         self.deps = None;
         self.shards = None;
         self.trajectory = None;
-        self.approx_acc = None;
         self.refresh_label_terms();
         self.has_run = false;
     }
@@ -495,10 +472,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     ///   the on-the-fly path (no CSR).
     /// * `ShardSpec::Fixed(k)` always shards (rebuilding the plan when
     ///   the requested `k` changes).
-    /// * `DeltaDriven` / `Approximate` without a fixed shard count build
-    ///   the full CSR unconditionally (the explicit opt-ins that ignore
-    ///   the memory budget).
-    /// * `Auto` convergence keeps an already-built CSR (it lives as long
+    /// * `DeltaDriven` without a fixed shard count builds the full CSR
+    ///   unconditionally (the explicit opt-in that ignores the memory
+    ///   budget).
+    /// * `Auto` and `Approximate` convergence (which differ only in where
+    ///   the run stops) keep an already-built CSR (it lives as long
     ///   as the store); otherwise it builds the CSR when the
     ///   degree-product estimate fits [`FsimConfig::csr_budget`],
     ///   **degrades to sharded execution** when it does not and the
@@ -556,7 +534,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             return;
         }
         match self.cfg.convergence {
-            ConvergenceMode::DeltaDriven | ConvergenceMode::Approximate { .. } => {
+            ConvergenceMode::DeltaDriven => {
                 self.shards = None;
                 if self.deps.is_none() {
                     let csr =
@@ -564,7 +542,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                     self.deps = Some(csr);
                 }
             }
-            ConvergenceMode::Auto => {
+            ConvergenceMode::Auto | ConvergenceMode::Approximate { .. } => {
                 if self.deps.is_some() {
                     self.shards = None;
                     return;
@@ -607,16 +585,13 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     /// Whether a run should attempt to record its trajectory at all:
     /// recording is optimistic — the [`Recorder`] abandons mid-run on
     /// budget overrun — but a store where even two iterates blow the
-    /// budget is not worth the copies. Approximate runs never record:
-    /// their edit path warm-restarts from the carried accumulators, which
-    /// is strictly cheaper than a per-iteration replay.
+    /// budget is not worth the copies.
     fn should_record(&self) -> bool {
         let two_iterates = 2u128 * self.store.len() as u128 * 8;
         self.deps.is_some()
             // Sweep runs hold a CSR for the vectorized kernel but keep
             // the sweep's semantics — which never included recording.
             && self.cfg.convergence != ConvergenceMode::FullSweep
-            && self.cfg.convergence.approximate_tolerance().is_none()
             && self.cfg.trajectory_budget > 0
             && two_iterates <= self.cfg.trajectory_budget as u128
     }
@@ -652,7 +627,6 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             self.shard_count = 0;
             self.peak_csr_bytes = 0;
             self.trajectory = None;
-            self.approx_acc = None;
             self.has_run = true;
             return self;
         }
@@ -668,15 +642,6 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         // either way, so refilling its buffers adds no peak memory.
         let previous = self.trajectory.take();
         let mut recorded = self.should_record().then(|| previous.unwrap_or_default());
-        // ε-aware approximate scheduling is active only when a slot-based
-        // substrate is available (operators without a slot path fall back
-        // to the exact full sweep, error bound 0).
-        let mut approx_state = self
-            .cfg
-            .convergence
-            .approximate_tolerance()
-            .filter(|_| self.deps.is_some() || self.shards.is_some())
-            .map(|tol| ApproxState::cold(self.store.len(), &self.cfg, tol));
         // Destructure so the iteration loop can borrow the caches
         // immutably while writing the score buffers.
         let Self {
@@ -699,6 +664,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         let (g1, g2): (&Graph, &Graph) = (g1, g2);
         initialize(store, cfg, g1, g2, label_terms, scores);
         let mut exec = Exec::new(runtime.as_ref(), cfg.threads);
+        let limits = Limits::of(cfg);
         let mut shard_peak = 0usize;
         let outcome = if let Some(state) = shards.as_mut() {
             let ctx = OpCtx {
@@ -717,15 +683,13 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                 store,
                 label_terms,
                 state,
+                limits,
                 scores,
                 cur,
-                None,
-                approx_state.as_mut(),
             );
             shard_peak = peak;
             outcome
         } else {
-            let limits = Limits::of(cfg);
             match deps {
                 Some(csr) if cfg.convergence == ConvergenceMode::FullSweep => {
                     let kernel = csr.kernel(cfg, op, store, label_terms);
@@ -743,8 +707,6 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         scores,
                         cur,
                         recorder.as_mut(),
-                        None,
-                        approx_state.as_mut(),
                     )
                 }
                 None => {
@@ -754,8 +716,19 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                         label_eval,
                         theta: cfg.theta,
                     };
-                    let exec = &mut exec;
-                    run_to_convergence(exec, g1, g2, &ctx, cfg, op, store, label_terms, scores, cur)
+                    run_to_convergence(
+                        &mut exec,
+                        g1,
+                        g2,
+                        &ctx,
+                        cfg,
+                        op,
+                        store,
+                        label_terms,
+                        limits,
+                        scores,
+                        cur,
+                    )
                 }
             }
         };
@@ -767,16 +740,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         };
         // An abandoned (over-budget) recording comes back empty.
         self.trajectory = recorded.filter(|h| h.len() >= 2);
-        match approx_state {
-            Some(state) => {
-                self.error_bound = state.error_bound(&self.cfg);
-                self.approx_acc = Some(state.acc);
-            }
-            None => {
-                self.error_bound = 0.0;
-                self.approx_acc = None;
-            }
-        }
+        self.error_bound = error_bound(&self.cfg, outcome.final_delta);
         self.iterations = outcome.iterations;
         self.converged = outcome.converged;
         self.final_delta = outcome.final_delta;
@@ -1113,54 +1077,6 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             }
         });
 
-        // Approximate sessions warm-restart instead of replaying: remap
-        // the converged scores and the carried error accumulators to the
-        // repaired store's slots. Slots the edit touched — and pairs that
-        // just entered the store — get `∞` accumulators, forcing their
-        // re-evaluation; every other slot stays certified by its carried
-        // bound (its update function and dependencies survived the edit).
-        // A previous *exact* converged run carries `final_delta` for every
-        // slot (a valid residual bound at its termination); without
-        // either, the approximate run restarts cold.
-        let warm = if self.cfg.convergence.approximate_tolerance().is_some()
-            && self.has_run
-            && self.scores.len() == repair.old_to_new.len()
-        {
-            let carried = match self.approx_acc.take() {
-                Some(acc) => Some(acc),
-                None if self.converged => Some(vec![self.final_delta.max(0.0); self.scores.len()]),
-                None => None,
-            };
-            carried.map(|old_acc| {
-                let mut scores = Vec::with_capacity(n_new);
-                let mut acc = Vec::with_capacity(n_new);
-                for (slot, &(u, v)) in repair.store.pairs.iter().enumerate() {
-                    let old = repair.new_to_old[slot];
-                    if old != NO_SLOT {
-                        scores.push(self.scores[old as usize]);
-                        acc.push(old_acc[old as usize]);
-                    } else {
-                        scores.push(init_score(
-                            &self.cfg,
-                            &self.g1,
-                            &self.g2,
-                            u,
-                            v,
-                            label_terms[slot],
-                        ));
-                        acc.push(f64::INFINITY);
-                    }
-                }
-                for &s in &always_dirty {
-                    acc[s as usize] = f64::INFINITY;
-                }
-                WarmStart { scores, acc }
-            })
-        } else {
-            self.approx_acc = None;
-            None
-        };
-
         // Sharded sessions: the plan's u-row ranges are keyed by the
         // store's slot numbering and the boundary masks by its dependency
         // lists. A membership change renumbers slots — drop the state and
@@ -1182,17 +1098,12 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         self.deps = deps;
         self.trajectory = trajectory;
         // Re-check the CSR budget against the edited store for the
-        // budget-gated modes (`Auto`, and `FullSweep`'s vectorized-kernel
-        // CSR): a session that keeps densifying its graphs would
+        // budget-gated modes (`Auto` and `Approximate`, and `FullSweep`'s
+        // vectorized-kernel CSR): a session that keeps densifying its graphs would
         // otherwise grow the carried CSR past the configured cap.
         // (`DeltaDriven` is an explicit opt-out of the budget, matching
         // `ensure_scheduling`.)
-        if self.deps.is_some()
-            && matches!(
-                self.cfg.convergence,
-                ConvergenceMode::Auto | ConvergenceMode::FullSweep
-            )
-        {
+        if self.deps.is_some() && self.cfg.convergence != ConvergenceMode::DeltaDriven {
             let entries = estimated_dep_entries(&self.g1, &self.g2, &self.store);
             let bytes = entries * BYTES_PER_ENTRY + (self.store.len() as u128 + 1) * BYTES_PER_SLOT;
             if bytes > self.cfg.csr_budget as u128 {
@@ -1202,128 +1113,19 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             }
         }
         self.has_run = false;
-        self.run_after_edits(always_dirty, warm);
+        self.run_after_edits(always_dirty);
         Ok(self.snapshot())
     }
 
-    /// Re-converges after [`apply_edits`](Self::apply_edits): under
-    /// approximate scheduling it **warm-restarts** from the carried
-    /// scores and accumulators (evaluating only slots whose certified
-    /// residual exceeds the skip threshold — this is what breaks the
-    /// bitwise replay's influence-ball floor); under the exact modes it
-    /// replays the recorded trajectory when one is available. Falls back
-    /// to a cold run otherwise.
-    fn run_after_edits(&mut self, always_dirty: Vec<u32>, warm: Option<WarmStart>) {
+    /// Re-converges after [`apply_edits`](Self::apply_edits): replays the
+    /// recorded trajectory when one is available, and runs cold otherwise.
+    fn run_after_edits(&mut self, always_dirty: Vec<u32>) {
         if self.store.is_empty() {
             self.run();
             return;
         }
         self.ensure_scheduling();
         self.ensure_runtime();
-        if let Some(tol) = self.cfg.convergence.approximate_tolerance() {
-            let has_substrate = self.deps.is_some() || self.shards.is_some();
-            let (
-                true,
-                Some(WarmStart {
-                    scores: warm_scores,
-                    acc,
-                }),
-            ) = (has_substrate, warm)
-            else {
-                // No CSR or shard plan (operator without a slot path) or
-                // no carried state: cold approximate run.
-                self.run();
-                return;
-            };
-            let mut state = ApproxState::warm(acc, &self.cfg, tol);
-            // Initial worklist: every slot whose residual bound exceeds
-            // the threshold — the ∞-seeded edit frontier plus carried
-            // accumulators an earlier run left just under its limit.
-            let worklist: Vec<u32> = state
-                .acc
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a > state.threshold)
-                .map(|(s, _)| s as u32)
-                .collect();
-            self.scores = warm_scores;
-            self.delta_scheduled = true;
-            self.trajectory = None;
-            let mut shard_peak = 0usize;
-            let outcome = {
-                let Self {
-                    g1,
-                    g2,
-                    cfg,
-                    op,
-                    labels1,
-                    labels2,
-                    label_eval,
-                    store,
-                    label_terms,
-                    deps,
-                    shards,
-                    scores,
-                    cur,
-                    runtime,
-                    ..
-                } = self;
-                let mut exec = Exec::new(runtime.as_ref(), cfg.threads);
-                if let Some(shard_state) = shards.as_mut() {
-                    let ctx = OpCtx {
-                        labels1: labels1.as_slice(),
-                        labels2: labels2.as_slice(),
-                        label_eval,
-                        theta: cfg.theta,
-                    };
-                    let (outcome, peak) = run_sharded(
-                        &mut exec,
-                        g1,
-                        g2,
-                        &ctx,
-                        cfg,
-                        op,
-                        store,
-                        label_terms,
-                        shard_state,
-                        scores,
-                        cur,
-                        Some(&worklist),
-                        Some(&mut state),
-                    );
-                    shard_peak = peak;
-                    outcome
-                } else {
-                    let csr = deps.as_ref().expect("substrate checked above");
-                    run_delta(
-                        &mut exec,
-                        &csr.kernel(cfg, op, store, label_terms),
-                        csr,
-                        Limits::of(cfg),
-                        scores,
-                        cur,
-                        None,
-                        Some(&worklist),
-                        Some(&mut state),
-                    )
-                }
-            };
-            self.shard_count = self.shards.as_ref().map_or(0, |s| s.plan.k());
-            self.peak_csr_bytes = if self.shards.is_some() {
-                shard_peak
-            } else {
-                self.deps.as_ref().map_or(0, |d| d.bytes())
-            };
-            self.error_bound = state.error_bound(&self.cfg);
-            self.approx_acc = Some(state.acc);
-            self.iterations = outcome.iterations;
-            self.converged = outcome.converged;
-            self.final_delta = outcome.final_delta;
-            self.pairs_evaluated = outcome.pairs_evaluated;
-            self.iter_seconds = outcome.iter_seconds;
-            self.has_run = true;
-            return;
-        }
         let old_traj = match (&self.deps, self.trajectory.take()) {
             (Some(_), Some(t)) if t.len() >= 2 && t[0].len() == self.store.len() => t,
             _ => {
@@ -1369,12 +1171,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         };
         // An abandoned (over-budget) recording comes back empty.
         self.trajectory = recorded.filter(|h| h.len() >= 2);
-        // Trajectory replay is an exact (bitwise) schedule over the full
-        // CSR (sharded sessions never record, so they never get here).
+        // Trajectory replay is a bitwise schedule over the full CSR
+        // (sharded sessions never record, so they never get here).
         self.shard_count = 0;
         self.peak_csr_bytes = self.deps.as_ref().map_or(0, |d| d.bytes());
-        self.error_bound = 0.0;
-        self.approx_acc = None;
+        self.error_bound = error_bound(&self.cfg, outcome.final_delta);
         self.iterations = outcome.iterations;
         self.converged = outcome.converged;
         self.final_delta = outcome.final_delta;

@@ -19,29 +19,18 @@
 //! per slot, a `u64` mask of the shards whose dependency lists read it
 //! and the number of entries that read it (both filled as a byproduct of
 //! the first full sweep's shard builds), and the driver carries the
-//! previous iteration's **frontier** — the changed slots and their score
-//! deltas — across shard visits. An exact iteration takes the unsharded
-//! frontier's step by the same rule, from the same numbers (a slot's
-//! reader count is its reverse-CSR length): while
-//! `Σ readers(changed) < |H|` it visits a shard only if some changed
-//! slot's mask names it, and re-evaluates a slot of a visited shard
-//! exactly when one of its forward entries references a changed slot;
-//! otherwise it sweeps the live slots of every shard that holds one. So
-//! **sharded exact execution is bitwise identical to unsharded** —
-//! scores, iteration counts, deltas and per-iteration evaluation counts
-//! (`tests/sharded_convergence.rs` property-checks this across variants ×
-//! θ × pruning × threads × K).
-//!
-//! **Approximate scheduling** works within shards through the same
-//! frontier: instead of pushing suppressed deltas through a reverse CSR
-//! ([`ApproxState::bump`]), the driver *pulls* them — when a shard is
-//! visited, each slot folds the maximum delta among its changed
-//! dependencies into its accumulator and is woken once the accumulator
-//! crosses the threshold. The fold happens exactly one iteration after
-//! the delta was produced, the accumulator resets only on evaluation, and
-//! a final fold pass covers the terminating iteration's deltas — the same
-//! invariants as the unsharded accounting, so the certified error bound
-//! of [`ApproxState::error_bound`] holds unchanged.
+//! previous iteration's **frontier** — the changed slots — across shard
+//! visits. Each iteration takes the unsharded frontier's step by the same
+//! rule, from the same numbers (a slot's reader count is its reverse-CSR
+//! length): while `Σ readers(changed) < |H|` it visits a shard only if
+//! some changed slot's mask names it, and re-evaluates a slot of a visited
+//! shard exactly when one of its forward entries references a changed
+//! slot; otherwise it sweeps the live slots of every shard that holds one.
+//! It stops on the same [`Limits`] as the unsharded loops. So **sharded
+//! execution is bitwise identical to unsharded** — scores, iteration
+//! counts, deltas and per-iteration evaluation counts, approximate runs
+//! included (`tests/sharded_convergence.rs` property-checks this across
+//! variants × θ × pruning × threads × K).
 //!
 //! **Shared row maxima** (operators that sum row maxima, see
 //! [`super::rows`]) need the row-key table of the whole store, because a
@@ -52,7 +41,7 @@
 
 use super::deps::{CsrCols, MappedShardCsr, ShardCsr, SlotEval};
 use super::frontier::slot_ids;
-use super::iterate::ApproxState;
+use super::iterate::Limits;
 use super::parallel::{step_maxima, Exec, IterationOutcome, Slots};
 use super::rows::{Maxima, RowKeys};
 use crate::config::{FsimConfig, ShardSpec};
@@ -144,11 +133,6 @@ impl ShardPlan {
     pub(crate) fn range(&self, s: usize) -> (usize, usize) {
         (self.bounds[s], self.bounds[s + 1])
     }
-
-    /// The shard owning a global slot.
-    pub(crate) fn shard_of(&self, slot: usize) -> usize {
-        self.bounds.partition_point(|&b| b <= slot) - 1
-    }
 }
 
 /// The boundary-exchange table: for each slot, the set of shards whose
@@ -159,10 +143,10 @@ impl ShardPlan {
 /// mask names exactly the shards that must be visited by a sparse step,
 /// and the reader counts decide between a sparse step and a live sweep.
 ///
-/// Masks and counts are filled as a byproduct of shard-CSR builds during
-/// a sweep that visits *every* shard (the first sweep of a run, or the
-/// first after [`reset`](Self::reset)); until then `complete` is `false`
-/// and the driver conservatively visits all shards. Masks may safely be a
+/// Masks and counts are filled as a byproduct of the shard-CSR builds of
+/// a run's first sweep, which visits *every* shard, whenever `complete`
+/// is `false` (a new table, or one [`reset`](Self::reset) by an edit);
+/// every later step of the run reads them complete. Masks may safely be a
 /// *superset* of the true reader sets — extra bits cost an unnecessary
 /// shard visit that evaluates nothing, missing bits would break bitwise
 /// identity — which is why any edit that re-derives dependency entries
@@ -200,11 +184,11 @@ impl BoundaryTable {
     /// unsharded frontier's rule, `Σ |rdeps(changed)| ≥ |H|`.
     fn dense(&self, changed: &[u32]) -> bool {
         let fanout: usize = changed.iter().map(|&c| self.readers[c as usize]).sum();
-        self.complete && fanout >= self.readers.len()
+        fanout >= self.readers.len()
     }
 }
 
-/// The changed slots of a sparse or approximate step as a bitmap: bit
+/// The changed slots of a sparse step as a bitmap: bit
 /// `s % 64` of word `s / 64`.
 #[derive(Default)]
 struct ChangedBits {
@@ -476,33 +460,16 @@ fn full_mask(k: usize) -> u64 {
     u64::MAX >> (64 - k)
 }
 
-/// The shards whose dependency lists read a slot in `changed`: every shard
-/// until the boundary masks are complete.
-fn readers(boundary: &BoundaryTable, changed: &[u32], k: usize) -> u64 {
-    if !boundary.complete {
-        return full_mask(k);
-    }
+/// The shards whose dependency lists read a slot in `changed`.
+fn readers(boundary: &BoundaryTable, changed: &[u32]) -> u64 {
     changed
         .iter()
         .fold(0, |m, &c| m | boundary.read_by[c as usize])
 }
 
-/// The largest last delta among `slot`'s dependencies in `changed` — what
-/// the approximate pull charges to the slot's accumulator.
-fn pending_delta(csr: &ShardCsr, slot: usize, changed: &ChangedBits, delta_of: &[f64]) -> f64 {
-    csr.deps_of(slot)
-        .filter(|e| changed.is_read_by(e))
-        .map(|e| delta_of[e.slot as usize])
-        .fold(0.0, f64::max)
-}
-
-/// Iterates Equation 3 to convergence shard-by-shard (see the module
-/// docs). `scores` holds `FSim⁰` (or, warm-started, a carried iterate) on
-/// entry and the final scores on exit; `cur` is the reusable double
-/// buffer. `initial_worklist` replaces the evaluate-everything first
-/// sweep (the approximate edit warm restart); `approx` switches on
-/// ε-aware scheduling exactly as in
-/// [`run_delta`](super::iterate::run_delta). Each shard's worklist is one
+/// Iterates Equation 3 shard-by-shard until `limits` stop it (see the
+/// module docs). `scores` holds `FSim⁰` on entry and the final scores on
+/// exit; `cur` is the reusable double buffer. Each shard's worklist is one
 /// step of `exec`.
 ///
 /// Returns the outcome plus the **peak resident shard-CSR bytes** — the
@@ -518,10 +485,9 @@ pub(crate) fn run_sharded<O: Operator>(
     store: &PairStore,
     label_terms: &[f64],
     state: &mut ShardState,
+    limits: Limits,
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
-    initial_worklist: Option<&[u32]>,
-    mut approx: Option<&mut ApproxState>,
 ) -> (IterationOutcome, usize) {
     let mut lap = Instant::now();
     let n = store.len();
@@ -529,58 +495,42 @@ pub(crate) fn run_sharded<O: Operator>(
     cur.clear();
     cur.resize(n, 0.0);
     let k = state.plan.k();
-    let max_iters = cfg.effective_max_iters();
-    if initial_worklist.is_some() {
-        // Warm start: slots outside the worklist must read through the
-        // double buffer as-is.
-        cur.copy_from_slice(scores);
-    }
-    let warm_on: Option<Vec<bool>> = initial_worklist.map(|wl| {
-        let mut on = vec![false; n];
-        for &s in wl {
-            on[s as usize] = true;
-        }
-        on
-    });
 
-    // The boundary frontier: C_{k−1} as a list and (for sparse and
-    // approximate steps) a bitmap, and each changed slot's last score
-    // delta (read by the approximate pull).
+    // The boundary frontier: C_{k−1} as a list and, for sparse steps, a
+    // bitmap.
     let mut changed: Vec<u32> = Vec::new();
     let mut next_changed: Vec<u32> = Vec::new();
     let mut bits = ChangedBits::default();
-    let mut delta_of: Vec<f64> = vec![0.0; n];
 
     let mut local_wl: Vec<u32> = Vec::new();
     let mut maxima_buf: Vec<f64> = Vec::new();
     let mut peak_bytes = 0usize;
     let mut out = IterationOutcome::empty();
 
-    while out.iterations < max_iters {
+    while out.iterations < limits.max_iters {
         let first = out.iterations == 0;
         let filling_masks = !state.boundary.complete;
-        // An exact step after the first sweeps the live slots when the
-        // unsharded frontier would.
-        let dense = !first && approx.is_none() && state.boundary.dense(&changed);
-        // Shards to visit: all of them while the masks are incomplete or
-        // on a cold first sweep; every shard holding a live slot on a
+        debug_assert!(first || !filling_masks, "masks fill on the first sweep");
+        // A step after the first sweeps the live slots when the unsharded
+        // frontier would.
+        let dense = !first && state.boundary.dense(&changed);
+        // Shards to visit: all of them on the first sweep (which also
+        // fills incomplete masks); every shard holding a live slot on a
         // dense step; the union of the changed frontier's reader masks
-        // otherwise. A warm first sweep visits only the shards owning
-        // worklist slots.
-        let visit: u64 = match (first, initial_worklist) {
-            (true, Some(wl)) if !filling_masks => wl
-                .iter()
-                .fold(0, |m, &s| m | 1u64 << state.plan.shard_of(s as usize)),
-            (true, _) => full_mask(k),
-            (false, _) if dense => state.boundary.live,
-            (false, _) => readers(&state.boundary, &changed, k),
+        // otherwise.
+        let visit: u64 = if first {
+            full_mask(k)
+        } else if dense {
+            state.boundary.live
+        } else {
+            readers(&state.boundary, &changed)
         };
 
         // The store's row-key table over the retained spill mappings
         // (see `SpillState::shared_rows`), and the row maxima the whole
         // iteration reads: filled once before the first shard when the
         // iteration is expected to evaluate at least a quarter of the
-        // store (a cold first sweep, a live sweep as in the unsharded
+        // store (the first sweep, a live sweep as in the unsharded
         // driver, or as many slots as the last iteration), otherwise
         // filled on first use under one token for every shard, so keys
         // shared between shards are computed once.
@@ -598,11 +548,10 @@ pub(crate) fn run_sharded<O: Operator>(
         let rows_bytes = rows.map_or(0, |(r, _)| r.bytes());
         let maxima = match rows {
             Some((r, parts)) => {
-                let scheduled = match (first, initial_worklist) {
-                    (true, Some(wl)) => wl.len(),
-                    (true, None) => n,
-                    (false, _) if dense => n,
-                    (false, _) => out.pairs_evaluated.last().copied().unwrap_or(n),
+                let scheduled = if first || dense {
+                    n
+                } else {
+                    out.pairs_evaluated.last().copied().unwrap_or(n)
                 };
                 let fill = SlotEval::over_parts(cfg, op, store, label_terms, r, parts);
                 let rt = exec.pool(scheduled);
@@ -650,30 +599,14 @@ pub(crate) fn run_sharded<O: Operator>(
             let ids = slot_ids(lo).end..slot_ids(hi).end;
             local_wl.clear();
             if first {
-                match &warm_on {
-                    Some(on) => local_wl.extend(ids.filter(|&s| on[s as usize])),
-                    None => local_wl.extend(ids),
-                }
+                local_wl.extend(ids);
             } else if dense {
                 // A live sweep: every slot with a maintained entry.
                 local_wl.extend(
                     ids.filter(|&s| csr.deps_of(s as usize).any(|e| e.slot != DepEntry::CONST)),
                 );
-            } else if let Some(ap) = approx.as_deref_mut() {
-                // ε-aware pull: fold the frontier's deltas into each
-                // slot's accumulator; wake it on a threshold crossing
-                // (the accumulator resets on evaluation below).
-                for slot in ids {
-                    let s = slot as usize;
-                    let pending = ap.acc[s] + pending_delta(&csr, s, &bits, &delta_of);
-                    if pending > ap.threshold {
-                        local_wl.push(slot);
-                    } else {
-                        ap.acc[s] = pending;
-                    }
-                }
             } else {
-                // Exact: re-evaluate exactly the dependents of C_{k−1}.
+                // Re-evaluate exactly the dependents of C_{k−1}.
                 local_wl
                     .extend(ids.filter(|&s| csr.deps_of(s as usize).any(|e| bits.is_read_by(e))));
             }
@@ -681,20 +614,10 @@ pub(crate) fn run_sharded<O: Operator>(
             // One step of the executor: pure reads of `scores`, distinct
             // writes of `cur`.
             let kernel = csr.kernel(cfg, op, store, label_terms, rows);
-            let first_changed = next_changed.len();
             let slots = Slots::List(&local_wl);
             let (d, e) = exec.step_with(&kernel, slots, maxima, scores, cur, &mut next_changed);
             delta = delta.max(d);
             evaluated += e;
-            for &c in &next_changed[first_changed..] {
-                let c = c as usize;
-                delta_of[c] = (cur[c] - scores[c]).abs();
-            }
-            if let Some(ap) = approx.as_deref_mut() {
-                for &s in &local_wl {
-                    ap.acc[s as usize] = 0.0;
-                }
-            }
             // `csr` drops here: only one shard's CSR is ever resident.
         }
         if filling_masks {
@@ -708,32 +631,7 @@ pub(crate) fn run_sharded<O: Operator>(
         std::mem::swap(&mut changed, &mut next_changed);
         out.final_delta = delta;
         out.iterations += 1;
-        let done = delta < approx.as_deref().map_or(cfg.epsilon, |ap| ap.stop_delta);
-        let last = done || out.iterations == max_iters;
-        if let Some(ap) = approx
-            .as_deref_mut()
-            .filter(|_| last && !changed.is_empty())
-        {
-            // The terminating iteration's deltas have not been folded
-            // (the pull happens one sweep later, which never runs). One
-            // scan pass — builds, no evaluations, no resets — charges them
-            // to the accumulators so the reported bound certifies the
-            // returned scores, mirroring the unsharded rule that
-            // propagation runs even on the converging iteration.
-            bits.assign(n, &changed);
-            let visit = readers(&state.boundary, &changed, k);
-            for shard in (0..k).filter(|&shard| visit & (1u64 << shard) != 0) {
-                let (lo, hi) = state.plan.range(shard);
-                if lo == hi {
-                    continue;
-                }
-                let csr = obtain_shard_csr(&mut state.spill, shard, g1, g2, ctx, store, op, lo, hi);
-                peak_bytes = peak_bytes.max(csr.bytes());
-                for slot in lo..hi {
-                    ap.acc[slot] += pending_delta(&csr, slot, &bits, &delta_of);
-                }
-            }
-        }
+        let done = delta < limits.epsilon;
         out.iter_seconds.push(lap.elapsed().as_secs_f64());
         lap = Instant::now();
         if done {
@@ -801,6 +699,7 @@ mod tests {
             for s in 0..plan.k() {
                 let (lo, hi) = plan.range(s);
                 assert!(lo <= hi);
+                assert_eq!(lo, covered, "k={k} shard {s} is not contiguous");
                 covered += hi - lo;
                 // Row-boundary invariant: a shard never splits a u-row.
                 if lo > 0 && lo < store.len() {
@@ -809,9 +708,6 @@ mod tests {
                         store.pairs[lo].0,
                         "k={k} shard {s} splits a row"
                     );
-                }
-                for slot in lo..hi {
-                    assert_eq!(plan.shard_of(slot), s, "k={k}");
                 }
             }
             assert_eq!(covered, store.len(), "k={k}");

@@ -71,14 +71,15 @@ impl FsimResult {
 
     /// Certified upper bound on the sup-norm distance between these
     /// scores and the scores an **exact** scheduler returns under the
-    /// same configuration: `0` for the bitwise-exact convergence modes;
-    /// under [`ConvergenceMode::Approximate`](crate::ConvergenceMode)
-    /// it is `(w⁺+w⁻)·(max accumulated suppressed delta + ε)/(1−(w⁺+w⁻))`
-    /// — the Theorem-2 contraction applied to the residual the suppressed
-    /// deltas can still carry, plus the ε-convergence slack both runs
-    /// share. The bound is certified for 1-Lipschitz mapping operators
-    /// (row-max, Hungarian); the greedy matcher can step outside it at
-    /// sort ties.
+    /// same configuration: `0` for the bitwise-exact convergence modes.
+    /// Under [`ConvergenceMode::Approximate`](crate::ConvergenceMode),
+    /// which stops the exact iteration early at a relaxed ε, it is the
+    /// Banach bound `c/(1−c)·(final_delta + ε)` with `c = w⁺+w⁻`: the
+    /// Theorem-2 contraction shrinks every later step by `c`, so the
+    /// steps the run skipped sum to at most `c/(1−c)·final_delta`, and
+    /// `ε` covers the exact run's own convergence slack. The bound is
+    /// certified for 1-Lipschitz mapping operators (row-max, Hungarian);
+    /// the greedy matcher can step outside it at sort ties.
     ///
     /// ```
     /// use fsim_core::{compute, ConvergenceMode, FsimConfig, Variant};

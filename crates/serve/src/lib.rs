@@ -22,9 +22,11 @@
 //!
 //! Every namespaced response carries the `X-Fsim-Epoch`,
 //! `X-Fsim-Error-Bound` and `X-Fsim-Score-Hash` headers: under
-//! [`ConvergenceMode::Approximate`](fsim_core::ConvergenceMode) the
-//! error bound is the epoch's certified sup-norm distance from the exact
-//! scores — a per-response freshness SLA rather than an offline report.
+//! [`ConvergenceMode::Approximate`](fsim_core::ConvergenceMode), which
+//! stops each convergence early at a relaxed ε, the error bound is the
+//! epoch's certified sup-norm distance from the exact scores (the Banach
+//! bound of the contraction, from the epoch's last delta) — a
+//! per-response freshness SLA rather than an offline report.
 //!
 //! Shutdown is drain-and-join: [`Daemon::shutdown`] stops the accept
 //! loop, joins every connection thread, lets each writer drain its

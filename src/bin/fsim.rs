@@ -483,13 +483,6 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
             t0.elapsed().as_secs_f64() * 1e3,
             if engine.can_replay_edits() {
                 ""
-            } else if engine
-                .config()
-                .convergence
-                .approximate_tolerance()
-                .is_some()
-            {
-                " (approximate: edits warm-restart from carried error bounds)"
             } else {
                 " (no trajectory: edits will re-iterate cold)"
             },
@@ -537,8 +530,9 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         if verify {
             let (e1, e2) = engine.graphs();
             if approximate {
-                // Approximate sessions are not bitwise; verify the
-                // certified bound against an exact cold recompute.
+                // Approximate sessions stop short of the exact scores;
+                // verify the certified bound against an exact cold
+                // recompute.
                 let mut exact_cfg = engine.config().clone();
                 exact_cfg.convergence = fsim::core::ConvergenceMode::DeltaDriven;
                 let fresh = fsim::core::compute(e1, e2, &exact_cfg).map_err(|e| e.to_string())?;

@@ -1,12 +1,13 @@
-//! ε-aware approximate scheduling properties: the approximate mode must
-//! stay within the certified error bound it reports (checked against the
-//! bitwise-exact delta scheduler across variants × θ × upper-bound
-//! pruning × thread counts), never do more work than the exact schedule,
-//! stay deterministic across thread counts, and carry its guarantees
-//! through the graph-edit warm-restart path.
+//! Approximate-mode properties: the approximate mode (the exact iteration
+//! stopped at a relaxed ε) must stay within the certified error bound it
+//! reports (checked against the bitwise-exact delta scheduler across
+//! variants × θ × upper-bound pruning × thread counts), never do more
+//! work than the exact schedule, stay bitwise reproducible across thread
+//! counts, shard layouts, snapshot restore and edit replay, and carry its
+//! guarantees through the graph-edit path.
 
 use fsim::prelude::*;
-use fsim_core::{FsimEngine, FsimResult};
+use fsim_core::{FsimEngine, FsimResult, GraphEdit, GraphSide, ShardSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -233,7 +234,7 @@ fn tighter_tolerance_does_not_loosen_the_bound() {
     }
 }
 
-/// The graph-edit path under approximate mode: warm restarts must stay
+/// The graph-edit path under approximate mode: edit replays must stay
 /// within the (freshly reported) bound against a *cold exact* compute on
 /// the edited graphs, across chained random edit batches.
 #[test]
@@ -301,35 +302,97 @@ fn approx_edits_stay_within_bound_of_cold_exact() {
     }
 }
 
-/// A no-op edit batch under approximate mode keeps the scores and does
-/// (almost) no work; a real edit evaluates fewer pairs warm than a cold
-/// approximate run would.
+/// Everything an approximate run reports that must reproduce bit for bit.
+#[derive(Debug, PartialEq)]
+struct RunBits {
+    scores: Vec<u64>,
+    iterations: usize,
+    converged: bool,
+    final_delta: u64,
+    error_bound: u64,
+}
+
+fn run_bits(e: &FsimEngine<'_>) -> RunBits {
+    RunBits {
+        scores: e.iter_pairs().map(|(_, _, s)| s.to_bits()).collect(),
+        iterations: e.iterations(),
+        converged: e.converged(),
+        final_delta: e.final_delta().to_bits(),
+        error_bound: e.error_bound().to_bits(),
+    }
+}
+
+/// An approximate run is the exact iteration stopped early, so it is as
+/// reproducible as an exact run: the same scores, iterations,
+/// `pairs_evaluated` and bound across shard layouts, thread counts and a
+/// snapshot write → restore, and edit batches replay the recorded
+/// trajectory to the bits of a cold approximate compute on the edited
+/// graphs.
 #[test]
-fn approx_edits_warm_restart_saves_work() {
-    let f = fsim_graph::examples::figure1();
-    let cfg = FsimConfig::new(Variant::Simple)
+fn approx_runs_are_bitwise_reproducible_across_layouts_restore_and_edits() {
+    let mut rng = ChaCha8Rng::seed_from_u64(9808);
+    // Long enough for four workers to run its long steps on the pool.
+    let (g1, g2) = graph_pair(&mut rng, 72..=72);
+    let mut cfg = FsimConfig::new(Variant::Bi)
         .label_fn(LabelFn::Indicator)
-        .convergence(ConvergenceMode::Approximate { tolerance: 1.0 });
-    let mut engine = FsimEngine::new(&f.pattern, &f.data, &cfg).unwrap();
-    engine.run();
-    let cold_first = engine.pairs_evaluated()[0];
-    assert_eq!(cold_first, engine.pair_count(), "cold iteration 1 is full");
+        .convergence(ConvergenceMode::Approximate { tolerance: 4.0 });
+    cfg.epsilon = 1e-6;
+    let mut reference = FsimEngine::new(&g1, &g2, &cfg.clone().shards(ShardSpec::Off)).unwrap();
+    reference.run();
     assert!(
-        !engine.can_replay_edits(),
-        "approximate sessions do not record trajectories"
+        reference.pair_count() >= 4096,
+        "store too small to go parallel"
     );
-    engine
-        .apply_edits(&[fsim_core::GraphEdit::add_edge(
-            fsim_core::GraphSide::Right,
-            f.v[0],
-            f.v[1],
-        )])
-        .unwrap();
-    assert!(
-        engine.pairs_evaluated()[0] < cold_first,
-        "warm restart must skip certified-clean pairs: {:?}",
-        engine.pairs_evaluated()
-    );
+    assert!(reference.error_bound() > 0.0);
+    let want = run_bits(&reference);
+
+    // The exact run capped at the same iteration holds the same bits.
+    let mut capped = cfg.clone().convergence(ConvergenceMode::DeltaDriven);
+    capped.max_iters = Some(reference.iterations());
+    let exact = compute(&g1, &g2, &capped).unwrap();
+    for ((_, _, a), (_, _, b)) in reference.iter_pairs().zip(exact.iter_pairs()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "not a prefix of the exact run");
+    }
+
+    for shards in [ShardSpec::Off, ShardSpec::Fixed(2), ShardSpec::Fixed(4)] {
+        for threads in [1usize, 4] {
+            let what = format!("{shards:?} threads={threads}");
+            let mut e =
+                FsimEngine::new(&g1, &g2, &cfg.clone().shards(shards).threads(threads)).unwrap();
+            e.run();
+            assert_eq!(run_bits(&e), want, "{what}");
+            assert_eq!(e.pairs_evaluated(), reference.pairs_evaluated(), "{what}");
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("fsim-approx-repro-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("approx.fsnp");
+    reference.write_snapshot(&path).unwrap();
+    let mut restored = FsimEngine::restore(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(run_bits(&restored), want, "restored");
+    assert_eq!(restored.pairs_evaluated(), reference.pairs_evaluated());
+    restored.run();
+    assert_eq!(run_bits(&restored), want, "restored, run again");
+
+    let (mut s1, mut s2) = (g1.clone(), g2.clone());
+    for batch in 0..2 {
+        assert!(reference.can_replay_edits(), "batch {batch}: no trajectory");
+        let n1 = s1.node_count() as u32;
+        let (a, b) = (rng.gen_range(0..n1), rng.gen_range(0..n1));
+        let (c, d) = s2.edges().nth(rng.gen_range(0..s2.edge_count())).unwrap();
+        let edits = [
+            GraphEdit::add_edge(GraphSide::Left, a, b),
+            GraphEdit::remove_edge(GraphSide::Right, c, d),
+        ];
+        reference.apply_edits(&edits).unwrap();
+        s1 = s1.with_edits(&[(a, b)], &[], &[]);
+        s2 = s2.with_edits(&[], &[(c, d)], &[]);
+        let mut cold = FsimEngine::new(&s1, &s2, &cfg).unwrap();
+        cold.run();
+        assert_eq!(run_bits(&reference), run_bits(&cold), "batch {batch}");
+    }
 }
 
 /// Switching a session between exact and approximate via `rerun` keeps

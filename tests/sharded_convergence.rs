@@ -350,7 +350,7 @@ fn sharded_edits_match_cold_recompute() {
     }
 }
 
-/// Sharded **approximate** edits warm-restart from carried accumulators
+/// Sharded **approximate** edits re-iterate over the repaired structures
 /// and stay within the certified bound against an exact cold oracle.
 #[test]
 fn sharded_approximate_edits_stay_within_bound() {

@@ -33,9 +33,9 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A session exercising the optional sections too (approximate mode →
-/// accumulators; sharding → shard diag; Jaro–Winkler → the prepared
-/// label table rides along, so the sweeps mutate it like everything
-/// else).
+/// a non-zero error bound; sharding → shard diag; Jaro–Winkler → the
+/// prepared label table rides along, so the sweeps mutate it like
+/// everything else).
 fn rich_session() -> FsimEngine<'static> {
     let g1 = fsim_graph::graph_from_parts(
         &["a", "b", "a", "c", "b", "c"],
@@ -146,8 +146,12 @@ fn payload_corruption_names_the_damaged_section() {
         .map(|s| (s.name.to_string(), s.offset, s.len))
         .collect();
     assert!(
-        sections.iter().any(|(name, ..)| name == "approx"),
-        "rich session must exercise the optional approx section"
+        sections.iter().any(|(name, ..)| name == "label_table"),
+        "rich session must exercise the optional label_table section"
+    );
+    assert!(
+        sections.iter().all(|(name, ..)| name != "approx"),
+        "the retired approx section must not be written"
     );
     drop(file);
     for (name, offset, len) in sections {

@@ -300,3 +300,65 @@ fn format_drift_without_a_version_bump_is_caught() {
         "snapshot byte layout changed without a FORMAT_VERSION bump"
     );
 }
+
+/// Approximate sessions written by earlier builds carry section 9, the
+/// per-slot accumulators of a retired approximate schedule. Such files
+/// must keep restoring with the section skipped: the persisted scores
+/// stay within the persisted bound of the exact scores, a fresh run
+/// reproduces a new session's bits, and a rewrite drops the section.
+#[test]
+fn retired_approx_section_is_skipped_on_restore() {
+    let fixture = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/approx_v1.fsnp"
+    ));
+    let has_retired_section = |bytes: &[u8]| {
+        let file = fsim_snapshot::SnapshotFile::from_bytes(bytes, REGISTRY).expect("valid FSNP");
+        file.sections().iter().any(|s| s.id == 9)
+    };
+    assert!(has_retired_section(&std::fs::read(&fixture).unwrap()));
+
+    let mut restored = FsimEngine::restore(&fixture).expect("old approximate file must restore");
+    assert!(restored
+        .config()
+        .convergence
+        .approximate_tolerance()
+        .is_some());
+    let bound = restored.error_bound();
+    assert!(bound > 0.0);
+    let (g1, g2) = restored.graphs();
+    let (g1, g2) = (g1.clone(), g2.clone());
+    let mut exact_cfg = restored.config().clone();
+    exact_cfg.convergence = ConvergenceMode::DeltaDriven;
+    let exact = compute(&g1, &g2, &exact_cfg).unwrap();
+    for ((_, _, a), (_, _, b)) in restored.iter_pairs().zip(exact.iter_pairs()) {
+        assert!((a - b).abs() <= bound, "persisted scores outside the bound");
+    }
+
+    restored.run();
+    let mut fresh = FsimEngine::new(&g1, &g2, restored.config()).unwrap();
+    fresh.run();
+    for ((_, _, a), (_, _, b)) in restored.iter_pairs().zip(fresh.iter_pairs()) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert_eq!(
+        restored.error_bound().to_bits(),
+        fresh.error_bound().to_bits()
+    );
+    assert!(!has_retired_section(&restored.snapshot_bytes().unwrap()));
+}
+
+/// The section registry of `docs/SNAPSHOT.md`.
+static REGISTRY: &[(u32, &str)] = &[
+    (1, "config"),
+    (2, "interner"),
+    (3, "graph1"),
+    (4, "graph2"),
+    (5, "store"),
+    (6, "scores"),
+    (7, "deps"),
+    (8, "trajectory"),
+    (9, "approx"),
+    (10, "diag"),
+    (11, "label_table"),
+];
