@@ -27,7 +27,7 @@ fn matching_ops(c: &mut Criterion) {
                         edges.push((weights[l * n + r], l as u32, r as u32));
                     }
                 }
-                matcher.assign(n, n, &mut edges)
+                matcher.assign(n, n, &edges)
             })
         });
         group.bench_with_input(BenchmarkId::new("hungarian", n), &n, |b, &n| {

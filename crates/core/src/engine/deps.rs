@@ -56,7 +56,7 @@ pub(crate) struct PairDepCsr {
     rdep_offsets: Vec<usize>,
     /// Reverse CSR: for each slot, the slots whose update reads it. May
     /// contain duplicates (a source feeding both directions of one pair);
-    /// the frontier's epoch marks deduplicate for free.
+    /// the frontier's slot bitset deduplicates them for free.
     rdeps: Vec<u32>,
     /// The slots with at least one maintained dependency, ascending —
     /// what a dense step sweeps, and a superset of every slot's

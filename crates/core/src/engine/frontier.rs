@@ -12,10 +12,9 @@
 //!
 //! * **sparse push** while the changed slots have fewer dependents in
 //!   total than there are slots (`Σ |rdeps(c)| < |H|`): walk the reverse
-//!   CSR from each changed slot, deduplicate through epoch marks, and
-//!   visit the worklist in slot order — extracted by a slot-order scan of
-//!   the marks when it holds at least 1/16 of the slots, sorted
-//!   otherwise;
+//!   CSR from each changed slot, setting one bit per dependent in a
+//!   [`SlotBits`] set of `⌈|H|/64⌉` words, and read the worklist off the
+//!   set in slot order, one word at a time;
 //! * **dense live sweep** otherwise: every *live* slot (one with at least
 //!   one maintained dependency,
 //!   [`PairDepCsr::live`](super::deps::PairDepCsr::live)) is evaluated
@@ -32,6 +31,8 @@
 //! `|H|`, the changed set and the reverse CSR's offsets. Replay's steps
 //! are not "dependents of the changed set" (they add an always-dirty
 //! seed), so they take the slot-ordered sparse path only.
+
+use super::slot_bits::SlotBits;
 
 /// The slot ids `0..n`. Slots are `u32` throughout the dependency CSR
 /// (entries and reverse CSR), so a store of more slots cannot be
@@ -52,10 +53,9 @@ pub(crate) enum Step<'a> {
 /// The scheduled slot set of the next iteration plus the changed set it
 /// was derived from (see the module docs).
 pub(crate) struct Frontier {
-    /// Sparse membership: `mark[s] == epoch` ⇔ `s` is on `worklist`.
-    mark: Vec<u64>,
-    epoch: u64,
-    /// The sparse step's slots, ascending.
+    n: usize,
+    /// The sparse step's slots, as a set and in ascending order.
+    members: SlotBits,
     worklist: Vec<u32>,
     /// `C_{k−1}`: the slots whose score changed in the previous iteration.
     changed: Vec<u32>,
@@ -67,8 +67,8 @@ impl Frontier {
     /// A frontier over `n` slots scheduling nothing.
     pub(crate) fn new(n: usize) -> Self {
         Self {
-            mark: vec![0; n],
-            epoch: 0,
+            n,
+            members: SlotBits::new(n),
             worklist: Vec::new(),
             changed: Vec::new(),
             dense: false,
@@ -101,8 +101,8 @@ impl Frontier {
     pub(crate) fn stale(&self) -> impl Iterator<Item = usize> + '_ {
         self.changed
             .iter()
+            .filter(move |&&s| self.dense || !self.members.contains(s))
             .map(|&s| s as usize)
-            .filter(move |&s| self.dense || self.mark[s] != self.epoch)
     }
 
     /// Schedules the dependents of `changed` (this iteration's changed
@@ -119,7 +119,7 @@ impl Frontier {
             .iter()
             .map(|&c| rdep_offsets[c as usize + 1] - rdep_offsets[c as usize])
             .sum();
-        if fanout < self.mark.len() {
+        if fanout < self.n {
             self.push_dependents(changed, &[], rdep_offsets, rdeps);
             return;
         }
@@ -137,53 +137,23 @@ impl Frontier {
         rdeps: &[u32],
     ) {
         self.take_changed(changed);
-        self.begin_sparse();
+        self.dense = false;
+        self.members.clear();
         for &s in seed {
-            self.mark(s);
+            self.members.insert(s);
         }
-        let changed = std::mem::take(&mut self.changed);
-        for &c in &changed {
+        for &c in &self.changed {
             for &dep in &rdeps[rdep_offsets[c as usize]..rdep_offsets[c as usize + 1]] {
-                self.mark(dep);
+                self.members.insert(dep);
             }
         }
-        self.changed = changed;
-        self.finish_sparse();
+        self.worklist.clear();
+        self.members.extend_into(&mut self.worklist);
     }
 
     fn take_changed(&mut self, changed: &mut Vec<u32>) {
         std::mem::swap(&mut self.changed, changed);
         changed.clear();
-    }
-
-    fn begin_sparse(&mut self) {
-        self.dense = false;
-        self.epoch += 1;
-        self.worklist.clear();
-    }
-
-    /// Schedules `s` once per step — the one place worklist membership is
-    /// deduplicated.
-    #[inline]
-    fn mark(&mut self, s: u32) {
-        if self.mark[s as usize] != self.epoch {
-            self.mark[s as usize] = self.epoch;
-            self.worklist.push(s);
-        }
-    }
-
-    /// Puts the worklist in slot order: a scan of the marks once it holds
-    /// at least 1/16 of the slots, a sort below that.
-    fn finish_sparse(&mut self) {
-        let n = self.mark.len();
-        if self.worklist.len() * 16 >= n {
-            let epoch = self.epoch;
-            self.worklist.clear();
-            self.worklist
-                .extend(slot_ids(n).filter(|&s| self.mark[s as usize] == epoch));
-        } else {
-            self.worklist.sort_unstable();
-        }
     }
 }
 
@@ -201,59 +171,71 @@ mod tests {
         (offsets, rdeps)
     }
 
-    #[test]
-    fn sparse_worklists_come_out_in_slot_order() {
-        let n = 1000;
-        let (offsets, rdeps) = ring(n);
-        let mut f = Frontier::new(n);
-        // Few changed slots (sorted path) and many (mark-scan path), both
-        // pushed in descending order.
-        for changed in [
-            vec![700u32, 20, 400],
-            (0..200u32).rev().map(|s| 5 * s).collect(),
-        ] {
-            let mut want: Vec<u32> = changed
-                .iter()
-                .flat_map(|&c| {
-                    rdeps[offsets[c as usize]..offsets[c as usize + 1]]
-                        .iter()
-                        .copied()
-                })
-                .collect();
-            want.sort_unstable();
-            want.dedup();
-            f.push_dependents(&mut changed.clone(), &[], &offsets, &rdeps);
-            assert!(matches!(f.step(), Step::Sparse(w) if w == &want[..]));
+    fn sparse(f: &Frontier) -> Vec<u32> {
+        match f.step() {
+            Step::Sparse(w) => w.to_vec(),
+            Step::Dense => panic!("a sparse step"),
         }
     }
 
     #[test]
-    fn direction_follows_the_dependent_count() {
-        let n = 300;
-        let (offsets, rdeps) = ring(n);
+    fn worklists_come_out_in_slot_order_across_word_boundaries() {
+        // 200 slots: three full words and an 8-bit tail.
+        let n = 200;
         let mut f = Frontier::new(n);
-        // 99 changed slots have 297 dependents < 300: sparse push.
-        let mut changed: Vec<u32> = (0..99).map(|s| 3 * s).collect();
-        f.advance(&mut changed, &offsets, &rdeps);
-        assert!(changed.is_empty(), "the changed set is taken over");
-        assert!(matches!(f.step(), Step::Sparse(w) if w.len() == 297));
-        // 100 changed slots have 300: a dense live sweep.
-        let mut changed: Vec<u32> = (0..100).map(|s| 3 * s).collect();
-        f.advance(&mut changed, &offsets, &rdeps);
-        assert!(matches!(f.step(), Step::Dense));
-        let stale: Vec<usize> = f.stale().collect();
-        let changed: Vec<usize> = (0..100).map(|s| 3 * s).collect();
-        assert_eq!(stale, changed, "a dense step copies every changed slot");
+        // No slot has a dependent, so the step is exactly the seed.
+        let none = vec![0; n + 1];
+        let spanning: Vec<u32> = (0..200).rev().step_by(7).collect();
+        for (seed, want) in [
+            (vec![199, 64, 0, 63, 64], vec![0, 63, 64, 199]),
+            (vec![127, 70, 65], vec![65, 70, 127]),
+            (spanning.clone(), spanning.iter().rev().copied().collect()),
+        ] {
+            f.push_dependents(&mut vec![], &seed, &none, &[]);
+            assert_eq!(sparse(&f), want);
+        }
+        // Pushed in descending order through the ring, wrapping at n − 1.
+        let (offsets, rdeps) = ring(n);
+        f.push_dependents(&mut vec![199, 63], &[], &offsets, &rdeps);
+        assert_eq!(sparse(&f), [0, 62, 63, 64, 198, 199]);
     }
 
     #[test]
-    fn stale_slots_are_changed_slots_off_the_worklist() {
-        let n = 64;
-        // No slot has a dependent: the step is exactly the seed.
-        let offsets = vec![0; n + 1];
+    fn direction_follows_the_dependent_count() {
+        let (offsets, rdeps) = ring(300);
+        let mut f = Frontier::new(300);
+        // 99 changed slots have 297 dependents < 300: a sparse push of
+        // them all. 100 have 300: a dense live sweep.
+        for (count, want) in [(99, Some(297)), (100, None)] {
+            let mut changed: Vec<u32> = (0..count).map(|s| 3 * s).collect();
+            f.advance(&mut changed, &offsets, &rdeps);
+            assert!(changed.is_empty(), "the changed set is taken over");
+            let got = match f.step() {
+                Step::Sparse(w) => Some(w.len()),
+                Step::Dense => None,
+            };
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn stale_slots_are_changed_slots_off_this_steps_worklist() {
+        let n = 130;
+        let none = vec![0; n + 1];
         let mut f = Frontier::new(n);
-        f.push_dependents(&mut vec![1, 5, 9], &[5, 6, 5], &offsets, &[]);
-        assert!(matches!(f.step(), Step::Sparse(&[5, 6])));
-        assert_eq!(f.stale().collect::<Vec<_>>(), vec![1, 9]);
+        f.push_dependents(&mut vec![1, 5, 9], &[5, 6, 5], &none, &[]);
+        assert_eq!(sparse(&f), [5, 6]);
+        assert_eq!(f.stale().collect::<Vec<_>>(), [1, 9]);
+        // Sparse → sparse: the last step's members no longer count.
+        f.push_dependents(&mut vec![0, 5, 64, 129], &[0, 129], &none, &[]);
+        assert_eq!(f.stale().collect::<Vec<_>>(), [5, 64]);
+        // Sparse → dense: every changed slot is stale.
+        let (offsets, rdeps) = ring(n);
+        let mut changed: Vec<u32> = (0..44).map(|s| 3 * s).collect();
+        f.advance(&mut changed, &offsets, &rdeps);
+        assert!(f.stale().eq((0..44).map(|s| 3 * s)));
+        // Dense → sparse: membership is this step's again.
+        f.push_dependents(&mut vec![63, 127], &[127], &none, &[]);
+        assert_eq!(f.stale().collect::<Vec<_>>(), [63]);
     }
 }

@@ -43,7 +43,7 @@
 //! evaluation, frontier construction and trajectory recording.
 
 use super::deps::PairDepCsr;
-use super::frontier::{slot_ids, Frontier, Step};
+use super::frontier::{slot_ids, Frontier};
 use super::parallel::{Exec, IterationOutcome, SlotKernel, Slots};
 use crate::config::{FsimConfig, InitScheme};
 use crate::operators::{OpCtx, OpScratch, Operator, ScoreLookup};
@@ -142,6 +142,14 @@ impl<'a> Recorder<'a> {
         buf.clear();
         buf.extend_from_slice(iterate);
         self.history.push(buf);
+    }
+
+    /// Hands the recording a spare buffer: an iterate of the trajectory
+    /// being replayed, once read for the last time.
+    pub(crate) fn spare(&mut self, buf: Vec<f64>) {
+        if !self.abandoned {
+            self.spares.push(buf);
+        }
     }
 }
 
@@ -294,7 +302,8 @@ pub(crate) fn run_sweep<K: SlotKernel>(
     let mut out = IterationOutcome::empty();
     while out.iterations < limits.max_iters {
         let t0 = Instant::now();
-        let (delta, evaluated) = exec.step(kernel, Slots::All, scores, cur, &mut Vec::new());
+        let (delta, evaluated) =
+            exec.step(kernel, Slots::All, scores, cur, scores, &mut Vec::new());
         std::mem::swap(scores, cur);
         out.final_delta = delta;
         out.pairs_evaluated.push(evaluated);
@@ -372,9 +381,8 @@ fn delta_loop<K: SlotKernel>(
         for s in frontier.stale() {
             cur[s] = scores[s];
         }
-        let step = frontier.step();
-        let (delta, evaluated) = exec.step(kernel, Slots::of(step, csr), scores, cur, &mut changed);
-        out.dense_iterations += usize::from(matches!(step, Step::Dense));
+        let slots = Slots::of(frontier.step(), csr);
+        let (delta, evaluated) = exec.step(kernel, slots, scores, cur, scores, &mut changed);
         out.pairs_evaluated.push(evaluated);
         std::mem::swap(scores, cur);
         if let Some(h) = record.as_deref_mut() {
@@ -418,14 +426,16 @@ fn delta_loop<K: SlotKernel>(
 ///
 /// `scores` holds the edited run's `FSim⁰` on entry; `record` receives
 /// the edited run's full trajectory (enabling the *next* edit batch to
-/// replay again), budget-gated like any other run's recording.
+/// replay again), budget-gated like any other run's recording. Each
+/// iterate of `old_traj` becomes one of its spare buffers once replayed,
+/// so the new trajectory reuses the old one's memory.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_replay<K: SlotKernel>(
     exec: &mut Exec<'_>,
     kernel: &K,
     csr: &PairDepCsr,
     limits: Limits,
-    old_traj: &[Vec<f64>],
+    old_traj: &mut [Vec<f64>],
     always_dirty: &[u32],
     scores: &mut Vec<f64>,
     cur: &mut Vec<f64>,
@@ -439,15 +449,16 @@ pub(crate) fn run_replay<K: SlotKernel>(
     cur.resize(n, 0.0);
     let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
     let mut out = IterationOutcome::empty();
-    if let Some(h) = record.as_deref_mut() {
-        h.push(scores);
-    }
 
     // W_1: dependents of every slot whose FSim⁰ diverged, plus the
     // structurally dirty slots.
     let mut changed: Vec<u32> = slot_ids(n)
         .filter(|&s| scores[s as usize].to_bits() != old_traj[0][s as usize].to_bits())
         .collect();
+    if let Some(h) = record.as_deref_mut() {
+        h.spare(std::mem::take(&mut old_traj[0]));
+        h.push(scores);
+    }
     let mut frontier = Frontier::new(n);
     frontier.push_dependents(&mut changed, always_dirty, rdo, rd);
 
@@ -457,26 +468,22 @@ pub(crate) fn run_replay<K: SlotKernel>(
     while out.iterations < limits.max_iters && k <= hist_iters {
         let hist = &old_traj[k];
         cur.copy_from_slice(hist);
+        // Propagation follows divergence from the old trajectory, not
+        // change from the previous iterate.
         let slots = Slots::of(frontier.step(), csr);
-        let (_, evaluated) = exec.step(kernel, slots, scores, cur, &mut changed);
+        let (_, evaluated) = exec.step(kernel, slots, scores, cur, hist, &mut changed);
         out.pairs_evaluated.push(evaluated);
-        // The convergence delta is over every slot; propagation follows
-        // divergence from the old trajectory, not from the previous
-        // iterate.
+        // The convergence delta is over every slot.
         let mut delta = 0.0f64;
-        changed.clear();
-        for slot_id in slot_ids(n) {
-            let s = slot_id as usize;
-            let d = (cur[s] - scores[s]).abs();
+        for (&next, &prev) in cur.iter().zip(scores.iter()) {
+            let d = (next - prev).abs();
             if d > delta {
                 delta = d;
-            }
-            if cur[s].to_bits() != hist[s].to_bits() {
-                changed.push(slot_id);
             }
         }
         std::mem::swap(scores, cur);
         if let Some(h) = record.as_deref_mut() {
+            h.spare(std::mem::take(&mut old_traj[k]));
             h.push(scores);
         }
         out.final_delta = delta;
@@ -703,11 +710,6 @@ mod tests {
             assert!(delta.converged && sweep.converged, "{what}");
             assert_eq!(delta.final_delta.to_bits(), sweep.final_delta.to_bits());
             assert_eq!(delta.pairs_evaluated, scheduled, "{what}");
-            assert_eq!(
-                delta.dense_iterations,
-                dense.iter().filter(|&&d| d).count(),
-                "{what}"
-            );
             assert_eq!(delta.iter_seconds.len(), delta.iterations, "{what}");
 
             // Every step on four workers: the same bits and the same
@@ -717,7 +719,6 @@ mod tests {
             assert_eq!(par.iterations, delta.iterations, "{what}");
             assert_eq!(par.final_delta.to_bits(), delta.final_delta.to_bits());
             assert_eq!(par.pairs_evaluated, delta.pairs_evaluated, "{what}");
-            assert_eq!(par.dense_iterations, delta.dense_iterations, "{what}");
         }
     }
 }

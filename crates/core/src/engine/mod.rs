@@ -47,6 +47,7 @@ pub mod persist;
 pub(crate) mod rows;
 pub mod session;
 pub(crate) mod shards;
+pub(crate) mod slot_bits;
 
 pub use edits::{EditError, GraphEdit, GraphSide};
 pub use parallel::live_runtime_workers;

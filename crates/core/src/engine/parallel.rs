@@ -139,9 +139,6 @@ pub(crate) struct IterationOutcome {
     /// the whole iteration: repair, evaluation, frontier construction and
     /// trajectory recording.
     pub iter_seconds: Vec<f64>,
-    /// Iterations a delta run took as a dense live sweep (see
-    /// [`Frontier`](super::frontier::Frontier)); 0 for every other driver.
-    pub dense_iterations: usize,
 }
 
 impl IterationOutcome {
@@ -153,7 +150,6 @@ impl IterationOutcome {
             final_delta: f64::INFINITY,
             pairs_evaluated: Vec::new(),
             iter_seconds: Vec::new(),
-            dense_iterations: 0,
         }
     }
 }
@@ -447,16 +443,19 @@ impl<'r> Exec<'r> {
 
     /// Evaluates one step of `kernel` from `prev` into `next`, filling
     /// the row maxima it reads first ([`step_maxima`]). Appends the slots
-    /// whose score changed bitwise to `changed` (a sweep, which schedules
-    /// nothing from them, appends none); returns the step's max delta and
-    /// the number of slots evaluated. Slots the step does not evaluate are
-    /// not written.
+    /// whose new score differs bitwise from `base` — `prev` in the delta
+    /// loop, the recorded iterate in replay — to `changed` (a sweep, which
+    /// schedules nothing from them, appends none); returns the step's max
+    /// delta against `prev` and the number of slots evaluated. Slots the
+    /// step does not evaluate are not written.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<K: SlotKernel>(
         &mut self,
         kernel: &K,
         slots: Slots<'_>,
         prev: &[f64],
         next: &mut [f64],
+        base: &[f64],
         changed: &mut Vec<u32>,
     ) -> (f64, usize) {
         let (len, scheduled) = slots.len(prev.len());
@@ -469,13 +468,15 @@ impl<'r> Exec<'r> {
             maxima,
             prev,
             next,
+            base,
             changed,
             &mut self.scratch,
         )
     }
 
     /// [`step`](Self::step) with row maxima the caller filled (the
-    /// sharded driver fills one set per iteration for every shard).
+    /// sharded driver fills one set per iteration for every shard), and
+    /// `changed` taken against `prev`.
     pub(crate) fn step_with<K: SlotKernel>(
         &mut self,
         kernel: &K,
@@ -493,6 +494,7 @@ impl<'r> Exec<'r> {
             maxima,
             prev,
             next,
+            prev,
             changed,
             &mut self.scratch,
         )
@@ -508,13 +510,24 @@ fn eval_step<K: SlotKernel>(
     maxima: Maxima<'_>,
     prev: &[f64],
     next: &mut [f64],
+    base: &[f64],
     changed: &mut Vec<u32>,
     scratch: &mut OpScratch,
 ) -> (f64, usize) {
     let len = slots.len(prev.len()).0;
     let Some(rt) = rt else {
         let write = |slot: usize, score: f64| next[slot] = score;
-        let delta = eval_range(kernel, slots, 0..len, prev, maxima, scratch, changed, write);
+        let delta = eval_range(
+            kernel,
+            slots,
+            0..len,
+            prev,
+            base,
+            maxima,
+            scratch,
+            changed,
+            write,
+        );
         return (delta, len);
     };
     let out = SharedScores::new(next);
@@ -541,6 +554,7 @@ fn eval_step<K: SlotKernel>(
                 slots,
                 range,
                 prev,
+                base,
                 maxima,
                 &mut ws.scratch,
                 &mut ws.changed,
@@ -565,8 +579,8 @@ fn eval_step<K: SlotKernel>(
 /// The step body both branches share: evaluates the step's positions
 /// `range` (slot ids of a sweep, or positions in a list or the live
 /// list), handing each score to `write`. Returns the range's max
-/// delta, appending its changed slots to `changed` unless the step is a
-/// sweep.
+/// delta against `prev`, appending the slots whose score differs bitwise
+/// from `base` to `changed` unless the step is a sweep.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn eval_range<K: SlotKernel>(
@@ -574,11 +588,14 @@ fn eval_range<K: SlotKernel>(
     slots: Slots<'_>,
     range: Range<usize>,
     prev: &[f64],
+    base: &[f64],
     maxima: Maxima<'_>,
     scratch: &mut OpScratch,
     changed: &mut Vec<u32>,
     mut write: impl FnMut(usize, f64),
 ) -> f64 {
+    // Equal lengths let one bounds check cover both reads of a slot.
+    assert_eq!(base.len(), prev.len(), "a step compares like buffers");
     let mut delta = 0.0f64;
     // `record` is a constant per arm, so the sweep's loop carries no
     // changed-slot test at all.
@@ -589,7 +606,7 @@ fn eval_range<K: SlotKernel>(
         if d > delta {
             delta = d;
         }
-        if record && score.to_bits() != prev[slot].to_bits() {
+        if record && score.to_bits() != base[slot].to_bits() {
             changed.push(slot_id);
         }
         write(slot, score);
@@ -699,7 +716,6 @@ mod tests {
         assert_eq!(a.converged, b.converged, "{what}");
         assert_eq!(a.final_delta.to_bits(), b.final_delta.to_bits(), "{what}");
         assert_eq!(a.pairs_evaluated, b.pairs_evaluated, "{what}");
-        assert_eq!(a.dense_iterations, b.dense_iterations, "{what}");
     }
 
     #[test]
@@ -891,7 +907,7 @@ mod tests {
                 &|slot: usize, prev: &[f64], _: &mut OpScratch| edited_update(slot, prev),
                 &csr,
                 limits(40, 1e-9),
-                &history,
+                &mut history.clone(),
                 &[777],
                 &mut warm,
                 &mut warm_cur,
@@ -931,7 +947,7 @@ mod tests {
         let step = |mut exec: Exec<'_>| {
             let (mut next, mut changed) = (vec![-1.0; n], Vec::new());
             let slots = Slots::List(&worklist);
-            let (delta, evaluated) = exec.step(&toy, slots, &prev, &mut next, &mut changed);
+            let (delta, evaluated) = exec.step(&toy, slots, &prev, &mut next, &prev, &mut changed);
             changed.sort_unstable();
             (delta.to_bits(), evaluated, next, changed)
         };

@@ -1126,7 +1126,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         }
         self.ensure_scheduling();
         self.ensure_runtime();
-        let old_traj = match (&self.deps, self.trajectory.take()) {
+        let mut old_traj = match (&self.deps, self.trajectory.take()) {
             (Some(_), Some(t)) if t.len() >= 2 && t[0].len() == self.store.len() => t,
             _ => {
                 self.run();
@@ -1134,6 +1134,8 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             }
         };
         self.delta_scheduled = true;
+        // The replay hands each old iterate to the recording as a spare
+        // once it has read it for the last time (see `run_replay`).
         let mut recorded: Option<Vec<Vec<f64>>> = self.should_record().then(Vec::new);
         let outcome = {
             let Self {
@@ -1162,7 +1164,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                 &csr.kernel(cfg, op, store, label_terms),
                 csr,
                 Limits::of(cfg),
-                &old_traj,
+                &mut old_traj,
                 &always_dirty,
                 scores,
                 cur,

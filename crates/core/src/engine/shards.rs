@@ -44,6 +44,7 @@ use super::frontier::slot_ids;
 use super::iterate::Limits;
 use super::parallel::{step_maxima, Exec, IterationOutcome, Slots};
 use super::rows::{Maxima, RowKeys};
+use super::slot_bits::SlotBits;
 use crate::config::{FsimConfig, ShardSpec};
 use crate::operators::{DepEntry, OpCtx, Operator};
 use crate::store::PairStore;
@@ -185,31 +186,6 @@ impl BoundaryTable {
     fn dense(&self, changed: &[u32]) -> bool {
         let fanout: usize = changed.iter().map(|&c| self.readers[c as usize]).sum();
         fanout >= self.readers.len()
-    }
-}
-
-/// The changed slots of a sparse step as a bitmap: bit
-/// `s % 64` of word `s / 64`.
-#[derive(Default)]
-struct ChangedBits {
-    words: Vec<u64>,
-}
-
-impl ChangedBits {
-    /// Makes the set exactly `slots`, over `n` slots.
-    fn assign(&mut self, n: usize, slots: &[u32]) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-        for &s in slots {
-            self.words[s as usize / 64] |= 1 << (s % 64);
-        }
-    }
-
-    /// Whether dependency entry `e` reads a slot in the set (a constant
-    /// entry reads none).
-    #[inline]
-    fn is_read_by(&self, e: &DepEntry) -> bool {
-        e.slot != DepEntry::CONST && self.words[e.slot as usize / 64] >> (e.slot % 64) & 1 != 0
     }
 }
 
@@ -500,7 +476,7 @@ pub(crate) fn run_sharded<O: Operator>(
     // bitmap.
     let mut changed: Vec<u32> = Vec::new();
     let mut next_changed: Vec<u32> = Vec::new();
-    let mut bits = ChangedBits::default();
+    let mut bits = SlotBits::new(n);
 
     let mut local_wl: Vec<u32> = Vec::new();
     let mut maxima_buf: Vec<f64> = Vec::new();
@@ -565,7 +541,10 @@ pub(crate) fn run_sharded<O: Operator>(
         // holds its two-iterations-old value in `cur` (evaluated slots
         // overwrite their copy below) — exactly `run_delta`'s repair.
         if !dense {
-            bits.assign(n, &changed);
+            bits.clear();
+            for &c in &changed {
+                bits.insert(c);
+            }
         }
         for &c in &changed {
             cur[c as usize] = scores[c as usize];
@@ -607,8 +586,10 @@ pub(crate) fn run_sharded<O: Operator>(
                 );
             } else {
                 // Re-evaluate exactly the dependents of C_{k−1}.
-                local_wl
-                    .extend(ids.filter(|&s| csr.deps_of(s as usize).any(|e| bits.is_read_by(e))));
+                local_wl.extend(ids.filter(|&s| {
+                    csr.deps_of(s as usize)
+                        .any(|e| e.slot != DepEntry::CONST && bits.contains(e.slot))
+                }));
             }
 
             // One step of the executor: pure reads of `scores`, distinct

@@ -409,9 +409,7 @@ fn injective_sum<S: ScoreLookup>(
                     }
                 }
             }
-            let (sum, _) = scratch
-                .matcher
-                .assign(s1.len(), s2.len(), &mut scratch.edges);
+            let (sum, _) = scratch.matcher.assign(s1.len(), s2.len(), &scratch.edges);
             sum
         }
         MatcherKind::Hungarian => {
@@ -527,7 +525,7 @@ fn slots_injective_sum(
                     scratch.edges.push((w, e.i, e.j));
                 }
             }
-            let (sum, _) = scratch.matcher.assign(len1, len2, &mut scratch.edges);
+            let (sum, _) = scratch.matcher.assign(len1, len2, &scratch.edges);
             sum
         }
         MatcherKind::Hungarian => {

@@ -163,7 +163,7 @@ mod tests {
             for e in edges.iter_mut() {
                 e.0 = weights[(e.1 as usize) * n + e.2 as usize];
             }
-            let (gw, _) = gm.assign(n, n, &mut edges);
+            let (gw, _) = gm.assign(n, n, &edges);
             assert!(hw + 1e-9 >= gw, "hungarian {hw} below greedy {gw}");
             assert!(gw * 2.0 + 1e-9 >= hw, "greedy below 1/2-approx");
         }

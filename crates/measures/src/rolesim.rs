@@ -50,7 +50,7 @@ pub fn rolesim(g: &Graph, beta: f64, epsilon: f64, max_iters: usize) -> DenseSim
                         }
                     }
                 }
-                let (wsum, msize) = matcher.assign(nu.len(), nv.len(), &mut edges);
+                let (wsum, msize) = matcher.assign(nu.len(), nv.len(), &edges);
                 let msize = msize.max(nu.len().min(nv.len()));
                 let denom = (nu.len() + nv.len() - msize) as f64;
                 cur.set(u, v, (1.0 - beta) * wsum / denom + beta);
