@@ -330,8 +330,7 @@ impl PairDepCsr {
         store: &'a PairStore,
         label_terms: &'a [f64],
     ) -> SlotEval<'a, O> {
-        let rows = self.rows.as_ref().map(|r| (r, None));
-        SlotEval::new(cfg, op, store, label_terms, self.cols(), rows)
+        SlotEval::new(cfg, op, store, label_terms, self.cols(), self.rows.as_ref())
     }
 
     /// The slots with at least one maintained dependency, ascending.
@@ -437,9 +436,6 @@ pub(crate) struct SlotEval<'a, O> {
     /// The store's row-key table, present only when the operator sums
     /// row maxima.
     rows: Option<&'a RowKeys>,
-    /// The columns `rows` was derived from, when they are not `cols`
-    /// alone (a sharded session's spill mappings).
-    parts: Option<&'a [CsrCols<'a>]>,
 }
 
 impl<'a, O: Operator> SlotEval<'a, O> {
@@ -449,79 +445,37 @@ impl<'a, O: Operator> SlotEval<'a, O> {
         store: &'a PairStore,
         label_terms: &'a [f64],
         cols: CsrCols<'a>,
-        rows: Option<(&'a RowKeys, Option<&'a [CsrCols<'a>]>)>,
+        rows: Option<&'a RowKeys>,
     ) -> Self {
-        let (rows, parts) = match rows.filter(|_| op.sums_row_maxima()) {
-            Some((r, parts)) => (Some(r), parts),
-            None => (None, None),
-        };
         Self {
             cfg,
             op,
             store,
             label_terms,
             cols,
-            rows,
-            parts,
+            rows: rows.filter(|_| op.sums_row_maxima()),
         }
-    }
-
-    /// A kernel that fills the row maxima of `rows` over its `parts`
-    /// (it evaluates the first part's slots only).
-    pub(crate) fn over_parts(
-        cfg: &'a FsimConfig,
-        op: &'a O,
-        store: &'a PairStore,
-        label_terms: &'a [f64],
-        rows: &'a RowKeys,
-        parts: &'a [CsrCols<'a>],
-    ) -> Self {
-        Self::new(
-            cfg,
-            op,
-            store,
-            label_terms,
-            parts[0],
-            Some((rows, Some(parts))),
-        )
-    }
-
-    fn parts(&self) -> &[CsrCols<'a>] {
-        self.parts.unwrap_or(std::slice::from_ref(&self.cols))
     }
 }
 
 impl<O: Operator> SlotKernel for SlotEval<'_, O> {
-    fn row_keys(&self) -> usize {
-        self.rows.map_or(0, RowKeys::len)
-    }
-
-    fn row_max(&self, key: usize, prev: &[f64]) -> f64 {
-        self.rows.map_or(0.0, |r| r.max_of(key, self.parts(), prev))
+    fn rows(&self) -> Option<&RowKeys> {
+        self.rows
     }
 
     #[inline]
     fn eval(&self, slot: usize, prev: &[f64], maxima: Maxima<'_>, scratch: &mut OpScratch) -> f64 {
-        let (u, v) = self.store.pairs[slot];
-        if self.cfg.pin_identical && u == v {
-            return 1.0;
+        let cfg = self.cfg;
+        if cfg.pin_identical {
+            let (u, v) = self.store.pairs[slot];
+            if u == v {
+                return 1.0;
+            }
         }
         let c = &self.cols;
         let local = slot - c.base;
         let (out, inn) = match self.rows {
-            Some(rows) => {
-                let dims = c.dims[local];
-                slot_terms(
-                    self.op,
-                    rows,
-                    self.parts(),
-                    slot,
-                    dims,
-                    prev,
-                    maxima,
-                    scratch,
-                )
-            }
+            Some(rows) => slot_terms(self.op, rows, slot, c.dims[local], prev, maxima, scratch),
             None => {
                 let [o1, o2, i1, i2] = c.dims[local];
                 (
@@ -542,7 +496,6 @@ impl<O: Operator> SlotKernel for SlotEval<'_, O> {
                 )
             }
         };
-        let cfg = self.cfg;
         let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * self.label_terms[slot];
         // Scores are mathematically confined to [0, 1]; clamp floating
         // drift (identically to `pair_update`).
@@ -670,18 +623,16 @@ impl ShardCsr {
     }
 
     /// The slot kernel over this shard (see [`SlotEval`]). `rows` is the
-    /// store's row-key table and the shard columns it was derived from —
-    /// a sharded session with retained spill mappings shares one table
-    /// across all its shards.
+    /// store's row-key table — a sharded session with retained spill
+    /// mappings shares one table across all its shards.
     pub(crate) fn kernel<'a, O: Operator>(
         &'a self,
         cfg: &'a FsimConfig,
         op: &'a O,
         store: &'a PairStore,
         label_terms: &'a [f64],
-        rows: Option<(&'a RowKeys, &'a [CsrCols<'a>])>,
+        rows: Option<&'a RowKeys>,
     ) -> SlotEval<'a, O> {
-        let rows = rows.map(|(r, parts)| (r, Some(parts)));
         SlotEval::new(cfg, op, store, label_terms, self.cols(), rows)
     }
 
@@ -755,6 +706,21 @@ impl ShardCsr {
                 in_entries,
                 dims,
             }),
+        }
+    }
+
+    /// Appends to `out`, ascending, the shard's global slots one of whose
+    /// dependency entries `reads` — the worklist scan of a sharded step,
+    /// over the shard's columns borrowed once.
+    pub(crate) fn slots_reading(&self, reads: impl Fn(&DepEntry) -> bool, out: &mut Vec<u32>) {
+        let c = self.cols();
+        let ids = slot_ids(c.base + c.dims.len()).skip(c.base);
+        for (local, id) in ids.enumerate() {
+            let outs = &c.out_entries[c.out_offsets[local]..c.out_offsets[local + 1]];
+            let ins = &c.in_entries[c.in_offsets[local]..c.in_offsets[local + 1]];
+            if outs.iter().chain(ins).any(&reads) {
+                out.push(id);
+            }
         }
     }
 
@@ -1446,6 +1412,7 @@ mod tests {
         let mut rng = Rng(0x5EED_B0A7_F00D);
         let (mut shared_rows, mut const_rows, mut all_const_rows) = (0, 0, 0);
         let mut tables = 0;
+        let mut specials = Specials::default();
         let dir = std::env::temp_dir().join(format!("fsim-rows-spill-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for _ in 0..6 {
@@ -1494,29 +1461,33 @@ mod tests {
                 }
                 let parts: Vec<CsrCols<'_>> = mapped.iter().map(|m| m.cols()).collect();
                 let split = RowKeys::derive(&g1, &g2, &store.pairs, &parts);
-                assert_eq!(split.is_some(), csr.rows.is_some(), "{cfg:?}");
-                if let (Some(a), Some(b)) = (&split, &csr.rows) {
-                    tables += 1;
-                    for s in 0..n {
-                        assert_eq!(a.out_keys(s), b.out_keys(s), "{cfg:?} slot {s}");
-                        assert_eq!(a.in_keys(s), b.in_keys(s), "{cfg:?} slot {s}");
-                    }
-                }
+                // Keys, slot columns and floors: the split table is the
+                // full one.
+                assert_eq!(split, csr.rows, "{cfg:?}");
+                tables += usize::from(split.is_some());
                 let labels = label_terms(&ctx, &store);
                 let per_slot = SlotEval::new(&cfg, &op, &store, &labels, csr.cols(), None);
                 let shards: Vec<ShardCsr> =
                     mapped.iter().cloned().map(ShardCsr::from_mapped).collect();
-                let shared_rows = split.as_ref().map(|r| (r, parts.as_slice()));
                 let mut maxima_buf = Vec::new();
                 let mut scratch = OpScratch::new();
-                for round in 0..3 {
-                    // Arbitrary score buffers, exact zeros included.
+                for _ in 0..3 {
+                    // Arbitrary score buffers over few values, so one
+                    // key's slots tie, with `−0.0` and NaN among them.
                     let prev: Vec<f64> = (0..n)
-                        .map(|_| rng.below(9) as f64 / (7 + round) as f64)
-                        .map(|x| x.min(1.0))
+                        .map(|_| [-0.0, 0.0, f64::NAN, 0.25, 0.5, 1.0][rng.below(6)])
                         .collect();
+                    // The column maxima against `row_max` over the entry
+                    // columns: the full CSR's, and the spill split's.
+                    let (full_cols, split_cols) = ([csr.cols()], parts.as_slice());
+                    for (rows, cols) in [(&csr.rows, &full_cols[..]), (&split, split_cols)] {
+                        if let Some(rows) = rows {
+                            let seen = check_column_maxima(rows, cols, &prev, &mut specials);
+                            assert_eq!(seen, rows.len(), "{cfg:?}: every key has a row");
+                        }
+                    }
                     let full = csr.kernel(&cfg, &op, &store, &labels);
-                    let filled = step_maxima(&full, &prev, n, n, &mut maxima_buf, None);
+                    let filled = step_maxima(csr.rows.as_ref(), &prev, n, n, &mut maxima_buf, None);
                     let lazy = Maxima::lazy();
                     for slot in 0..n {
                         let want = per_slot.eval(slot, &prev, Maxima::lazy(), &mut scratch);
@@ -1525,19 +1496,13 @@ mod tests {
                             assert_eq!(want.to_bits(), got.to_bits(), "{cfg:?} slot {slot}");
                         }
                     }
-                    // The shards read maxima filled over all parts, or
-                    // filled on first use under one token for both.
+                    // The shards read maxima filled from the split table,
+                    // or filled on first use under one token for both.
                     let mut split_buf = Vec::new();
-                    let filled = match shared_rows {
-                        Some((r, parts)) => {
-                            let fill = SlotEval::over_parts(&cfg, &op, &store, &labels, r, parts);
-                            step_maxima(&fill, &prev, n, n, &mut split_buf, None)
-                        }
-                        None => Maxima::lazy(),
-                    };
+                    let filled = step_maxima(split.as_ref(), &prev, n, n, &mut split_buf, None);
                     let lazy = Maxima::lazy();
                     for (shard, m) in shards.iter().zip(&mapped) {
-                        let kernel = shard.kernel(&cfg, &op, &store, &labels, shared_rows);
+                        let kernel = shard.kernel(&cfg, &op, &store, &labels, split.as_ref());
                         let c = m.cols();
                         for slot in c.base..c.base + c.dims.len() {
                             let want = per_slot.eval(slot, &prev, Maxima::lazy(), &mut scratch);
@@ -1556,6 +1521,81 @@ mod tests {
         assert!(shared_rows > 0, "no row key was read by two slots");
         assert!(const_rows > 0, "no constant entries");
         assert!(all_const_rows > 0, "no all-constant dependency list");
+        assert!(specials.ties > 0, "no key's maximum was tied");
+        assert!(specials.neg_zero > 0, "no key read −0.0");
+        assert!(specials.nan > 0, "no key read NaN");
+    }
+
+    /// How often the column-maxima check met each buffer special.
+    #[derive(Default)]
+    struct Specials {
+        /// Keys whose maximum two of their slots attain.
+        ties: usize,
+        /// Keys with a slot holding `−0.0`.
+        neg_zero: usize,
+        /// Keys with a slot holding NaN.
+        nan: usize,
+    }
+
+    /// Asserts that every row instance's key maximum equals `row_max`
+    /// over the row's entries in `parts` (covering the store in slot
+    /// order) bitwise — at its first occurrence and at every other — and
+    /// returns the number of keys met.
+    fn check_column_maxima(
+        rows: &RowKeys,
+        parts: &[CsrCols<'_>],
+        prev: &[f64],
+        specials: &mut Specials,
+    ) -> usize {
+        use crate::operators::row_max;
+        let mut first = vec![true; rows.len()];
+        let mut seen = 0;
+        let slots = parts
+            .iter()
+            .flat_map(|c| (0..c.dims.len()).map(move |l| (c, l)));
+        for (c, local) in slots {
+            let slot = c.base + local;
+            let directions = [
+                (rows.out_keys(slot), c.out_offsets, c.out_entries),
+                (rows.in_keys(slot), c.in_offsets, c.in_entries),
+            ];
+            for (keys, offsets, entries) in directions {
+                let list = &entries[offsets[local]..offsets[local + 1]];
+                // Row instances: the maximal runs of one `i`, in key order.
+                let mut start = 0;
+                for &key in keys {
+                    let key = key as usize;
+                    let mut end = start;
+                    while end < list.len() && list[end].i == list[start].i {
+                        end += 1;
+                    }
+                    let row = &list[start..end];
+                    start = end;
+                    let want = row_max(row, prev);
+                    assert_eq!(
+                        rows.max_of(key, prev).to_bits(),
+                        want.to_bits(),
+                        "key {key}"
+                    );
+                    if !std::mem::take(&mut first[key]) {
+                        continue;
+                    }
+                    seen += 1;
+                    let vals: Vec<f64> = row
+                        .iter()
+                        .filter(|e| e.slot != DepEntry::CONST)
+                        .map(|e| prev[e.slot as usize])
+                        .collect();
+                    let at_max = vals.iter().filter(|v| v.to_bits() == want.to_bits());
+                    specials.ties += usize::from(want > 0.0 && at_max.count() > 1);
+                    specials.neg_zero +=
+                        usize::from(vals.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+                    specials.nan += usize::from(vals.iter().any(|v| v.is_nan()));
+                }
+                assert_eq!(start, list.len(), "slot {slot}: rows tile the list");
+            }
+        }
+        seen
     }
 
     #[test]

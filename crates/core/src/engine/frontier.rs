@@ -21,15 +21,19 @@
 //!   unconditionally, in slot order. A live slot outside the dependents of
 //!   the changed set re-evaluates to the bits it already holds; a non-live
 //!   slot reads only constants and its label term, so it never changes
-//!   after iteration 1 and is never a dependent. The changed slots are
-//!   copied forward first, so every slot the sweep does not write already
-//!   holds its current value in the write buffer.
+//!   after iteration 1 and is never a dependent. Every changed set after
+//!   `C_1` therefore lies inside the live slots, which the sweep rewrites,
+//!   so only a live sweep at iteration 2 has stale slots to copy forward
+//!   (the delta loop keys that on the iteration index).
 //!
 //! Both steps produce the same scores, changed sets, iteration counts and
 //! bits. They differ in `pairs_evaluated`: a push evaluates the dependents
 //! of the changed set, a live sweep every live slot. The rule reads only
-//! `|H|`, the changed set and the reverse CSR's offsets. Replay's steps
-//! are not "dependents of the changed set" (they add an always-dirty
+//! `|H|`, the changed set's dependent count and the reverse CSR's offsets.
+//! After a live sweep the delta loop hands over that count alone: another
+//! live sweep ([`Frontier::sweep_live`]) needs no changed set, and a push
+//! is given the changed set the loop recovers from its buffers. Replay's
+//! steps are not "dependents of the changed set" (they add an always-dirty
 //! seed), so they take the slot-ordered sparse path only.
 
 use super::slot_bits::SlotBits;
@@ -95,9 +99,12 @@ impl Frontier {
     /// the iterate before last: `C_{k−1}` — the only slots whose value
     /// there differs from the previous iterate — minus a sparse step's
     /// worklist. Each must be copied forward before the step so the
-    /// buffer ends the iteration complete. A dense step copies all of
-    /// `C_{k−1}`: it re-evaluates the live ones, but a non-live slot that
-    /// changed in iteration 1 is never written again.
+    /// buffer ends the iteration complete. For a dense step this is all
+    /// of `C_{k−1}`, but only at `k = 2` does it hold a slot the step
+    /// does not write: a non-live slot that changed in iteration 1. From
+    /// `k = 3` on the changed slots are live, the delta loop copies
+    /// nothing for a dense step, and after [`sweep_live`](Self::sweep_live)
+    /// the changed set is empty.
     pub(crate) fn stale(&self) -> impl Iterator<Item = usize> + '_ {
         self.changed
             .iter()
@@ -124,6 +131,13 @@ impl Frontier {
             return;
         }
         self.take_changed(changed);
+        self.dense = true;
+    }
+
+    /// Schedules another live sweep after a dense step, with no changed
+    /// set: the step copies nothing forward (see [`stale`](Self::stale)).
+    pub(crate) fn sweep_live(&mut self) {
+        self.changed.clear();
         self.dense = true;
     }
 

@@ -43,8 +43,8 @@
 //! evaluation, frontier construction and trajectory recording.
 
 use super::deps::PairDepCsr;
-use super::frontier::{slot_ids, Frontier};
-use super::parallel::{Exec, IterationOutcome, SlotKernel, Slots};
+use super::frontier::{slot_ids, Frontier, Step};
+use super::parallel::{Changed, Exec, IterationOutcome, SlotKernel, Slots};
 use crate::config::{FsimConfig, InitScheme};
 use crate::operators::{OpCtx, OpScratch, Operator, ScoreLookup};
 use crate::store::PairStore;
@@ -303,7 +303,7 @@ pub(crate) fn run_sweep<K: SlotKernel>(
     while out.iterations < limits.max_iters {
         let t0 = Instant::now();
         let (delta, evaluated) =
-            exec.step(kernel, Slots::All, scores, cur, scores, &mut Vec::new());
+            exec.step(kernel, Slots::All, scores, cur, scores, Changed::Untracked);
         std::mem::swap(scores, cur);
         out.final_delta = delta;
         out.pairs_evaluated.push(evaluated);
@@ -361,6 +361,16 @@ pub(crate) fn run_delta<K: SlotKernel>(
 /// schedules the next one. `lap` started when the first of these
 /// iterations' work did, so `iter_seconds` covers repair, evaluation,
 /// frontier construction and recording.
+///
+/// A slot that is not live changes in iteration 1 only, so from
+/// iteration 2 on every changed set lies inside the live slots. A dense
+/// step at `k ≥ 3` therefore copies nothing forward — the write buffer
+/// differs from the previous iterate only on `C_{k−1}`, and the step
+/// rewrites every live slot — and at `k = 2` it copies `C_1`, whose
+/// non-live slots it would not write. A dense step collects no changed
+/// list either: it counts its changed slots' dependents, the direction
+/// rule's only input, and only when that count calls for a push is
+/// `C_k` recovered, by comparing the two buffers over the live slots.
 #[allow(clippy::too_many_arguments)]
 fn delta_loop<K: SlotKernel>(
     exec: &mut Exec<'_>,
@@ -375,14 +385,27 @@ fn delta_loop<K: SlotKernel>(
     mut lap: Instant,
 ) -> IterationOutcome {
     let (rdo, rd) = (csr.rdep_offsets(), csr.rdeps());
+    let n = scores.len();
     // C_k: slots whose score changed this iteration.
     let mut changed: Vec<u32> = Vec::new();
     while out.iterations < limits.max_iters {
-        for s in frontier.stale() {
-            cur[s] = scores[s];
+        // The run's iteration index (replay's Phase B continues it).
+        let k = out.iterations + 1;
+        let step = frontier.step();
+        let dense = matches!(step, Step::Dense);
+        if !dense || k == 2 {
+            for s in frontier.stale() {
+                cur[s] = scores[s];
+            }
         }
-        let slots = Slots::of(frontier.step(), csr);
-        let (delta, evaluated) = exec.step(kernel, slots, scores, cur, scores, &mut changed);
+        let mut fanout = 0;
+        let tally = if dense {
+            Changed::Fanout(rdo, &mut fanout)
+        } else {
+            Changed::List(&mut changed)
+        };
+        let slots = Slots::of(step, csr);
+        let (delta, evaluated) = exec.step(kernel, slots, scores, cur, scores, tally);
         out.pairs_evaluated.push(evaluated);
         std::mem::swap(scores, cur);
         if let Some(h) = record.as_deref_mut() {
@@ -392,7 +415,20 @@ fn delta_loop<K: SlotKernel>(
         out.iterations += 1;
         let done = delta < limits.epsilon;
         if !done {
-            frontier.advance(&mut changed, rdo, rd);
+            if !dense {
+                frontier.advance(&mut changed, rdo, rd);
+            } else if fanout < n {
+                // C_k ⊆ live: the buffers agree on every other slot.
+                changed.extend(
+                    csr.live()
+                        .iter()
+                        .copied()
+                        .filter(|&s| scores[s as usize].to_bits() != cur[s as usize].to_bits()),
+                );
+                frontier.push_dependents(&mut changed, &[], rdo, rd);
+            } else {
+                frontier.sweep_live();
+            }
         }
         out.iter_seconds.push(lap.elapsed().as_secs_f64());
         lap = Instant::now();
@@ -471,7 +507,8 @@ pub(crate) fn run_replay<K: SlotKernel>(
         // Propagation follows divergence from the old trajectory, not
         // change from the previous iterate.
         let slots = Slots::of(frontier.step(), csr);
-        let (_, evaluated) = exec.step(kernel, slots, scores, cur, hist, &mut changed);
+        let tally = Changed::List(&mut changed);
+        let (_, evaluated) = exec.step(kernel, slots, scores, cur, hist, tally);
         out.pairs_evaluated.push(evaluated);
         // The convergence delta is over every slot.
         let mut delta = 0.0f64;
@@ -693,6 +730,14 @@ mod tests {
                     .position(|&d| !d)
                     .expect("a sparse step");
             assert!(dense[push..].contains(&true), "dense → sparse → dense");
+            // `dense[i]` is iteration `i + 1`. A dense step at k ≥ 3 that
+            // a push follows recovers its changed set from the buffers,
+            // and one another dense step follows carries none.
+            assert!(
+                (3..dense.len()).any(|i| dense[i - 1] && !dense[i]),
+                "a dense step at k ≥ 3, then a push"
+            );
+            assert!(dense.windows(2).any(|w| w[0] && w[1]), "dense → dense");
             // Some live sweep evaluates more slots than the dependents of
             // the changed set, so the counts below tell the live-sweep
             // rule from one that evaluates only the dependents.
@@ -719,6 +764,66 @@ mod tests {
             assert_eq!(par.iterations, delta.iterations, "{what}");
             assert_eq!(par.final_delta.to_bits(), delta.final_delta.to_bits());
             assert_eq!(par.pairs_evaluated, delta.pairs_evaluated, "{what}");
+        }
+    }
+
+    #[test]
+    fn replay_of_a_one_iterate_history_sweeps_the_live_slots_at_k2() {
+        let g = switching_graph();
+        let rt = Runtime::new(4);
+        let f = Fixture::new(&g, false);
+        let (dense, scheduled, _) = f.push_reference(&g);
+        assert!(dense[1], "iteration 2 is a live sweep");
+        // Non-live slots change in iteration 1, so the step at k = 2 must
+        // copy them forward.
+        let init = f.init(&g);
+        let (_, sweep_scores) = f.sweep(&g);
+        let mut first = init.clone();
+        let mut cur = Vec::new();
+        let mut history = Vec::new();
+        let one = Limits {
+            max_iters: 1,
+            ..Limits::of(&f.cfg)
+        };
+        let mut recorder = Recorder::new(&mut history, usize::MAX);
+        let kernel = f.kernel();
+        let mut exec = Exec::new(None, 1);
+        run_delta(
+            &mut exec,
+            &kernel,
+            &f.csr,
+            one,
+            &mut first,
+            &mut cur,
+            Some(&mut recorder),
+        );
+        assert_eq!(history.len(), 2, "the history holds one iterate");
+        let live = f.csr.live();
+        assert!(
+            slot_ids(init.len())
+                .filter(|s| live.binary_search(s).is_err())
+                .any(|s| first[s as usize].to_bits() != init[s as usize].to_bits()),
+            "a non-live slot changes in iteration 1"
+        );
+        for mut exec in [Exec::new(None, 1), Exec::with_min_pooled(Some(&rt), 1)] {
+            let (mut scores, mut cur) = (init.clone(), Vec::new());
+            // The graph is unedited, so Phase A's one step evaluates only
+            // the always-dirty slot, and Phase B takes the schedule over
+            // from iteration 2 on.
+            let out = run_replay(
+                &mut exec,
+                &kernel,
+                &f.csr,
+                Limits::of(&f.cfg),
+                &mut history.clone(),
+                &[0],
+                &mut scores,
+                &mut cur,
+                None,
+            );
+            assert_same_bits(&sweep_scores, &scores, "replay");
+            assert_eq!(out.pairs_evaluated[0], 1);
+            assert_eq!(out.pairs_evaluated[1..], scheduled[1..]);
         }
     }
 }

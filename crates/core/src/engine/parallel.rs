@@ -6,8 +6,10 @@
 //! iteration may be evaluated in any order, on any number of threads,
 //! without changing a bit. [`Exec`] evaluates one **step** — a sparse
 //! worklist, every live slot of a dense step, or every slot of a sweep
-//! ([`Slots`]) — reading `prev`, writing `next`, and reporting the
-//! max delta, the evaluation count and the bitwise-changed slots. A step
+//! ([`Slots`]) — reading `prev`, writing `next`, reporting the max delta
+//! and the evaluation count, and tallying the bitwise-changed slots as
+//! the calling loop asks ([`Changed`]): not at all, as a list, or only as
+//! their dependent count. A step
 //! runs **inline** on the calling thread unless it is long enough for
 //! [`effective_threads`] to grant it more than one worker; then it runs
 //! on the **pool**. The drivers in [`super::iterate`] and
@@ -29,8 +31,9 @@
 //!
 //! Both branches produce the same bits: each slot's score depends only on
 //! `prev` (which no one writes during a step), every slot of a step has
-//! exactly one writer, the max delta is an order-independent reduction,
-//! and the changed slots form a set whose order no consumer reads.
+//! exactly one writer, the max delta and the dependent count are
+//! order-independent reductions, and the changed slots form a set whose
+//! order no consumer reads.
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -39,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use super::deps::PairDepCsr;
 use super::frontier::{slot_ids, Step};
-use super::rows::Maxima;
+use super::rows::{Maxima, RowKeys};
 use crate::operators::OpScratch;
 
 /// What the iteration drivers evaluate: Equation 3 for one slot against
@@ -49,15 +52,10 @@ use crate::operators::OpScratch;
 /// `Fn(slot, prev, scratch) -> score` closure is a kernel without shared
 /// rows (the on-the-fly sweep, and the drivers' own tests).
 pub(crate) trait SlotKernel: Sync {
-    /// The number of row keys whose maxima the slots share; 0 when every
+    /// The row-key table whose maxima the slots share; `None` when every
     /// slot is evaluated alone.
-    fn row_keys(&self) -> usize {
-        0
-    }
-
-    /// Row key `key`'s maximum under `prev`.
-    fn row_max(&self, _key: usize, _prev: &[f64]) -> f64 {
-        0.0
+    fn rows(&self) -> Option<&RowKeys> {
+        None
     }
 
     /// The slot's new score: a pure function of `prev` (and, through
@@ -75,26 +73,26 @@ where
     }
 }
 
-/// The row maxima a step that may evaluate `scheduled` of its
+/// The row maxima of `rows` a step that may evaluate `scheduled` of its
 /// substrate's `slots` reads. A step covering at least a quarter of the
 /// slots — every sweep and dense live sweep, and the all-slots first
 /// iteration of a delta run — gets every key's maximum under `prev`
 /// filled in key order into `buf` first, on the pool when one is given
-/// (each key written by one worker). A shorter step, or a kernel without row keys,
-/// gets a fresh lazy token: each worker fills the keys it reads in its
-/// own scratch. The quarter bound keeps short edit-replay steps lazy.
-pub(crate) fn step_maxima<'b, K: SlotKernel>(
-    kernel: &K,
+/// (each key written by one worker). A shorter step, or one without a
+/// table, gets a fresh lazy token: each worker fills the keys it reads in
+/// its own scratch. The quarter bound keeps short edit-replay steps lazy.
+pub(crate) fn step_maxima<'b>(
+    rows: Option<&RowKeys>,
     prev: &[f64],
     scheduled: usize,
     slots: usize,
     buf: &'b mut Vec<f64>,
     rt: Option<&Runtime>,
 ) -> Maxima<'b> {
-    let n = kernel.row_keys();
-    if scheduled * 4 < slots || n == 0 {
+    let Some(rows) = rows.filter(|_| scheduled * 4 >= slots) else {
         return Maxima::lazy();
-    }
+    };
+    let n = rows.len();
     buf.clear();
     match rt {
         Some(rt) => {
@@ -109,11 +107,11 @@ pub(crate) fn step_maxima<'b, K: SlotKernel>(
                 }
                 for key in start..(start + chunk).min(n) {
                     // SAFETY: cursor ranges are disjoint across workers.
-                    unsafe { out.write(key, kernel.row_max(key, prev)) };
+                    unsafe { out.write(key, rows.max_of(key, prev)) };
                 }
             });
         }
-        None => buf.extend((0..n).map(|key| kernel.row_max(key, prev))),
+        None => buf.extend((0..n).map(|key| rows.max_of(key, prev))),
     }
     Maxima::Filled(buf)
 }
@@ -442,13 +440,11 @@ impl<'r> Exec<'r> {
     }
 
     /// Evaluates one step of `kernel` from `prev` into `next`, filling
-    /// the row maxima it reads first ([`step_maxima`]). Appends the slots
-    /// whose new score differs bitwise from `base` — `prev` in the delta
-    /// loop, the recorded iterate in replay — to `changed` (a sweep, which
-    /// schedules nothing from them, appends none); returns the step's max
-    /// delta against `prev` and the number of slots evaluated. Slots the
-    /// step does not evaluate are not written.
-    #[allow(clippy::too_many_arguments)]
+    /// the row maxima it reads first ([`step_maxima`]), and tallies the
+    /// slots whose new score differs bitwise from `base` — `prev` in the
+    /// delta loop, the recorded iterate in replay — as `changed` asks.
+    /// Returns the step's max delta against `prev` and the number of
+    /// slots evaluated. Slots the step does not evaluate are not written.
     pub(crate) fn step<K: SlotKernel>(
         &mut self,
         kernel: &K,
@@ -456,27 +452,31 @@ impl<'r> Exec<'r> {
         prev: &[f64],
         next: &mut [f64],
         base: &[f64],
-        changed: &mut Vec<u32>,
+        changed: Changed<'_>,
     ) -> (f64, usize) {
         let (len, scheduled) = slots.len(prev.len());
         let rt = self.pool(len);
-        let maxima = step_maxima(kernel, prev, scheduled, prev.len(), &mut self.maxima, rt);
-        eval_step(
+        let maxima = step_maxima(
+            kernel.rows(),
+            prev,
+            scheduled,
+            prev.len(),
+            &mut self.maxima,
             rt,
+        );
+        let input = StepIn {
             kernel,
             slots,
-            maxima,
             prev,
-            next,
             base,
-            changed,
-            &mut self.scratch,
-        )
+            maxima,
+        };
+        eval_step(rt, input, next, changed, &mut self.scratch)
     }
 
     /// [`step`](Self::step) with row maxima the caller filled (the
     /// sharded driver fills one set per iteration for every shard), and
-    /// `changed` taken against `prev`.
+    /// the changed slots taken against `prev` and appended to `changed`.
     pub(crate) fn step_with<K: SlotKernel>(
         &mut self,
         kernel: &K,
@@ -487,56 +487,81 @@ impl<'r> Exec<'r> {
         changed: &mut Vec<u32>,
     ) -> (f64, usize) {
         let rt = self.pool(slots.len(prev.len()).0);
-        eval_step(
-            rt,
+        let input = StepIn {
             kernel,
             slots,
+            prev,
+            base: prev,
             maxima,
-            prev,
-            next,
-            prev,
-            changed,
-            &mut self.scratch,
-        )
+        };
+        eval_step(rt, input, next, Changed::List(changed), &mut self.scratch)
     }
 }
 
+/// What a step records of the slots whose new score differs bitwise from
+/// its `base`.
+pub(crate) enum Changed<'a> {
+    /// Nothing: a sweep schedules nothing from them.
+    Untracked,
+    /// Each of them, appended to the list in no particular order.
+    List(&'a mut Vec<u32>),
+    /// Only their dependent count `Σ |rdeps(c)|`, read off these
+    /// reverse-CSR offsets and added to the count: all the direction rule
+    /// needs after a dense step.
+    Fanout(&'a [usize], &'a mut usize),
+}
+
+/// What one step reads: the kernel, the slots it evaluates, the previous
+/// iterate, the buffer its changed slots are taken against, and the row
+/// maxima.
+struct StepIn<'s, K> {
+    kernel: &'s K,
+    slots: Slots<'s>,
+    prev: &'s [f64],
+    base: &'s [f64],
+    maxima: Maxima<'s>,
+}
+
+impl<K> Clone for StepIn<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for StepIn<'_, K> {}
+
 /// One step, inline (`rt` is `None`) or on the pool.
-#[allow(clippy::too_many_arguments)]
 fn eval_step<K: SlotKernel>(
     rt: Option<&Runtime>,
-    kernel: &K,
-    slots: Slots<'_>,
-    maxima: Maxima<'_>,
-    prev: &[f64],
+    input: StepIn<'_, K>,
     next: &mut [f64],
-    base: &[f64],
-    changed: &mut Vec<u32>,
+    mut changed: Changed<'_>,
     scratch: &mut OpScratch,
 ) -> (f64, usize) {
-    let len = slots.len(prev.len()).0;
+    let len = input.slots.len(input.prev.len()).0;
     let Some(rt) = rt else {
         let write = |slot: usize, score: f64| next[slot] = score;
-        let delta = eval_range(
-            kernel,
-            slots,
-            0..len,
-            prev,
-            base,
-            maxima,
-            scratch,
-            changed,
-            write,
-        );
+        let delta = eval_tallied(input, 0..len, scratch, &mut changed, write);
         return (delta, len);
     };
     let out = SharedScores::new(next);
     let chunk = chunk_size(len, rt.threads());
     let cursor = AtomicUsize::new(0);
     let deltas: Vec<AtomicU64> = (0..rt.threads()).map(|_| AtomicU64::new(0)).collect();
-    let sink = Mutex::new(std::mem::take(changed));
+    let fanout = AtomicUsize::new(0);
+    let (sink, offsets) = match &mut changed {
+        Changed::Untracked => (None, None),
+        Changed::List(list) => (Some(Mutex::new(std::mem::take(*list))), None),
+        Changed::Fanout(offsets, _) => (None, Some(*offsets)),
+    };
     rt.run(&|wid, ws| {
         ws.changed.clear();
+        let mut worker_fanout = 0usize;
+        let mut tally = match (&sink, offsets) {
+            (Some(_), _) => Changed::List(&mut ws.changed),
+            (None, Some(offsets)) => Changed::Fanout(offsets, &mut worker_fanout),
+            (None, None) => Changed::Untracked,
+        };
         let mut delta = 0.0f64;
         loop {
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -549,26 +574,29 @@ fn eval_step<K: SlotKernel>(
             // different buffer, read only.
             let write = |slot: usize, score: f64| unsafe { out.write(slot, score) };
             let range = start..(start + chunk).min(len);
-            let d = eval_range(
-                kernel,
-                slots,
-                range,
-                prev,
-                base,
-                maxima,
-                &mut ws.scratch,
-                &mut ws.changed,
-                write,
-            );
+            let d = eval_tallied(input, range, &mut ws.scratch, &mut tally, write);
             delta = delta.max(d);
         }
         deltas[wid].store(delta.to_bits(), Ordering::Relaxed);
-        if !ws.changed.is_empty() {
-            let mut sink = sink.lock().expect("changed sink");
-            sink.extend_from_slice(&ws.changed);
+        fanout.fetch_add(worker_fanout, Ordering::Relaxed);
+        if let Some(sink) = &sink {
+            if !ws.changed.is_empty() {
+                sink.lock()
+                    .expect("changed sink")
+                    .extend_from_slice(&ws.changed);
+            }
         }
     });
-    *changed = sink.into_inner().expect("changed sink");
+    match changed {
+        Changed::Untracked => {}
+        Changed::List(list) => {
+            *list = sink
+                .expect("a listing step has a sink")
+                .into_inner()
+                .expect("changed sink");
+        }
+        Changed::Fanout(_, total) => *total += fanout.into_inner(),
+    }
     let delta = deltas
         .iter()
         .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
@@ -576,50 +604,68 @@ fn eval_step<K: SlotKernel>(
     (delta, len)
 }
 
+/// [`eval_range`] with the changed slots tallied as `changed` asks — one
+/// instance of the loop per kind of tally, so a sweep's loop carries no
+/// changed-slot work and a dense step's no list.
+#[inline(always)]
+fn eval_tallied<K: SlotKernel>(
+    input: StepIn<'_, K>,
+    range: Range<usize>,
+    scratch: &mut OpScratch,
+    changed: &mut Changed<'_>,
+    write: impl FnMut(usize, f64),
+) -> f64 {
+    match changed {
+        Changed::Untracked => eval_range(input, range, scratch, write, |_| {}),
+        Changed::List(list) => eval_range(input, range, scratch, write, |slot| list.push(slot)),
+        Changed::Fanout(offsets, total) => {
+            let mut sum = 0usize;
+            let count = |slot: u32| sum += offsets[slot as usize + 1] - offsets[slot as usize];
+            let delta = eval_range(input, range, scratch, write, count);
+            **total += sum;
+            delta
+        }
+    }
+}
+
 /// The step body both branches share: evaluates the step's positions
 /// `range` (slot ids of a sweep, or positions in a list or the live
-/// list), handing each score to `write`. Returns the range's max
-/// delta against `prev`, appending the slots whose score differs bitwise
-/// from `base` to `changed` unless the step is a sweep.
+/// list), handing each score to `write` and each slot whose score differs
+/// bitwise from `base` to `on_change`. Returns the range's max delta
+/// against `prev`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn eval_range<K: SlotKernel>(
-    kernel: &K,
-    slots: Slots<'_>,
+    input: StepIn<'_, K>,
     range: Range<usize>,
-    prev: &[f64],
-    base: &[f64],
-    maxima: Maxima<'_>,
     scratch: &mut OpScratch,
-    changed: &mut Vec<u32>,
     mut write: impl FnMut(usize, f64),
+    mut on_change: impl FnMut(u32),
 ) -> f64 {
+    let StepIn {
+        kernel,
+        slots,
+        prev,
+        base,
+        maxima,
+    } = input;
     // Equal lengths let one bounds check cover both reads of a slot.
     assert_eq!(base.len(), prev.len(), "a step compares like buffers");
     let mut delta = 0.0f64;
-    // `record` is a constant per arm, so the sweep's loop carries no
-    // changed-slot test at all.
-    let mut eval = |slot_id: u32, record: bool| {
+    let eval = |slot_id: u32| {
         let slot = slot_id as usize;
         let score = kernel.eval(slot, prev, maxima, scratch);
         let d = (score - prev[slot]).abs();
         if d > delta {
             delta = d;
         }
-        if record && score.to_bits() != base[slot].to_bits() {
-            changed.push(slot_id);
+        if score.to_bits() != base[slot].to_bits() {
+            on_change(slot_id);
         }
         write(slot, score);
     };
     match slots {
-        Slots::All => slot_ids(range.end)
-            .skip(range.start)
-            .for_each(|slot_id| eval(slot_id, false)),
-        Slots::List(list) | Slots::Live(list) => {
-            for &slot_id in &list[range.clone()] {
-                eval(slot_id, true);
-            }
-        }
+        Slots::All => slot_ids(range.end).skip(range.start).for_each(eval),
+        Slots::List(list) | Slots::Live(list) => list[range].iter().copied().for_each(eval),
     }
     delta
 }
@@ -947,7 +993,8 @@ mod tests {
         let step = |mut exec: Exec<'_>| {
             let (mut next, mut changed) = (vec![-1.0; n], Vec::new());
             let slots = Slots::List(&worklist);
-            let (delta, evaluated) = exec.step(&toy, slots, &prev, &mut next, &prev, &mut changed);
+            let tally = Changed::List(&mut changed);
+            let (delta, evaluated) = exec.step(&toy, slots, &prev, &mut next, &prev, tally);
             changed.sort_unstable();
             (delta.to_bits(), evaluated, next, changed)
         };

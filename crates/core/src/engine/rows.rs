@@ -15,29 +15,38 @@
 //! entry field — `j`, the slot of `(x, y)`, the fallback constant, the
 //! eligibility filter, the partition of slot-backed entries before
 //! constants and the constant-run fold — is a function of `x`, `v` and
-//! `d` alone (`deps::push_direction`). A key therefore points at the
-//! entry range of its first occurrence, and reading it there is reading
-//! it anywhere.
+//! `d` alone (`deps::push_direction`). So the table keeps, per key, what
+//! its first occurrence's row reads: the maintained slot ids, in entry
+//! order, in one contiguous `u32` column, and the **floor** — the
+//! maximum of the row's fallback constants. A key's maximum is read from
+//! the table alone, never from the entry columns.
 //!
-//! **Bits.** A row maximum is exact and does not depend on the order its
-//! entries are visited in ([`row_max`]), and each slot still adds its
-//! rows' maxima in `i` order, so the shared evaluation is bitwise
-//! identical to [`Operator::map_sum_slots`] on every score buffer
-//! (`deps.rs` tests this on random graph pairs).
+//! **Bits.** A row maximum (`operators::row_max`) keeps a value only when it is
+//! strictly greater than the running maximum, starting from `+0.0`: NaN
+//! never enters, `−0.0` never replaces `+0.0`, and equal positive values
+//! have equal bits, so the result does not depend on visit order. Folding
+//! the constants into an `f32` floor first (the `f32` → `f64` widening is
+//! exact and monotone) and the slots after it is therefore bitwise
+//! `row_max`, and each slot still adds its rows' maxima in `i` order, so
+//! the shared evaluation is bitwise identical to
+//! [`Operator::map_sum_slots`] on every score buffer (`deps.rs` tests
+//! this on random graph pairs).
 //!
 //! **Derivation** is linear with no hashing: row instances are bucketed by
 //! `v` with a counting sort, and within a bucket an epoch-stamped array
 //! over `x` finds each row's first occurrence. Keys are numbered in
-//! first-occurrence order, so a pass over the keys streams forward
-//! through the entry columns.
+//! first-occurrence order, and the pass that numbers them copies each new
+//! key's row into the slot column, so a fill over the keys streams
+//! forward through that column.
 //!
-//! A table covers the whole store. Its columns may be split into
-//! **parts** — the full CSR is one part; the retained spill mappings of
-//! a sharded session are one part per shard — so keys are shared across
-//! shards exactly as they are in the full CSR.
+//! A table covers the whole store. It may be derived from entry columns
+//! split into **parts** — the full CSR is one part; the retained spill
+//! mappings of a sharded session are one part per shard — so keys are
+//! shared across shards exactly as they are in the full CSR, and the two
+//! derivations produce equal tables.
 
 use super::deps::CsrCols;
-use crate::operators::{row_max, DepEntry, OpScratch, Operator};
+use crate::operators::{DepEntry, OpScratch, Operator};
 use fsim_graph::{Graph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,15 +60,43 @@ pub(crate) struct RowKeys {
     out_rows: Vec<u32>,
     /// Slot → range of `in_keys` (length `n + 1`).
     in_rows: Vec<u32>,
-    /// Out row instance → its key, in `0..n_out`.
+    /// Out row instance → its key; out keys come first.
     out_keys: Vec<u32>,
-    /// In row instance → its key, in `n_out..spans.len()`.
+    /// In row instance → its key.
     in_keys: Vec<u32>,
-    /// Key → `[part, start, end)` of its first occurrence in that part's
-    /// out entry column (keys below `n_out`) or in entry column.
-    spans: Vec<[u32; 3]>,
-    /// The number of out keys.
-    n_out: usize,
+    /// The maintained slots and floor of every key's row.
+    columns: KeyColumns,
+}
+
+/// Per key, what its first-occurrence row reads: the maintained slot ids
+/// (`slots[offsets[key]..offsets[key + 1]]`, in entry order) and the
+/// floor, the maximum of the row's fallback constants under the strict
+/// `>` from `+0.0` (`+0.0` when it has none).
+#[derive(Debug, Default, PartialEq)]
+struct KeyColumns {
+    offsets: Vec<u32>,
+    slots: Vec<u32>,
+    floors: Vec<f32>,
+}
+
+impl KeyColumns {
+    /// Appends the key whose row is `entries`; `None` when the slot column
+    /// outgrows `u32` offsets.
+    fn push(&mut self, entries: &[DepEntry]) -> Option<()> {
+        let mut floor = 0.0f32;
+        for e in entries {
+            if e.slot == DepEntry::CONST {
+                if e.cval > floor {
+                    floor = e.cval;
+                }
+            } else {
+                self.slots.push(e.slot);
+            }
+        }
+        self.floors.push(floor);
+        self.offsets.push(u32::try_from(self.slots.len()).ok()?);
+        Some(())
+    }
 }
 
 /// The epoch-stamped first-occurrence array over `x ∈ V1` that
@@ -94,7 +131,10 @@ impl RowKeys {
             epoch: 0,
         };
         let n2 = g2.node_count();
-        let mut spans = Vec::new();
+        let mut columns = KeyColumns {
+            offsets: vec![0],
+            ..KeyColumns::default()
+        };
         let out_cols: Vec<_> = parts
             .iter()
             .map(|p| (p.out_offsets, p.out_entries))
@@ -105,9 +145,8 @@ impl RowKeys {
             |u| g1.out_neighbors(u),
             n2,
             &mut seen,
-            &mut spans,
+            &mut columns,
         )?;
-        let n_out = spans.len();
         let in_cols: Vec<_> = parts.iter().map(|p| (p.in_offsets, p.in_entries)).collect();
         let (in_rows, in_keys) = derive_direction(
             pairs,
@@ -115,9 +154,9 @@ impl RowKeys {
             |u| g1.in_neighbors(u),
             n2,
             &mut seen,
-            &mut spans,
+            &mut columns,
         )?;
-        if spans.len() == out_keys.len() + in_keys.len() {
+        if columns.floors.len() == out_keys.len() + in_keys.len() {
             return None;
         }
         Some(Self {
@@ -125,23 +164,25 @@ impl RowKeys {
             in_rows,
             out_keys,
             in_keys,
-            spans,
-            n_out,
+            columns,
         })
     }
 
     /// The number of distinct row keys.
     pub(crate) fn len(&self) -> usize {
-        self.spans.len()
+        self.columns.floors.len()
     }
 
     /// Resident heap footprint in bytes.
     pub(crate) fn bytes(&self) -> usize {
+        let c = &self.columns;
         std::mem::size_of_val(self.out_rows.as_slice())
             + std::mem::size_of_val(self.in_rows.as_slice())
             + std::mem::size_of_val(self.out_keys.as_slice())
             + std::mem::size_of_val(self.in_keys.as_slice())
-            + std::mem::size_of_val(self.spans.as_slice())
+            + std::mem::size_of_val(c.offsets.as_slice())
+            + std::mem::size_of_val(c.slots.as_slice())
+            + std::mem::size_of_val(c.floors.as_slice())
     }
 
     /// The keys of a slot's out rows, in `i` order.
@@ -156,32 +197,34 @@ impl RowKeys {
         &self.in_keys[self.in_rows[slot] as usize..self.in_rows[slot + 1] as usize]
     }
 
-    /// Key `key`'s row maximum under `prev`, read from its first
-    /// occurrence in the entry columns of `parts` (those the table was
-    /// derived from).
+    /// Key `key`'s row maximum under `prev`: its slots folded into its
+    /// floor with the strict `>` (bitwise the row's `row_max`, see the
+    /// module docs).
     #[inline]
-    pub(crate) fn max_of(&self, key: usize, parts: &[CsrCols<'_>], prev: &[f64]) -> f64 {
-        let [part, lo, hi] = self.spans[key];
-        let part = &parts[part as usize];
-        let column = if key < self.n_out {
-            part.out_entries
-        } else {
-            part.in_entries
-        };
-        row_max(&column[lo as usize..hi as usize], prev)
+    pub(crate) fn max_of(&self, key: usize, prev: &[f64]) -> f64 {
+        let c = &self.columns;
+        let slots = &c.slots[c.offsets[key] as usize..c.offsets[key + 1] as usize];
+        let mut best = f64::from(c.floors[key]);
+        for &s in slots {
+            let v = prev[s as usize];
+            if v > best {
+                best = v;
+            }
+        }
+        best
     }
 }
 
 /// One direction of [`RowKeys::derive`] over the parts' `(offsets,
 /// entries)` columns: the slot → row offsets and the row → key column,
-/// appending the direction's new keys to `spans`.
+/// appending the direction's new keys to `columns`.
 fn derive_direction<'g>(
     pairs: &[(NodeId, NodeId)],
     parts: &[(&[usize], &[DepEntry])],
     neighbors: impl Fn(NodeId) -> &'g [NodeId],
     n2: usize,
     seen: &mut FirstSeen,
-    spans: &mut Vec<[u32; 3]>,
+    columns: &mut KeyColumns,
 ) -> Option<(Vec<u32>, Vec<u32>)> {
     // Row instances in slot order: the maximal runs of one `i`. Rows tile
     // each part's entry column, so a row ends where the next row of its
@@ -258,13 +301,13 @@ fn derive_direction<'g>(
         }
         let leader = key[r] as usize;
         key[r] = if leader == r {
-            let id = u32::try_from(spans.len()).ok()?;
+            let id = u32::try_from(columns.floors.len()).ok()?;
             let end = if r + 1 < part_rows[part + 1] {
                 starts[r + 1]
             } else {
                 part_ends[part]
             };
-            spans.push([u32::try_from(part).ok()?, starts[r], end]);
+            columns.push(&parts[part].1[starts[r] as usize..end as usize])?;
             id
         } else {
             key[leader]
@@ -322,13 +365,11 @@ pub(crate) fn term_rows<O: Operator>(
 }
 
 /// Both directions' terms of `slot`, whose neighborhood sizes are `dims`,
-/// reading `maxima` (`parts` are the columns `rows` was derived from).
-#[allow(clippy::too_many_arguments)]
+/// reading `maxima`.
 #[inline]
 pub(crate) fn slot_terms<O: Operator>(
     op: &O,
     rows: &RowKeys,
-    parts: &[CsrCols<'_>],
     slot: usize,
     dims: [u32; 4],
     prev: &[f64],
@@ -351,7 +392,7 @@ pub(crate) fn slot_terms<O: Operator>(
             let mut max_of = |k: usize| {
                 if stamps[k] != token {
                     stamps[k] = token;
-                    vals[k] = rows.max_of(k, parts, prev);
+                    vals[k] = rows.max_of(k, prev);
                 }
                 vals[k]
             };

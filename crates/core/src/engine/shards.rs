@@ -39,11 +39,11 @@
 //! retained mappings and every shard visit reads it; without one, shards
 //! are evaluated slot by slot.
 
-use super::deps::{CsrCols, MappedShardCsr, ShardCsr, SlotEval};
+use super::deps::{CsrCols, MappedShardCsr, ShardCsr};
 use super::frontier::slot_ids;
 use super::iterate::Limits;
 use super::parallel::{step_maxima, Exec, IterationOutcome, Slots};
-use super::rows::{Maxima, RowKeys};
+use super::rows::RowKeys;
 use super::slot_bits::SlotBits;
 use crate::config::{FsimConfig, ShardSpec};
 use crate::operators::{DepEntry, OpCtx, Operator};
@@ -291,12 +291,13 @@ impl SpillState {
         self.mapping(shard, lo, hi).map(ShardCsr::from_mapped)
     }
 
-    /// The mappings of every non-empty shard, in plan order, and the
-    /// store's row-key table over them: `None` while a shard's spill is
-    /// unwritten, when `op` does not sum row maxima, or when no key is
-    /// shared. A retained spill serves every later sweep, so the table
-    /// pays for itself; keys shared between shards are computed once per
-    /// iteration, as in the full CSR.
+    /// The store's row-key table over the mappings of every non-empty
+    /// shard, in plan order: `None` while a shard's spill is unwritten,
+    /// when `op` does not sum row maxima, or when no key is shared. The
+    /// table reads nothing from the mappings once derived. A retained
+    /// spill serves every later sweep, so the table pays for itself; keys
+    /// shared between shards are computed once per iteration, as in the
+    /// full CSR.
     fn shared_rows<O: Operator>(
         &mut self,
         plan: &ShardPlan,
@@ -304,7 +305,7 @@ impl SpillState {
         g2: &Graph,
         store: &PairStore,
         op: &O,
-    ) -> Option<(Vec<Arc<MappedShardCsr>>, Arc<RowKeys>)> {
+    ) -> Option<Arc<RowKeys>> {
         if !op.sums_row_maxima() || (self.rows_derived && self.rows.is_none()) {
             return None;
         }
@@ -330,8 +331,7 @@ impl SpillState {
             self.rows = RowKeys::derive(g1, g2, &store.pairs, &parts).map(Arc::new);
             self.rows_derived = true;
         }
-        let rows = Arc::clone(self.rows.as_ref()?);
-        Some((maps, rows))
+        self.rows.clone()
     }
 }
 
@@ -510,44 +510,39 @@ pub(crate) fn run_sharded<O: Operator>(
         // driver, or as many slots as the last iteration), otherwise
         // filled on first use under one token for every shard, so keys
         // shared between shards are computed once.
-        let shared = {
+        let rows = {
             let plan = &state.plan;
             state
                 .spill
                 .as_mut()
                 .and_then(|sp| sp.shared_rows(plan, g1, g2, store, op))
         };
-        let parts: Vec<CsrCols<'_>> = shared.as_ref().map_or_else(Vec::new, |(maps, _)| {
-            maps.iter().map(|m| m.cols()).collect()
-        });
-        let rows = shared.as_ref().map(|(_, r)| (&**r, parts.as_slice()));
-        let rows_bytes = rows.map_or(0, |(r, _)| r.bytes());
-        let maxima = match rows {
-            Some((r, parts)) => {
-                let scheduled = if first || dense {
-                    n
-                } else {
-                    out.pairs_evaluated.last().copied().unwrap_or(n)
-                };
-                let fill = SlotEval::over_parts(cfg, op, store, label_terms, r, parts);
-                let rt = exec.pool(scheduled);
-                step_maxima(&fill, scores, scheduled, n, &mut maxima_buf, rt)
-            }
-            None => Maxima::lazy(),
+        let rows = rows.as_deref();
+        let rows_bytes = rows.map_or(0, RowKeys::bytes);
+        let scheduled = if first || dense {
+            n
+        } else {
+            out.pairs_evaluated.last().copied().unwrap_or(n)
         };
+        let rt = exec.pool(scheduled);
+        let maxima = step_maxima(rows, scores, scheduled, n, &mut maxima_buf, rt);
 
         // Publish C_{k−1} membership and repair the double buffer: a slot
         // that changed last iteration but is not re-evaluated now still
         // holds its two-iterations-old value in `cur` (evaluated slots
-        // overwrite their copy below) — exactly `run_delta`'s repair.
+        // overwrite their copy below) — exactly `run_delta`'s repair,
+        // which a live sweep needs only at k = 2: later changed slots
+        // are all live, and it rewrites every live slot.
         if !dense {
             bits.clear();
             for &c in &changed {
                 bits.insert(c);
             }
         }
-        for &c in &changed {
-            cur[c as usize] = scores[c as usize];
+        if !dense || out.iterations == 1 {
+            for &c in &changed {
+                cur[c as usize] = scores[c as usize];
+            }
         }
 
         let mut delta = 0.0f64;
@@ -575,21 +570,17 @@ pub(crate) fn run_sharded<O: Operator>(
             }
 
             // The shard's local worklist for this sweep.
-            let ids = slot_ids(lo).end..slot_ids(hi).end;
             local_wl.clear();
             if first {
-                local_wl.extend(ids);
+                local_wl.extend(slot_ids(lo).end..slot_ids(hi).end);
             } else if dense {
                 // A live sweep: every slot with a maintained entry.
-                local_wl.extend(
-                    ids.filter(|&s| csr.deps_of(s as usize).any(|e| e.slot != DepEntry::CONST)),
-                );
+                csr.slots_reading(|e| e.slot != DepEntry::CONST, &mut local_wl);
             } else {
                 // Re-evaluate exactly the dependents of C_{k−1}.
-                local_wl.extend(ids.filter(|&s| {
-                    csr.deps_of(s as usize)
-                        .any(|e| e.slot != DepEntry::CONST && bits.contains(e.slot))
-                }));
+                let reads_changed =
+                    |e: &DepEntry| e.slot != DepEntry::CONST && bits.contains(e.slot);
+                csr.slots_reading(reads_changed, &mut local_wl);
             }
 
             // One step of the executor: pure reads of `scores`, distinct

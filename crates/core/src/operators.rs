@@ -438,10 +438,11 @@ fn injective_sum<S: ScoreLookup>(
 
 /// `max(+0.0, max_e e.value(prev))` over one row's entries — the row
 /// reduction of [`slots_sum_best_per_left`], written once more without
-/// the row scan. Exact and independent of entry order: only a strictly
-/// greater value replaces the running maximum, so ties and NaNs resolve
-/// the same way in any order.
-#[inline]
+/// the row scan: the reference the row-key table's maxima are tested
+/// against (`engine/rows.rs`). Exact and independent of entry order: only
+/// a strictly greater value replaces the running maximum, so ties and
+/// NaNs resolve the same way in any order.
+#[cfg(test)]
 pub(crate) fn row_max(entries: &[DepEntry], prev: &[f64]) -> f64 {
     let mut best = 0.0f64;
     for e in entries {
