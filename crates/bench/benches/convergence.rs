@@ -7,16 +7,16 @@
 //! error ever exceeds the reported bound (the CI bench smoke runs this
 //! with `--test`), and in full mode if warm approximate runs are slower
 //! than warm exact delta runs in the median of interleaved repeats.
-//! Unlike the Criterion targets this bench also **emits
-//! `BENCH_convergence.json` at the repository root** so the perf
-//! trajectory is recorded across PRs.
+//! The bench **emits `BENCH_convergence.json` at the repository root** so
+//! the perf trajectory is recorded across commits.
 
-use fsim_bench::{spread, time};
-use fsim_core::{compute, force_scalar_kernel, ConvergenceMode, FsimConfig, FsimEngine, Variant};
+use fsim_bench::{assert_bitwise, best_of, spread, test_mode, time, write_record, Record};
+use fsim_core::{
+    compute, force_scalar_kernel, score_hash, ConvergenceMode, FsimConfig, FsimEngine, Variant,
+};
 use fsim_datasets::DatasetSpec;
 use fsim_graph::Graph;
 use fsim_labels::LabelFn;
-use std::time::Instant;
 
 /// One workload's measurements.
 struct Row {
@@ -44,8 +44,8 @@ struct Row {
     /// Per-iteration throughput of the warm delta run (evaluations that
     /// iteration / that iteration's wall clock).
     delta_pps_per_iteration: Vec<f64>,
-    /// FNV-1a hash of the exact scores (slots + bits) — compared across
-    /// builds (e.g. `simd` feature on vs off) by the CI smoke.
+    /// [`score_hash`] of the exact scores — compared across builds (e.g.
+    /// `simd` feature on vs off) by the CI smoke.
     score_hash: u64,
     kernel: KernelRow,
     approx: ApproxRow,
@@ -76,16 +76,6 @@ struct ApproxRow {
     /// back to back: median, minimum and maximum.
     vs_delta: (f64, f64, f64),
     pps: f64,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
 }
 
 fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) -> Row {
@@ -126,27 +116,11 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
         delta_par.run();
     });
     let warm_delta_par4_pps = delta_par.pairs_per_second().unwrap_or(0.0);
-    for ((u1, v1, s1), (u2, v2, s2)) in delta_par.iter_pairs().zip(delta.iter_pairs()) {
-        assert_eq!((u1, v1), (u2, v2), "{name}: parallel pair order diverged");
-        assert_eq!(
-            s1.to_bits(),
-            s2.to_bits(),
-            "{name}: parallel delta diverged at ({u1},{v1})"
-        );
-    }
+    assert_bitwise(&format!("{name}: parallel delta"), &delta_par, &delta);
     drop(delta_par);
 
-    // Sanity: the two schedules must agree bitwise — a bench that measures
-    // a wrong answer measures nothing.
-    for ((u1, v1, s1), (u2, v2, s2)) in sweep.iter_pairs().zip(delta.iter_pairs()) {
-        assert_eq!((u1, v1), (u2, v2), "{name}: pair order diverged");
-        assert_eq!(
-            s1.to_bits(),
-            s2.to_bits(),
-            "{name}: diverged at ({u1},{v1})"
-        );
-    }
-    assert_eq!(sweep.iterations(), delta.iterations(), "{name}: iterations");
+    // The two schedules must agree bitwise.
+    assert_bitwise(&format!("{name}: sweep vs delta"), &sweep, &delta);
 
     // Kernel A/B: the scalar reference strategy (pre-vectorization
     // on-the-fly sweep) against the default vectorized strategy
@@ -161,14 +135,11 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
     });
     let scalar_pps = scalar_sweep.pairs_per_second().unwrap_or(0.0);
     force_scalar_kernel(false);
-    for ((u1, v1, s1), (u2, v2, s2)) in scalar_sweep.iter_pairs().zip(sweep.iter_pairs()) {
-        assert_eq!((u1, v1), (u2, v2), "{name}: kernel pair order diverged");
-        assert_eq!(
-            s1.to_bits(),
-            s2.to_bits(),
-            "{name}: scalar and vectorized kernels diverged at ({u1},{v1})"
-        );
-    }
+    assert_bitwise(
+        &format!("{name}: scalar vs vectorized kernel"),
+        &scalar_sweep,
+        &sweep,
+    );
     let kernel = KernelRow {
         scalar_warm_s,
         vectorized_warm_s: warm_sweep_s,
@@ -176,22 +147,6 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
         scalar_pps,
         vectorized_pps: sweep.pairs_per_second().unwrap_or(0.0),
     };
-
-    // Exact-score hash (FNV-1a over slot order + bits): the cross-build
-    // bitwise gate for the CI `simd` on/off comparison.
-    let mut score_hash = 0xcbf29ce484222325u64;
-    for (u, v, s) in delta.iter_pairs() {
-        for chunk in [
-            u as u64,
-            v as u64,
-            u64::from_le_bytes(s.to_bits().to_le_bytes()),
-        ] {
-            for b in chunk.to_le_bytes() {
-                score_hash ^= b as u64;
-                score_hash = score_hash.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
 
     // The approximate variant: the exact iteration stopped at
     // ε' = tolerance·ε/(w⁺+w⁻), with the observed error checked against
@@ -254,7 +209,8 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
             .zip(delta.iteration_seconds())
             .map(|(&p, &s)| if s > 0.0 { p as f64 / s } else { 0.0 })
             .collect(),
-        score_hash,
+        // The cross-build bitwise gate for the CI `simd` on/off comparison.
+        score_hash: score_hash(delta.iter_pairs()),
         kernel,
         approx: ApproxRow {
             tolerance,
@@ -270,75 +226,70 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
     }
 }
 
-fn json_usize_array(xs: &[usize]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_f64_array(xs: &[f64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{x:.1}")).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn row_to_json(r: &Row) -> String {
-    format!(
-        concat!(
-            "{{\"workload\":\"{}\",\"pairs\":{},\"iterations\":{},",
-            "\"dep_entries\":{},\"pairs_evaluated\":{{\"sweep\":{},\"delta\":{},",
-            "\"delta_per_iteration\":{}}},",
-            "\"wall_clock_s\":{{\"cold_sweep\":{:.6},\"cold_delta\":{:.6},",
-            "\"warm_sweep\":{:.6},\"warm_delta\":{:.6},",
-            "\"warm_delta_par4\":{:.6}}},",
-            "\"pairs_per_second\":{{\"warm_sweep\":{:.1},\"warm_delta\":{:.1},",
-            "\"warm_delta_par4\":{:.1},",
-            "\"approx\":{:.1},\"delta_per_iteration\":{}}},",
-            "\"score_hash\":\"{:#018x}\",",
-            "\"kernel\":{{\"scalar_warm_s\":{:.6},\"vectorized_warm_s\":{:.6},",
-            "\"speedup\":{:.3},\"scalar_pps\":{:.1},\"vectorized_pps\":{:.1}}},",
-            "\"approx\":{{\"tolerance\":{},\"iterations\":{},",
-            "\"pairs_evaluated\":{},\"per_iteration\":{},",
-            "\"max_observed_error\":{:.3e},\"error_bound\":{:.3e},",
-            "\"warm_s\":{:.6},\"warm_vs_delta\":{:.4},",
-            "\"warm_vs_delta_min\":{:.4},\"warm_vs_delta_max\":{:.4}}}}}"
-        ),
-        r.name,
-        r.pairs,
-        r.iterations,
-        r.dep_entries,
-        r.sweep_pairs_evaluated,
-        r.delta_pairs_evaluated,
-        json_usize_array(&r.delta_per_iteration),
-        r.cold_sweep_s,
-        r.cold_delta_s,
-        r.warm_sweep_s,
-        r.warm_delta_s,
-        r.warm_delta_par4_s,
-        r.warm_sweep_pps,
-        r.warm_delta_pps,
-        r.warm_delta_par4_pps,
-        r.approx.pps,
-        json_f64_array(&r.delta_pps_per_iteration),
-        r.score_hash,
-        r.kernel.scalar_warm_s,
-        r.kernel.vectorized_warm_s,
-        r.kernel.speedup,
-        r.kernel.scalar_pps,
-        r.kernel.vectorized_pps,
-        r.approx.tolerance,
-        r.approx.iterations,
-        r.approx.pairs_evaluated,
-        json_usize_array(&r.approx.per_iteration),
-        r.approx.max_error,
-        r.approx.error_bound,
-        r.approx.warm_s,
-        r.approx.vs_delta.0,
-        r.approx.vs_delta.1,
-        r.approx.vs_delta.2,
-    )
+impl Row {
+    /// The workload's entry of `BENCH_convergence.json`.
+    fn record(&self) -> Record {
+        let a = &self.approx;
+        let k = &self.kernel;
+        Record::new()
+            .field("workload", self.name.as_str())
+            .field("pairs", self.pairs)
+            .field("iterations", self.iterations)
+            .field("dep_entries", self.dep_entries)
+            .field(
+                "pairs_evaluated",
+                Record::new()
+                    .field("sweep", self.sweep_pairs_evaluated)
+                    .field("delta", self.delta_pairs_evaluated)
+                    .field("delta_per_iteration", self.delta_per_iteration.clone()),
+            )
+            .field(
+                "wall_clock_s",
+                Record::new()
+                    .field("cold_sweep", self.cold_sweep_s)
+                    .field("cold_delta", self.cold_delta_s)
+                    .field("warm_sweep", self.warm_sweep_s)
+                    .field("warm_delta", self.warm_delta_s)
+                    .field("warm_delta_par4", self.warm_delta_par4_s),
+            )
+            .field(
+                "pairs_per_second",
+                Record::new()
+                    .field("warm_sweep", self.warm_sweep_pps)
+                    .field("warm_delta", self.warm_delta_pps)
+                    .field("warm_delta_par4", self.warm_delta_par4_pps)
+                    .field("approx", a.pps)
+                    .field("delta_per_iteration", self.delta_pps_per_iteration.clone()),
+            )
+            .field("score_hash", format!("{:#018x}", self.score_hash))
+            .field(
+                "kernel",
+                Record::new()
+                    .field("scalar_warm_s", k.scalar_warm_s)
+                    .field("vectorized_warm_s", k.vectorized_warm_s)
+                    .field("speedup", k.speedup)
+                    .field("scalar_pps", k.scalar_pps)
+                    .field("vectorized_pps", k.vectorized_pps),
+            )
+            .field(
+                "approx",
+                Record::new()
+                    .field("tolerance", a.tolerance)
+                    .field("iterations", a.iterations)
+                    .field("pairs_evaluated", a.pairs_evaluated)
+                    .field("per_iteration", a.per_iteration.clone())
+                    .field("max_observed_error", a.max_error)
+                    .field("error_bound", a.error_bound)
+                    .field("warm_s", a.warm_s)
+                    .field("warm_vs_delta", a.vs_delta.0)
+                    .field("warm_vs_delta_min", a.vs_delta.1)
+                    .field("warm_vs_delta_max", a.vs_delta.2),
+            )
+    }
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let test_mode = test_mode();
     let (scale, reps, epsilon) = if test_mode {
         (0.05, 3, 1e-3)
     } else {
@@ -403,15 +354,8 @@ fn main() {
         );
     }
 
-    let body: Vec<String> = rows.iter().map(row_to_json).collect();
-    let json = format!(
-        "{{\"bench\":\"convergence\",\"test_mode\":{},\"workloads\":[{}]}}\n",
-        test_mode,
-        body.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_convergence.json");
-    std::fs::write(path, &json).expect("write BENCH_convergence.json");
-    println!("wrote {path}");
+    let workloads: Vec<Record> = rows.iter().map(Row::record).collect();
+    write_record("convergence", Record::new().field("workloads", workloads));
 
     // Acceptance gates (full workload only — the --test workload runs in
     // milliseconds, where timings measure noise), checked after the JSON

@@ -6,6 +6,7 @@
 //! which shrinks the workload but still writes the file and checks the
 //! bitwise warm ≡ cold invariant).
 
+use fsim_bench::{assert_bitwise, test_mode, write_record, Record};
 use fsim_core::{FsimConfig, FsimEngine, GraphEdit, GraphSide, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_graph::Graph;
@@ -89,13 +90,7 @@ fn measure(name: &str, gated: bool, g: &Graph, cfg: &FsimConfig, reps: usize, se
             cold_evals += cold.pairs_evaluated().iter().sum::<usize>() as f64;
             sweep_evals += (cold.pair_count() * cold.iterations()) as f64;
 
-            // A bench that measures a wrong answer measures nothing.
-            assert_eq!(engine.pair_count(), cold.pair_count(), "{name}: pairs");
-            for ((u1, v1, a), (u2, v2, b)) in engine.iter_pairs().zip(cold.iter_pairs()) {
-                assert_eq!((u1, v1), (u2, v2), "{name}: pair order diverged");
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: diverged at ({u1},{v1})");
-            }
-            assert_eq!(engine.iterations(), cold.iterations(), "{name}: iterations");
+            assert_bitwise(&format!("{name}: warm vs cold"), &engine, &cold);
         }
         let r = reps.max(1) as f64;
         batches.push(BatchRow {
@@ -116,40 +111,35 @@ fn measure(name: &str, gated: bool, g: &Graph, cfg: &FsimConfig, reps: usize, se
     }
 }
 
-fn row_to_json(r: &Row) -> String {
-    let batches: Vec<String> = r
-        .batches
-        .iter()
-        .map(|b| {
-            format!(
-                concat!(
-                    "{{\"batch\":{},\"warm_s\":{:.6},\"cold_s\":{:.6},",
-                    "\"warm_evals\":{:.1},\"cold_evals\":{:.1},\"sweep_evals\":{:.1},",
-                    "\"ratio_vs_delta\":{:.4},\"ratio_vs_sweep\":{:.4}}}"
-                ),
-                b.batch,
-                b.warm_s,
-                b.cold_s,
-                b.warm_evals,
-                b.cold_evals,
-                b.sweep_evals,
-                b.warm_evals / b.cold_evals.max(1.0),
-                b.warm_evals / b.sweep_evals.max(1.0),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workload\":\"{}\",\"gated\":{},\"pairs\":{},\"iterations\":{},\"batches\":[{}]}}",
-        r.name,
-        r.gated,
-        r.pairs,
-        r.iterations,
-        batches.join(",")
-    )
+impl Row {
+    /// The workload's entry of `BENCH_incremental.json`.
+    fn record(&self) -> Record {
+        let batches: Vec<Record> = self
+            .batches
+            .iter()
+            .map(|b| {
+                Record::new()
+                    .field("batch", b.batch)
+                    .field("warm_s", b.warm_s)
+                    .field("cold_s", b.cold_s)
+                    .field("warm_evals", b.warm_evals)
+                    .field("cold_evals", b.cold_evals)
+                    .field("sweep_evals", b.sweep_evals)
+                    .field("ratio_vs_delta", b.warm_evals / b.cold_evals.max(1.0))
+                    .field("ratio_vs_sweep", b.warm_evals / b.sweep_evals.max(1.0))
+            })
+            .collect();
+        Record::new()
+            .field("workload", self.name.as_str())
+            .field("gated", self.gated)
+            .field("pairs", self.pairs)
+            .field("iterations", self.iterations)
+            .field("batches", batches)
+    }
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let test_mode = test_mode();
     // The gated θ=1 workloads run on the full-size surrogate (an edit's
     // influence ball has constant size, so the sweep ratio is scale-
     // dependent); the dense string-similarity workloads use the mid-size
@@ -252,13 +242,6 @@ fn main() {
         }
     }
 
-    let body: Vec<String> = rows.iter().map(row_to_json).collect();
-    let json = format!(
-        "{{\"bench\":\"incremental\",\"test_mode\":{},\"workloads\":[{}]}}\n",
-        test_mode,
-        body.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
-    std::fs::write(path, &json).expect("write BENCH_incremental.json");
-    println!("wrote {path}");
+    let workloads: Vec<Record> = rows.iter().map(Row::record).collect();
+    write_record("incremental", Record::new().field("workloads", workloads));
 }

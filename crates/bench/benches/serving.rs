@@ -10,6 +10,7 @@
 //! if the with-edits p99 read latency exceeds 2× the edit-free p99 —
 //! the epoch-swap latency gate, enforced in CI via the `--test` smoke.
 
+use fsim_bench::{test_mode, write_record, Record};
 use fsim_core::{FsimConfig, FsimEngine, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_labels::LabelFn;
@@ -142,27 +143,27 @@ fn run_phase(
     }
 }
 
-fn phase_to_json(p: &Phase) -> String {
-    format!(
-        concat!(
-            "{{\"label\":\"{}\",\"requests\":{},\"p50_us\":{:.1},\"p99_us\":{:.1},",
-            "\"qps\":{:.1},\"batches_accepted\":{},\"batches_rejected_429\":{},",
-            "\"epochs_published\":{}}}"
-        ),
-        p.label,
-        p.requests,
-        p.p50_us,
-        p.p99_us,
-        p.qps,
-        p.batches_accepted,
-        p.batches_rejected,
-        p.epochs_published,
-    )
+impl Phase {
+    /// The phase's entry of `BENCH_serving.json`.
+    fn record(&self) -> Record {
+        Record::new()
+            .field("label", self.label)
+            .field("requests", self.requests)
+            .field("p50_us", self.p50_us)
+            .field("p99_us", self.p99_us)
+            .field("qps", self.qps)
+            .field("batches_accepted", self.batches_accepted)
+            .field("batches_rejected_429", self.batches_rejected)
+            .field("epochs_published", self.epochs_published)
+    }
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let (scale, base_phase_s): (f64, f64) = if test_mode { (0.05, 1.0) } else { (0.15, 4.0) };
+    let (scale, base_phase_s): (f64, f64) = if test_mode() {
+        (0.05, 1.0)
+    } else {
+        (0.15, 4.0)
+    };
 
     let g = DatasetSpec::by_name("NELL")
         .expect("spec")
@@ -243,29 +244,34 @@ fn main() {
         "bench serving/gate       p99 with edits / p99 read-only = {p99_ratio:.2} (must be <= 2.0)"
     );
 
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"serving\",\"test_mode\":{},\"readers\":{},",
-            "\"workload\":{{\"dataset\":\"NELL\",\"scale\":{},\"pairs\":{},",
-            "\"initial_convergence_s\":{:.6},\"edit_apply_s\":{:.6},\"phase_s\":{:.3}}},",
-            "\"phases\":[{},{},{}],\"p99_ratio\":{:.3},",
-            "\"gate\":\"p99(with_edits) <= 2 * max(p99(read_only), p99(read_only_2))\"}}\n"
-        ),
-        test_mode,
-        READERS,
-        scale,
-        pairs,
-        converge_s,
-        edit_apply_s,
-        phase.as_secs_f64(),
-        phase_to_json(&read_only),
-        phase_to_json(&with_edits),
-        phase_to_json(&read_only_2),
-        p99_ratio,
+    write_record(
+        "serving",
+        Record::new()
+            .field("readers", READERS)
+            .field(
+                "workload",
+                Record::new()
+                    .field("dataset", "NELL")
+                    .field("scale", scale)
+                    .field("pairs", pairs)
+                    .field("initial_convergence_s", converge_s)
+                    .field("edit_apply_s", edit_apply_s)
+                    .field("phase_s", phase.as_secs_f64()),
+            )
+            .field(
+                "phases",
+                vec![
+                    read_only.record(),
+                    with_edits.record(),
+                    read_only_2.record(),
+                ],
+            )
+            .field("p99_ratio", p99_ratio)
+            .field(
+                "gate",
+                "p99(with_edits) <= 2 * max(p99(read_only), p99(read_only_2))",
+            ),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    println!("wrote {path}");
 
     daemon.shutdown();
     assert_eq!(

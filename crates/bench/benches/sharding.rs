@@ -6,15 +6,15 @@
 //! execution stays **bitwise identical** to unsharded (a bench measuring
 //! a wrong answer measures nothing) and **fails** — also under CI's
 //! `--test` smoke run — if the K=16 peak is not under 1/8 of the
-//! unsharded CSR footprint on the gated workload. Like the other
-//! non-Criterion benches it emits `BENCH_sharding.json` at the repository
-//! root so the perf trajectory is recorded across PRs.
+//! unsharded CSR footprint on the gated workload. It emits
+//! `BENCH_sharding.json` at the repository root so the perf trajectory is
+//! recorded across commits.
 
+use fsim_bench::{assert_bitwise, assert_same_work, best_of, test_mode, write_record, Record};
 use fsim_core::{ConvergenceMode, FsimConfig, FsimEngine, ShardSpec, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_graph::Graph;
 use fsim_labels::LabelFn;
-use std::time::Instant;
 
 /// One shard count's measurements.
 struct ShardRow {
@@ -36,34 +36,6 @@ struct Row {
     unsharded_cold_s: f64,
     unsharded_warm_s: f64,
     sharded: Vec<ShardRow>,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn assert_bitwise(name: &str, what: &str, a: &FsimEngine<'_>, b: &FsimEngine<'_>) {
-    assert_eq!(a.pair_count(), b.pair_count(), "{name}: {what}: pair sets");
-    for ((u1, v1, s1), (u2, v2, s2)) in a.iter_pairs().zip(b.iter_pairs()) {
-        assert_eq!((u1, v1), (u2, v2), "{name}: {what}: pair order");
-        assert_eq!(
-            s1.to_bits(),
-            s2.to_bits(),
-            "{name}: {what}: diverged at ({u1},{v1})"
-        );
-    }
-    assert_eq!(a.iterations(), b.iterations(), "{name}: {what}: iterations");
-    assert_eq!(
-        a.pairs_evaluated(),
-        b.pairs_evaluated(),
-        "{name}: {what}: per-iteration work"
-    );
 }
 
 fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) -> Row {
@@ -95,7 +67,9 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
         let shard_warm_s = best_of(reps, || {
             sharded.run();
         });
-        assert_bitwise(name, &format!("K={k}"), &whole, &sharded);
+        let what = format!("{name}: K={k}");
+        assert_bitwise(&what, &whole, &sharded);
+        assert_same_work(&what, &whole, &sharded);
         sharded_rows.push(ShardRow {
             k_requested: k,
             k_effective: sharded.shard_count(),
@@ -118,47 +92,46 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
     }
 }
 
-fn row_to_json(r: &Row) -> String {
-    let sharded: Vec<String> = r
-        .sharded
-        .iter()
-        .map(|s| {
-            format!(
-                concat!(
-                    "{{\"k_requested\":{},\"k_effective\":{},\"peak_csr_bytes\":{},",
-                    "\"peak_ratio\":{:.4},\"cold_s\":{:.6},\"warm_s\":{:.6},",
-                    "\"total_pairs_evaluated\":{}}}"
-                ),
-                s.k_requested,
-                s.k_effective,
-                s.peak_csr_bytes,
-                s.peak_csr_bytes as f64 / r.unsharded_peak_csr_bytes.max(1) as f64,
-                s.cold_s,
-                s.warm_s,
-                s.total_pairs_evaluated,
+impl Row {
+    /// The workload's entry of `BENCH_sharding.json`.
+    fn record(&self) -> Record {
+        let sharded: Vec<Record> = self
+            .sharded
+            .iter()
+            .map(|s| {
+                Record::new()
+                    .field("k_requested", s.k_requested)
+                    .field("k_effective", s.k_effective)
+                    .field("peak_csr_bytes", s.peak_csr_bytes)
+                    .field("peak_ratio", self.peak_ratio(s))
+                    .field("cold_s", s.cold_s)
+                    .field("warm_s", s.warm_s)
+                    .field("total_pairs_evaluated", s.total_pairs_evaluated)
+            })
+            .collect();
+        Record::new()
+            .field("workload", self.name.as_str())
+            .field("pairs", self.pairs)
+            .field("iterations", self.iterations)
+            .field(
+                "unsharded",
+                Record::new()
+                    .field("dep_entries", self.unsharded_dep_entries)
+                    .field("peak_csr_bytes", self.unsharded_peak_csr_bytes)
+                    .field("cold_s", self.unsharded_cold_s)
+                    .field("warm_s", self.unsharded_warm_s),
             )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"workload\":\"{}\",\"pairs\":{},\"iterations\":{},",
-            "\"unsharded\":{{\"dep_entries\":{},\"peak_csr_bytes\":{},",
-            "\"cold_s\":{:.6},\"warm_s\":{:.6}}},",
-            "\"sharded\":[{}]}}"
-        ),
-        r.name,
-        r.pairs,
-        r.iterations,
-        r.unsharded_dep_entries,
-        r.unsharded_peak_csr_bytes,
-        r.unsharded_cold_s,
-        r.unsharded_warm_s,
-        sharded.join(","),
-    )
+            .field("sharded", sharded)
+    }
+
+    /// A shard count's peak resident CSR bytes over the unsharded peak.
+    fn peak_ratio(&self, s: &ShardRow) -> f64 {
+        s.peak_csr_bytes as f64 / self.unsharded_peak_csr_bytes.max(1) as f64
+    }
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let test_mode = test_mode();
     let (scale, reps, epsilon) = if test_mode {
         (0.08, 1, 1e-3)
     } else {
@@ -205,22 +178,15 @@ fn main() {
                 r.name,
                 s.k_requested,
                 s.peak_csr_bytes,
-                100.0 * s.peak_csr_bytes as f64 / r.unsharded_peak_csr_bytes.max(1) as f64,
+                100.0 * r.peak_ratio(s),
                 s.warm_s * 1e3,
                 s.warm_s / r.unsharded_warm_s.max(1e-12),
             );
         }
     }
 
-    let body: Vec<String> = rows.iter().map(row_to_json).collect();
-    let json = format!(
-        "{{\"bench\":\"sharding\",\"test_mode\":{},\"workloads\":[{}]}}\n",
-        test_mode,
-        body.join(",")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharding.json");
-    std::fs::write(path, &json).expect("write BENCH_sharding.json");
-    println!("wrote {path}");
+    let workloads: Vec<Record> = rows.iter().map(Row::record).collect();
+    write_record("sharding", Record::new().field("workloads", workloads));
 
     // Acceptance gate, checked after the JSON is on disk so a failing
     // record is still inspectable: on the dense workload — the regime
@@ -240,7 +206,7 @@ fn main() {
         .iter()
         .find(|s| s.k_requested == 16)
         .expect("K=16 row");
-    let ratio = k16.peak_csr_bytes as f64 / gated.unsharded_peak_csr_bytes.max(1) as f64;
+    let ratio = gated.peak_ratio(k16);
     assert!(
         ratio < 0.125,
         "sharding must bound peak CSR memory: K=16 peak is {:.1}% of unsharded on the dense \

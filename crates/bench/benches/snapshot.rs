@@ -28,7 +28,7 @@
 //! workload's baseline first; a bench measuring a wrong answer
 //! measures nothing.
 
-use fsim_bench::{spread, time};
+use fsim_bench::{assert_bitwise, assert_same_work, spread, test_mode, time, write_record, Record};
 use fsim_core::{ConvergenceMode, FsimConfig, FsimEngine, ShardSpec, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_labels::LabelFn;
@@ -51,33 +51,15 @@ static SECTIONS: &[(u32, &str)] = &[
     (11, "label_table"),
 ];
 
-fn assert_bitwise(what: &str, a: &FsimEngine<'_>, b: &FsimEngine<'_>) {
-    assert_eq!(a.pair_count(), b.pair_count(), "{what}: pair sets");
-    for ((u1, v1, s1), (u2, v2, s2)) in a.iter_pairs().zip(b.iter_pairs()) {
-        assert_eq!((u1, v1), (u2, v2), "{what}: pair order");
-        assert_eq!(
-            s1.to_bits(),
-            s2.to_bits(),
-            "{what}: diverged at ({u1},{v1})"
-        );
-    }
-    assert_eq!(a.iterations(), b.iterations(), "{what}: iterations");
-    assert_eq!(
-        a.pairs_evaluated(),
-        b.pairs_evaluated(),
-        "{what}: per-iteration work"
-    );
-}
-
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let test_mode = test_mode();
     // The restore workload keeps a near-full scale even in test mode:
     // below ~0.2 the cold derive is so fast that restore's fixed costs
     // (open, map, checksum) dominate the ratio and the gate measures
     // noise. It is one sub-15ms derive either way; the dense spill
     // workload is the expensive one and scales down hard.
     let (theta_scale, dense_scale, reps, epsilon) = if test_mode {
-        (0.3, 0.05, 5, 1e-3)
+        (0.3, 0.05, 5usize, 1e-3)
     } else {
         (0.35, 0.18, 7, 1e-4)
     };
@@ -110,6 +92,7 @@ fn main() {
 
     let restored = FsimEngine::restore(&snap_path).expect("restore");
     assert_bitwise("restore", &baseline, &restored);
+    assert_same_work("restore", &baseline, &restored);
     let (mut cold, mut restore, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..reps {
         let c = time(|| {
@@ -146,9 +129,11 @@ fn main() {
     let mut sharded = FsimEngine::new(&gd, &gd, &shard_cfg).expect("valid config");
     sharded.run();
     assert_bitwise("sharded K=16", &dense_base, &sharded);
+    assert_same_work("sharded K=16", &dense_base, &sharded);
     let mut spilled = FsimEngine::new(&gd, &gd, &spill_cfg).expect("valid config");
     spilled.run(); // first run writes the per-shard spill files
     assert_bitwise("spilled K=16", &dense_base, &spilled);
+    assert_same_work("spilled K=16", &dense_base, &spilled);
     // Warm runs, the three engines in turn within each repeat.
     let (mut warm, mut sharded_warm, mut spilled_warm) = (Vec::new(), Vec::new(), Vec::new());
     let mut spill_ratios = Vec::new();
@@ -211,44 +196,45 @@ fn main() {
         traj_ratio * 100.0,
     );
 
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"snapshot\",\"test_mode\":{},\"reps\":{},",
-            "\"restore\":{{\"workload\":\"theta0.9_bj_jw\",\"pairs\":{},\"iterations\":{},",
-            "\"cold_s\":{:.6},\"restore_s\":{:.6},\"speedup\":{:.2},",
-            "\"speedup_min\":{:.2},\"speedup_max\":{:.2},",
-            "\"write_s\":{:.6},\"snapshot_bytes\":{}}},",
-            "\"spill\":{{\"workload\":\"dense_theta0_s_jw\",\"pairs\":{},\"k\":16,",
-            "\"unsharded_warm_s\":{:.6},\"sharded_warm_s\":{:.6},",
-            "\"spilled_warm_s\":{:.6},\"spilled_vs_unsharded\":{:.4},",
-            "\"spilled_vs_unsharded_min\":{:.4},\"spilled_vs_unsharded_max\":{:.4}}},",
-            "\"trajectory\":{{\"dense_bytes\":{},\"encoded_bytes\":{},\"ratio\":{:.4}}}}}\n",
-        ),
-        test_mode,
-        reps,
-        baseline.pair_count(),
-        baseline.iterations(),
-        cold_s,
-        restore_s,
-        speedup,
-        speedup_min,
-        speedup_max,
-        write_s,
-        snapshot_bytes,
-        dense_base.pair_count(),
-        warm_s,
-        sharded_warm_s,
-        spilled_warm_s,
-        spill_ratio,
-        spill_ratio_min,
-        spill_ratio_max,
-        dense_bytes,
-        encoded_bytes,
-        traj_ratio,
+    write_record(
+        "snapshot",
+        Record::new()
+            .field("reps", reps)
+            .field(
+                "restore",
+                Record::new()
+                    .field("workload", "theta0.9_bj_jw")
+                    .field("pairs", baseline.pair_count())
+                    .field("iterations", baseline.iterations())
+                    .field("cold_s", cold_s)
+                    .field("restore_s", restore_s)
+                    .field("speedup", speedup)
+                    .field("speedup_min", speedup_min)
+                    .field("speedup_max", speedup_max)
+                    .field("write_s", write_s)
+                    .field("snapshot_bytes", snapshot_bytes),
+            )
+            .field(
+                "spill",
+                Record::new()
+                    .field("workload", "dense_theta0_s_jw")
+                    .field("pairs", dense_base.pair_count())
+                    .field("k", 16usize)
+                    .field("unsharded_warm_s", warm_s)
+                    .field("sharded_warm_s", sharded_warm_s)
+                    .field("spilled_warm_s", spilled_warm_s)
+                    .field("spilled_vs_unsharded", spill_ratio)
+                    .field("spilled_vs_unsharded_min", spill_ratio_min)
+                    .field("spilled_vs_unsharded_max", spill_ratio_max),
+            )
+            .field(
+                "trajectory",
+                Record::new()
+                    .field("dense_bytes", dense_bytes)
+                    .field("encoded_bytes", encoded_bytes)
+                    .field("ratio", traj_ratio),
+            ),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-    std::fs::write(path, &json).expect("write BENCH_snapshot.json");
-    println!("wrote {path}");
     drop(spilled); // release the spill directory before the scratch sweep
     let _ = std::fs::remove_dir_all(&scratch);
 

@@ -25,6 +25,7 @@ use crate::operators::{DepEntry, OpCtx, OpScratch, Operator};
 use crate::store::{PairRef, PairStore};
 use fsim_graph::Graph;
 use fsim_snapshot::SnapshotError;
+use std::sync::OnceLock;
 
 /// Rough per-entry footprint in bytes (one [`DepEntry`] plus its reverse
 /// edge), used with [`crate::candidates::estimated_dep_entries`] to check
@@ -589,6 +590,8 @@ struct OwnedShardCsr {
     in_entries: Vec<DepEntry>,
     /// Local slot → `[|N⁺(u)|, |N⁺(v)|, |N⁻(u)|, |N⁻(v)|]`.
     dims: Vec<[u32; 4]>,
+    /// The shard's live slots, once a live sweep listed them.
+    live: OnceLock<Vec<u32>>,
 }
 
 /// Borrowed view of one substrate's CSR columns — the common shape the
@@ -619,6 +622,25 @@ impl ShardCsr {
                 dims: &o.dims,
             },
             ShardRepr::Mapped(m) => m.cols(),
+        }
+    }
+
+    /// The shard's live slots, ascending (global ids): listed by the
+    /// first live sweep over this build or spill mapping and kept while it
+    /// lives, so sparse steps over rebuilt shards never pay the scan and a
+    /// retained mapping pays it once.
+    pub(crate) fn live(&self) -> &[u32] {
+        self.live_cell().get_or_init(|| {
+            let mut live = Vec::new();
+            self.slots_reading(|e| e.slot != DepEntry::CONST, &mut live);
+            live
+        })
+    }
+
+    fn live_cell(&self) -> &OnceLock<Vec<u32>> {
+        match &self.repr {
+            ShardRepr::Owned(o) => &o.live,
+            ShardRepr::Mapped(m) => &m.live,
         }
     }
 
@@ -705,6 +727,7 @@ impl ShardCsr {
                 out_entries,
                 in_entries,
                 dims,
+                live: OnceLock::new(),
             }),
         }
     }
@@ -734,8 +757,9 @@ impl ShardCsr {
             .chain(&c.in_entries[c.in_offsets[local]..c.in_offsets[local + 1]])
     }
 
-    /// Resident column footprint in bytes (for a mapped shard, the
-    /// page-cache-resident spill bytes the columns view).
+    /// Resident footprint in bytes: the columns (for a mapped shard, the
+    /// page-cache-resident spill bytes they view) and the live-slot list
+    /// once listed.
     pub(crate) fn bytes(&self) -> usize {
         let c = self.cols();
         std::mem::size_of_val(c.out_entries)
@@ -743,6 +767,10 @@ impl ShardCsr {
             + std::mem::size_of_val(c.out_offsets)
             + std::mem::size_of_val(c.in_offsets)
             + std::mem::size_of_val(c.dims)
+            + self
+                .live_cell()
+                .get()
+                .map_or(0, |l| std::mem::size_of_val(&l[..]))
     }
 
     /// Writes this shard's dependency lists to `path` as a one-section
@@ -791,6 +819,9 @@ pub(crate) struct MappedShardCsr {
     out_entries: EntryCol,
     in_entries: EntryCol,
     dims: Vec<[u32; 4]>,
+    /// The shard's live slots, listed by the first live sweep over this
+    /// mapping ([`ShardCsr::live`]).
+    live: OnceLock<Vec<u32>>,
 }
 
 // SAFETY: the `Raw` columns point into `_file`'s buffer, which is
@@ -798,7 +829,8 @@ pub(crate) struct MappedShardCsr {
 // only on drop — sharing `&self` across the parallel sweep's threads
 // is reads of immutable memory.
 unsafe impl Send for MappedShardCsr {}
-// SAFETY: as above — every access path is `&self` reads.
+// SAFETY: as above — every access path is `&self` reads, except the
+// live list's one write, which its `OnceLock` synchronizes.
 unsafe impl Sync for MappedShardCsr {}
 
 /// One dependency-entry column of a retained spill.
@@ -916,6 +948,7 @@ impl MappedShardCsr {
             out_entries,
             in_entries,
             dims,
+            live: OnceLock::new(),
         })
     }
 
@@ -1188,6 +1221,11 @@ mod tests {
                 for (lo, hi) in [(0, cut), (cut, store.len())] {
                     let shard = ShardCsr::build(&g1, &g2, &ctx, &store, &op, lo, hi);
                     assert!(shard.bytes() <= csr.bytes());
+                    // The shard's live list is the full CSR's, cut to the
+                    // shard.
+                    let in_shard = |&&s: &&u32| (lo..hi).contains(&(s as usize));
+                    let full_live: Vec<u32> = csr.live().iter().filter(in_shard).copied().collect();
+                    assert_eq!(shard.live(), full_live, "theta={theta} {lo}..{hi}");
                     let shard_kernel = shard.kernel(&cfg, &op, &store, &labels, None);
                     for slot in lo..hi {
                         let full = full_kernel.eval(slot, &scores, Maxima::lazy(), &mut scratch);
@@ -1252,6 +1290,11 @@ mod tests {
             let db: Vec<DepEntry> = mapped.deps_of(slot).copied().collect();
             assert_eq!(da, db, "slot {slot}");
         }
+        // A listed live list counts in the footprint.
+        let unlisted = built.bytes();
+        assert_eq!(built.live(), mapped.live());
+        assert!(!built.live().is_empty());
+        assert_eq!(built.bytes(), unlisted + 4 * built.live().len());
         assert_eq!(built.bytes(), mapped.bytes());
         // A mapping is pinned to its plan range: a range mismatch is a
         // structured error (the caller rebuilds), never garbage.

@@ -557,6 +557,10 @@ pub(crate) fn run_sharded<O: Operator>(
                 continue;
             }
             let csr = obtain_shard_csr(&mut state.spill, shard, g1, g2, ctx, store, op, lo, hi);
+            // A live sweep evaluates every slot with a maintained entry,
+            // listed once per build or spill mapping, before the peak is
+            // taken so the peak counts the list.
+            let live = dense.then(|| csr.live());
             peak_bytes = peak_bytes.max(csr.bytes() + rows_bytes);
             if filling_masks {
                 let table = &mut state.boundary;
@@ -573,10 +577,7 @@ pub(crate) fn run_sharded<O: Operator>(
             local_wl.clear();
             if first {
                 local_wl.extend(slot_ids(lo).end..slot_ids(hi).end);
-            } else if dense {
-                // A live sweep: every slot with a maintained entry.
-                csr.slots_reading(|e| e.slot != DepEntry::CONST, &mut local_wl);
-            } else {
+            } else if !dense {
                 // Re-evaluate exactly the dependents of C_{k−1}.
                 let reads_changed =
                     |e: &DepEntry| e.slot != DepEntry::CONST && bits.contains(e.slot);
@@ -586,7 +587,7 @@ pub(crate) fn run_sharded<O: Operator>(
             // One step of the executor: pure reads of `scores`, distinct
             // writes of `cur`.
             let kernel = csr.kernel(cfg, op, store, label_terms, rows);
-            let slots = Slots::List(&local_wl);
+            let slots = Slots::List(live.unwrap_or(&local_wl));
             let (d, e) = exec.step_with(&kernel, slots, maxima, scores, cur, &mut next_changed);
             delta = delta.max(d);
             evaluated += e;

@@ -299,8 +299,8 @@ pub trait Operator: Send + Sync {
     fn omega(&self, len1: usize, len2: usize) -> f64;
 
     /// Whether the underlying exact condition is *vacuously satisfied* for
-    /// these sizes (the term then contributes its full weight; §4.4 of
-    /// DESIGN.md).
+    /// these sizes (the term then contributes its full weight: the
+    /// empty-set convention of Equation 2).
     fn vacuous(&self, len1: usize, len2: usize) -> bool;
 
     /// The neighbor term of Equation 2 with the empty-set convention

@@ -104,7 +104,7 @@ pub fn evolve<R: Rng + ?Sized>(
 ///
 /// The paper's alignment graphs are RDF with 23 *edge* labels; our data
 /// model is node-labeled, and reification is the standard encoding that
-/// preserves the edge-label discrimination (DESIGN.md §2). Reify the base
+/// preserves the edge-label discrimination. Reify the base
 /// version, then [`evolve`] the reified graph — relation-node churn then
 /// models edge churn.
 pub fn reify_edges(g: &Graph, n_types: usize) -> Graph {

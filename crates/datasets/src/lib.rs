@@ -4,7 +4,8 @@
 //! paper's evaluation data: the eight Table-4 datasets, the DBIS
 //! bibliographic network (Tables 7–8), the Amazon-style co-purchase graph
 //! (Table 6) and evolving graph versions with alignment ground truth
-//! (Table 9). See DESIGN.md §2 for the substitution rationale.
+//! (Table 9). The paper's data cannot be shipped, so each dataset is a
+//! seeded synthetic graph with the original's shape (see [`table4`]).
 
 #![warn(missing_docs)]
 

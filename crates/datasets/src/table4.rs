@@ -4,8 +4,8 @@
 //! synthetic digraph reproducing its *statistical shape* — node/edge/label
 //! counts (scaled down by `scale` to laptop size), Zipf-skewed labels, and
 //! a preferential-attachment topology yielding the paper's `D⁻ ≫ D⁺`
-//! in-degree skew. The substitution is documented in DESIGN.md §2; all
-//! efficiency/sensitivity experiments consume these surrogates.
+//! in-degree skew. All efficiency/sensitivity experiments consume these
+//! surrogates.
 
 use fsim_graph::generate::{preferential, GeneratorConfig};
 use fsim_graph::Graph;

@@ -67,7 +67,7 @@ pub fn run_threads(opts: &ExpOpts) -> Report {
 /// Figure 9(b): density sweep (×1..×50 edges, random insertions).
 pub fn run_density(opts: &ExpOpts) -> Report {
     // Densification is quadratic in cost; use a smaller base so x50 stays
-    // laptop-sized (series shape is what matters, per DESIGN.md).
+    // laptop-sized (the series shape is what the figure reproduces).
     let mut small = opts.clone();
     small.scale = opts.scale * 0.4;
     let nell = small.nell();

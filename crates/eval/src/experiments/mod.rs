@@ -1,5 +1,5 @@
-//! One runner per table/figure of the paper's evaluation (§5), as indexed
-//! in DESIGN.md §3.
+//! One runner per table/figure of the paper's evaluation (§5), one module
+//! per experiment id `fsim-exp list` prints.
 
 pub mod efficiency;
 pub mod fig4;

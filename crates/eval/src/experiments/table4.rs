@@ -38,7 +38,7 @@ pub fn run(opts: &ExpOpts) -> Report {
             s.max_in_degree.to_string(),
         ]);
     }
-    report.note("surrogates are preferential-attachment digraphs with Zipf labels (DESIGN.md §2)");
+    report.note("surrogates are preferential-attachment digraphs with Zipf labels");
     report
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: metrics (Pearson correlation, nDCG), report
 //! formatting, and one runner per table/figure of the paper's evaluation
-//! (see DESIGN.md §3 for the experiment index). The `fsim-exp` binary
+//! (`fsim-exp list` prints the experiment index). The `fsim-exp` binary
 //! regenerates any table or figure: `fsim-exp table6`, `fsim-exp all`.
 
 #![warn(missing_docs)]
