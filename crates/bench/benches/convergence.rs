@@ -11,9 +11,7 @@
 //! the perf trajectory is recorded across commits.
 
 use fsim_bench::{assert_bitwise, best_of, spread, test_mode, time, write_record, Record};
-use fsim_core::{
-    compute, force_scalar_kernel, score_hash, ConvergenceMode, FsimConfig, FsimEngine, Variant,
-};
+use fsim_core::{compute, score_hash, ConvergenceMode, FsimConfig, FsimEngine, Variant};
 use fsim_datasets::DatasetSpec;
 use fsim_graph::Graph;
 use fsim_labels::LabelFn;
@@ -47,19 +45,7 @@ struct Row {
     /// [`score_hash`] of the exact scores — compared across builds (e.g.
     /// `simd` feature on vs off) by the CI smoke.
     score_hash: u64,
-    kernel: KernelRow,
     approx: ApproxRow,
-}
-
-/// Scalar-reference vs vectorized engine strategy on the full-sweep
-/// workload (same config, same thread count — only the process-wide
-/// [`force_scalar_kernel`] toggle differs).
-struct KernelRow {
-    scalar_warm_s: f64,
-    vectorized_warm_s: f64,
-    speedup: f64,
-    scalar_pps: f64,
-    vectorized_pps: f64,
 }
 
 /// The approximate-mode measurements of one workload.
@@ -121,32 +107,6 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
 
     // The two schedules must agree bitwise.
     assert_bitwise(&format!("{name}: sweep vs delta"), &sweep, &delta);
-
-    // Kernel A/B: the scalar reference strategy (pre-vectorization
-    // on-the-fly sweep) against the default vectorized strategy
-    // (CSR-routed sweep), same config and thread count. The two must
-    // agree bitwise — the whole point of the vectorized path is being a
-    // free speedup.
-    force_scalar_kernel(true);
-    let mut scalar_sweep = FsimEngine::new(g1, g2, &sweep_cfg).expect("valid config");
-    scalar_sweep.run();
-    let scalar_warm_s = best_of(reps, || {
-        scalar_sweep.run();
-    });
-    let scalar_pps = scalar_sweep.pairs_per_second().unwrap_or(0.0);
-    force_scalar_kernel(false);
-    assert_bitwise(
-        &format!("{name}: scalar vs vectorized kernel"),
-        &scalar_sweep,
-        &sweep,
-    );
-    let kernel = KernelRow {
-        scalar_warm_s,
-        vectorized_warm_s: warm_sweep_s,
-        speedup: scalar_warm_s / warm_sweep_s.max(1e-12),
-        scalar_pps,
-        vectorized_pps: sweep.pairs_per_second().unwrap_or(0.0),
-    };
 
     // The approximate variant: the exact iteration stopped at
     // ε' = tolerance·ε/(w⁺+w⁻), with the observed error checked against
@@ -211,7 +171,6 @@ fn measure(name: &str, g1: &Graph, g2: &Graph, cfg: &FsimConfig, reps: usize) ->
             .collect(),
         // The cross-build bitwise gate for the CI `simd` on/off comparison.
         score_hash: score_hash(delta.iter_pairs()),
-        kernel,
         approx: ApproxRow {
             tolerance,
             iterations: approx.iterations(),
@@ -230,7 +189,6 @@ impl Row {
     /// The workload's entry of `BENCH_convergence.json`.
     fn record(&self) -> Record {
         let a = &self.approx;
-        let k = &self.kernel;
         Record::new()
             .field("workload", self.name.as_str())
             .field("pairs", self.pairs)
@@ -262,15 +220,6 @@ impl Row {
                     .field("delta_per_iteration", self.delta_pps_per_iteration.clone()),
             )
             .field("score_hash", format!("{:#018x}", self.score_hash))
-            .field(
-                "kernel",
-                Record::new()
-                    .field("scalar_warm_s", k.scalar_warm_s)
-                    .field("vectorized_warm_s", k.vectorized_warm_s)
-                    .field("speedup", k.speedup)
-                    .field("scalar_pps", k.scalar_pps)
-                    .field("vectorized_pps", k.vectorized_pps),
-            )
             .field(
                 "approx",
                 Record::new()
@@ -343,14 +292,11 @@ fn main() {
             r.approx.warm_s * 1e3,
         );
         println!(
-            "bench convergence/{:<28} throughput: sweep {:.3e} pairs/s, delta {:.3e} pairs/s, delta-par4 {:.3e} pairs/s | kernel scalar {:.3}ms vs vectorized {:.3}ms ({:.2}x)",
+            "bench convergence/{:<28} throughput: sweep {:.3e} pairs/s, delta {:.3e} pairs/s, delta-par4 {:.3e} pairs/s",
             r.name,
             r.warm_sweep_pps,
             r.warm_delta_pps,
             r.warm_delta_par4_pps,
-            r.kernel.scalar_warm_s * 1e3,
-            r.kernel.vectorized_warm_s * 1e3,
-            r.kernel.speedup,
         );
     }
 
@@ -373,20 +319,6 @@ fn main() {
                 r.name
             );
         }
-        let plateau = rows
-            .iter()
-            .find(|r| r.name.starts_with("theta_sweep"))
-            .expect("theta sweep workload");
-        // The vectorized strategy must beat the scalar reference by at
-        // least 1.3x pairs/s on the θ-sweep workload (measured ~10x: the
-        // CSR-routed sweep replaces on-the-fly neighbor enumeration and
-        // hashed score lookups with streaming slot loads).
-        assert!(
-            plateau.kernel.speedup >= 1.3,
-            "vectorized sweep must be >= 1.3x the scalar reference \
-             (measured {:.2}x)",
-            plateau.kernel.speedup
-        );
     }
 
     // Keep the one-shot path honest too: `compute` under Auto must match

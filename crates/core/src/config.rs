@@ -114,17 +114,17 @@ pub struct UpperBoundPruning {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConvergenceMode {
-    /// Delta-driven when the operator supports slot evaluation and the
-    /// estimated dependency-CSR memory fits [`FsimConfig::csr_budget`];
-    /// full sweep otherwise. The default.
+    /// Delta-driven over the full dependency CSR, or — under
+    /// [`ShardSpec::Auto`] when the estimated CSR exceeds
+    /// [`FsimConfig::csr_budget`] — over u-row shards. The default.
     Auto,
     /// Re-evaluate every maintained pair on every iteration (the paper's
-    /// Algorithm 1 as written). Never builds the dependency CSR.
+    /// Algorithm 1 as written), through the full dependency CSR whatever
+    /// its size. Ignores [`ShardSpec`].
     FullSweep,
-    /// Always build the pair-dependency CSR and re-evaluate only pairs
-    /// whose dependencies changed in the previous iteration. Ignores the
-    /// memory budget (an explicit opt-in); falls back to the sweep only
-    /// for operators without a slot-based evaluation path.
+    /// Re-evaluate only pairs whose dependencies changed in the previous
+    /// iteration, over the full pair-dependency CSR whatever its size (an
+    /// explicit opt-in), or over `K` shards under [`ShardSpec::Fixed`].
     DeltaDriven,
     /// An **ε-relaxed exact run**: scheduled exactly like `Auto`, but
     /// stopped at the first iteration whose max delta falls below
@@ -211,8 +211,8 @@ impl ConvergenceMode {
 /// per-iteration evaluation counts (`tests/sharded_convergence.rs`
 /// property-checks this across variants × θ × pruning × threads × K).
 /// So is sharded approximate execution, which stops on the same rule.
-/// [`ConvergenceMode::FullSweep`] ignores the setting:
-/// the sweep never builds a CSR, so it is already memory-minimal.
+/// [`ConvergenceMode::FullSweep`] ignores the setting and always builds
+/// the full CSR.
 ///
 /// ```
 /// use fsim_core::{compute, ConvergenceMode, FsimConfig, ShardSpec, Variant};
@@ -229,15 +229,14 @@ impl ConvergenceMode {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSpec {
-    /// Shard only when needed: under [`ConvergenceMode::Auto`], a
-    /// workload whose estimated CSR exceeds [`FsimConfig::csr_budget`]
-    /// is sharded with the smallest `K` whose per-shard estimate fits
-    /// the budget (clamped to [`FsimConfig::MAX_SHARDS`]) instead of
-    /// degrading to the full sweep. Workloads that fit stay unsharded.
-    /// The default.
+    /// Shard only when needed: under [`ConvergenceMode::Auto`] and
+    /// [`ConvergenceMode::Approximate`], a workload whose estimated CSR
+    /// exceeds [`FsimConfig::csr_budget`] is sharded with the smallest
+    /// `K` whose per-shard estimate fits the budget (clamped to
+    /// [`FsimConfig::MAX_SHARDS`]). Workloads that fit, and the other
+    /// modes, stay unsharded. The default.
     Auto,
-    /// Never shard (the pre-sharding behavior: over-budget `Auto`
-    /// workloads fall back to the full sweep).
+    /// Never shard: every run builds the full CSR, whatever the budget.
     Off,
     /// Always execute with exactly this many u-row shards (1 ≤ K ≤
     /// [`FsimConfig::MAX_SHARDS`]; capped by the number of distinct
@@ -309,10 +308,12 @@ pub struct FsimConfig {
     /// [`convergence`](Self::convergence): exact sharded execution stays
     /// bitwise identical to unsharded.
     pub shards: ShardSpec,
-    /// Memory budget (bytes) for the pair-dependency CSR under
-    /// [`ConvergenceMode::Auto`]; when the estimated CSR size exceeds it,
-    /// the engine keeps the on-the-fly full sweep. Applied when the CSR is
-    /// (re)built. Default 256 MiB.
+    /// Memory budget (bytes) for the pair-dependency CSR. It decides one
+    /// thing: whether [`ConvergenceMode::Auto`] and
+    /// [`ConvergenceMode::Approximate`] runs under [`ShardSpec::Auto`]
+    /// shard, which they do when the degree-product estimate exceeds it.
+    /// Checked when the CSR would be built and after an edit batch.
+    /// Default 256 MiB.
     pub csr_budget: usize,
     /// Memory budget (bytes) for the recorded iterate **trajectory** that
     /// lets [`FsimEngine::apply_edits`](crate::FsimEngine::apply_edits)

@@ -1252,6 +1252,48 @@ mod tests {
         }
     }
 
+    /// A slot whose dependencies are all fallback constants never changes
+    /// after iteration 1, so neither the full CSR's live list nor any
+    /// shard's may hold it. In this fixture `(x, y) = (1, 1)` (labels
+    /// `b`, `c`) is bound-dropped at `α·ub = 0.5·0.4`, and slot `(0, 0)`
+    /// reads only that pair.
+    #[test]
+    fn constant_only_slots_stay_off_the_live_lists() {
+        let g1 = graph_from_parts(&["a", "b"], &[(0, 1), (1, 0)]);
+        let g2 = graph_from_parts(&["a", "c"], &[(0, 1)]);
+        let cfg = FsimConfig::new(Variant::Simple)
+            .label_fn(LabelFn::Indicator)
+            .upper_bound(0.5, 0.5);
+        let aligned = super::super::session::AlignedLabels::new(&g1, &g2);
+        let eval = super::super::session::build_label_eval(&cfg, &aligned.interner);
+        let ctx = OpCtx {
+            labels1: &aligned.labels1,
+            labels2: &aligned.labels2,
+            label_eval: &eval,
+            theta: cfg.theta,
+        };
+        let op = VariantOp::new(cfg.variant);
+        let store = crate::candidates::enumerate_candidates(&g1, &g2, &ctx, &cfg, &op);
+        let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
+        let constant_only: Vec<u32> = slot_ids(store.len())
+            .filter(|&s| {
+                let s = s as usize;
+                let deps = csr.out_entries[csr.out_offsets[s]..csr.out_offsets[s + 1]]
+                    .iter()
+                    .chain(&csr.in_entries[csr.in_offsets[s]..csr.in_offsets[s + 1]]);
+                let mut deps = deps.peekable();
+                deps.peek().is_some() && deps.all(|e| e.slot == DepEntry::CONST && e.cval > 0.0)
+            })
+            .collect();
+        let slot = store.index.get(0, 0).expect("(0, 0) is maintained") as u32;
+        assert_eq!(constant_only, [slot], "the fixture's constant-only slot");
+        assert!(!csr.live().contains(&slot), "full CSR live list");
+        for (lo, hi) in [(0, store.len()), (0, 1), (1, store.len())] {
+            let shard = ShardCsr::build(&g1, &g2, &ctx, &store, &op, lo, hi);
+            assert!(!shard.live().contains(&slot), "shard {lo}..{hi} live list");
+        }
+    }
+
     #[test]
     fn mapped_spill_matches_the_built_shard_bitwise() {
         let (g1, g2, base) = setup();

@@ -6,9 +6,7 @@
 //! the session's worker pool with the same bits. Every loop keeps a double
 //! buffer, evaluating from the previous iterate into the next and swapping:
 //! * the **sweep** ([`run_sweep`]) re-evaluates every maintained pair each
-//!   iteration (Algorithm 1 as written), through the slot kernel of a
-//!   [`PairDepCsr`] or, without one, the on-the-fly per-pair update
-//!   ([`run_to_convergence`]);
+//!   iteration (Algorithm 1 as written);
 //! * the **delta** loop ([`run_delta`]) walks the prepared
 //!   [`PairDepCsr`]: iteration 1 evaluates every slot, and its
 //!   [`Frontier`] picks each later step like direction-optimizing BFS.
@@ -33,7 +31,8 @@
 //! `ε'`, certified by the Banach bound of [`error_bound`], so its bits are
 //! the exact run's up to the iteration it stops at.
 //!
-//! Every loop evaluates through one [`SlotKernel`]. For operators that sum
+//! Every loop evaluates through one [`SlotKernel`] over a dependency CSR:
+//! the session's full [`PairDepCsr`], or one shard's. For operators that sum
 //! row maxima, a step that evaluates at least a quarter of the slots first
 //! fills every shared row maximum, and a shorter one fills those it reads
 //! on first use ([`step_maxima`](super::parallel::step_maxima),
@@ -198,34 +197,10 @@ pub(crate) fn initialize(
     );
 }
 
-/// Equation 3 for a single pair, with the (iteration-constant) label term
-/// supplied by the caller — from the per-slot cache inside the convergence
-/// loops, or computed on the fly for one-off queries.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pair_update_with_label<O: Operator, S: ScoreLookup>(
-    g1: &Graph,
-    g2: &Graph,
-    ctx: &OpCtx<'_>,
-    cfg: &FsimConfig,
-    op: &O,
-    u: NodeId,
-    v: NodeId,
-    prev: &S,
-    scratch: &mut OpScratch,
-    label: f64,
-) -> f64 {
-    if cfg.pin_identical && u == v {
-        return 1.0;
-    }
-    let out = op.term(ctx, g1.out_neighbors(u), g2.out_neighbors(v), prev, scratch);
-    let inn = op.term(ctx, g1.in_neighbors(u), g2.in_neighbors(v), prev, scratch);
-    let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * label;
-    // Scores are mathematically confined to [0, 1]; clamp floating drift.
-    score.clamp(0.0, 1.0)
-}
-
-/// Equation 3 for a single pair (label term evaluated on the fly — the
-/// one-off query path; the convergence loops use the per-slot cache).
+/// Equation 3 for a single pair on the fly — neighbor enumeration and
+/// score lookups through `prev`, the label term computed here: the one-off
+/// query for a pair the store does not maintain. The convergence loops
+/// evaluate through a [`PairDepCsr`]'s slot kernel instead.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pair_update<O: Operator, S: ScoreLookup>(
     g1: &Graph,
@@ -238,58 +213,21 @@ pub(crate) fn pair_update<O: Operator, S: ScoreLookup>(
     prev: &S,
     scratch: &mut OpScratch,
 ) -> f64 {
-    let label = ctx.label_sim(u, v);
-    pair_update_with_label(g1, g2, ctx, cfg, op, u, v, prev, scratch, label)
+    if cfg.pin_identical && u == v {
+        return 1.0;
+    }
+    let out = op.term(ctx, g1.out_neighbors(u), g2.out_neighbors(v), prev, scratch);
+    let inn = op.term(ctx, g1.in_neighbors(u), g2.in_neighbors(v), prev, scratch);
+    let score = cfg.w_out * out + cfg.w_in * inn + cfg.w_label() * ctx.label_sim(u, v);
+    // Scores are mathematically confined to [0, 1]; clamp floating drift.
+    score.clamp(0.0, 1.0)
 }
 
-/// Iterates Equation 3 to convergence (or the iteration cap) by **full
-/// sweep** with the on-the-fly per-pair update: neighbor enumeration and
-/// score lookups through the store, no dependency CSR. `scores` holds
-/// `FSim⁰` on entry and the final scores on exit; `cur` is the reusable
-/// double buffer.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_to_convergence<O: Operator>(
-    exec: &mut Exec<'_>,
-    g1: &Graph,
-    g2: &Graph,
-    ctx: &OpCtx<'_>,
-    cfg: &FsimConfig,
-    op: &O,
-    store: &PairStore,
-    label_terms: &[f64],
-    limits: Limits,
-    scores: &mut Vec<f64>,
-    cur: &mut Vec<f64>,
-) -> IterationOutcome {
-    debug_assert_eq!(scores.len(), store.len());
-    let kernel = |slot: usize, prev: &[f64], scratch: &mut OpScratch| {
-        let (u, v) = store.pairs[slot];
-        let view = store.view(prev);
-        pair_update_with_label(
-            g1,
-            g2,
-            ctx,
-            cfg,
-            op,
-            u,
-            v,
-            &view,
-            scratch,
-            label_terms[slot],
-        )
-    };
-    run_sweep(exec, &kernel, limits, scores, cur)
-}
-
-/// Iterates `kernel` to convergence by **full sweep**: every slot is
-/// re-evaluated each iteration. `scores` holds `FSim⁰` on entry and the
-/// final scores on exit; `cur` is the reusable double buffer (resized to
-/// match). Over a [`PairDepCsr`]'s slot kernel this is the *vectorized*
-/// sweep — each evaluation reads the flat slot-indexed buffer through
-/// entries prepared at CSR build time — bitwise identical to the
-/// on-the-fly sweep, because the CSR materializes exactly the terms
-/// `map_sum` would enumerate, in the same fold order (the delta ≡ sweep
-/// goldens in `tests/kernel_equivalence.rs` pin this).
+/// Iterates `kernel` to convergence by **full sweep** (Algorithm 1 as
+/// written): every slot is re-evaluated each iteration, through a
+/// [`PairDepCsr`]'s slot kernel, from the flat slot-indexed buffer.
+/// `scores` holds `FSim⁰` on entry and the final scores on exit; `cur` is
+/// the reusable double buffer (resized to match).
 pub(crate) fn run_sweep<K: SlotKernel>(
     exec: &mut Exec<'_>,
     kernel: &K,

@@ -48,9 +48,9 @@ use crate::operators::OpScratch;
 /// What the iteration drivers evaluate: Equation 3 for one slot against
 /// the previous iterate, plus the row maxima its slots may share (see
 /// [`super::rows`]). The slot kernel over a dependency CSR or shard is
-/// [`SlotEval`](super::deps::SlotEval); any
+/// [`SlotEval`](super::deps::SlotEval); in the drivers' own tests any
 /// `Fn(slot, prev, scratch) -> score` closure is a kernel without shared
-/// rows (the on-the-fly sweep, and the drivers' own tests).
+/// rows.
 pub(crate) trait SlotKernel: Sync {
     /// The row-key table whose maxima the slots share; `None` when every
     /// slot is evaluated alone.
@@ -64,6 +64,7 @@ pub(crate) trait SlotKernel: Sync {
     fn eval(&self, slot: usize, prev: &[f64], maxima: Maxima<'_>, scratch: &mut OpScratch) -> f64;
 }
 
+#[cfg(test)]
 impl<F> SlotKernel for F
 where
     F: Fn(usize, &[f64], &mut OpScratch) -> f64 + Sync,

@@ -16,14 +16,13 @@ use super::edits::{
     net_side_delta, validate_side, DirtyNodes, EditError, GraphEdit, GraphSide, SideDelta,
 };
 use super::iterate::{
-    error_bound, initialize, pair_update, run_delta, run_replay, run_sweep, run_to_convergence,
-    Limits, Recorder,
+    error_bound, initialize, pair_update, run_delta, run_replay, run_sweep, Limits, Recorder,
 };
 use super::parallel::{effective_threads, Exec, Runtime};
-use super::shards::{auto_shard_count, forced_shards, run_sharded, ShardState};
+use super::shards::{auto_shard_count, run_sharded, ShardState};
 use crate::candidates::{estimated_dep_entries, repair_candidates, StoreRepair, NO_SLOT};
 use crate::config::{ConfigError, ConvergenceMode, FsimConfig, LabelTermMode, ShardSpec};
-use crate::operators::{scalar_kernel_forced, LabelEval, OpCtx, OpScratch, Operator, VariantOp};
+use crate::operators::{LabelEval, OpCtx, OpScratch, Operator, VariantOp};
 use crate::result::FsimResult;
 use crate::snapshot::ScoreSnapshot;
 use crate::store::PairStore;
@@ -144,10 +143,10 @@ pub struct FsimEngine<'g, O: Operator = VariantOp> {
     /// Per-slot cache of the (iteration-constant) label term
     /// `L(ℓ1(u), ℓ2(v))`; rebuilt with the store or the label evaluation.
     label_terms: Vec<f64>,
-    /// The pair-dependency CSR for delta-driven convergence, built lazily
-    /// on [`run`](Self::run) when the configured [`ConvergenceMode`]
-    /// wants it. Lives exactly as long as the store it indexes. Mutually
-    /// exclusive with `shards`.
+    /// The pair-dependency CSR every unsharded run evaluates through,
+    /// built lazily on [`run`](Self::run). Lives exactly as long as the
+    /// store it indexes. Exactly one of `deps` and `shards` is held from
+    /// the first run of a non-empty store on.
     deps: Option<PairDepCsr>,
     /// Sharded-execution state (the u-row [`ShardSpec`] plan plus the
     /// boundary-exchange masks), held when the session executes sharded —
@@ -179,8 +178,8 @@ pub struct FsimEngine<'g, O: Operator = VariantOp> {
     /// Shards the last run executed with (0 = unsharded).
     shard_count: usize,
     /// Peak resident dependency-CSR bytes during the last run (the full
-    /// CSR for unsharded delta and CSR-routed sweep runs, the largest
-    /// single shard CSR for sharded runs, 0 for on-the-fly sweeps).
+    /// CSR for unsharded runs, the largest single shard CSR for sharded
+    /// runs, 0 for a run over an empty store).
     peak_csr_bytes: usize,
     /// The session's persistent worker pool, spawned lazily at the first
     /// run whose workload warrants parallelism and reused by every
@@ -458,127 +457,80 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         self.label_terms = terms;
     }
 
-    /// Decides the run's scheduling substrate from the configured
-    /// [`ConvergenceMode`] × [`ShardSpec`]: the full dependency CSR
-    /// (`deps`), the sharded plan (`shards`, mutually exclusive), or
-    /// neither (on-the-fly full sweep).
+    /// Decides the run's scheduling substrate: the full dependency CSR
+    /// (`deps`) or a shard plan (`shards`), never both and never neither.
+    /// One rule picks it:
     ///
-    /// * An operator without a slot path holds neither.
-    /// * `FullSweep` keeps sweep *scheduling* (every pair, every
-    ///   iteration) but routes each evaluation through the CSR's
-    ///   contiguous slot-indexed buffers when the estimate fits the
-    ///   budget — the vectorized kernel path, bitwise identical to the
-    ///   on-the-fly sweep. [`crate::force_scalar_kernel`] opts back into
-    ///   the on-the-fly path (no CSR).
-    /// * `ShardSpec::Fixed(k)` always shards (rebuilding the plan when
-    ///   the requested `k` changes).
-    /// * `DeltaDriven` without a fixed shard count builds the full CSR
-    ///   unconditionally (the explicit opt-in that ignores the memory
-    ///   budget).
+    /// * `ShardSpec::Fixed(k)` shards (rebuilding the plan when the
+    ///   requested `k` changes), except under `FullSweep`, which ignores
+    ///   the [`ShardSpec`];
     /// * `Auto` and `Approximate` convergence (which differ only in where
-    ///   the run stops) keep an already-built CSR (it lives as long
-    ///   as the store); otherwise it builds the CSR when the
-    ///   degree-product estimate fits [`FsimConfig::csr_budget`],
-    ///   **degrades to sharded execution** when it does not and the
-    ///   shard spec is `Auto` (picking the smallest `K` whose per-shard
-    ///   share fits; a cached same-`K` plan and its boundary masks are
-    ///   reused), and falls back to the full sweep only under
-    ///   `ShardSpec::Off`.
+    ///   the run stops) shard under `ShardSpec::Auto` when the
+    ///   degree-product estimate exceeds [`FsimConfig::csr_budget`],
+    ///   picking the smallest `K` whose per-shard share fits (a cached
+    ///   same-`K` plan and its boundary masks are reused);
+    /// * every other case builds the full CSR.
     ///
-    /// A kept CSR gets its row-key table here if it has none and the
-    /// operator sums row maxima: a CSR restored from a snapshot derives
-    /// it at its first evaluation, not at restore.
+    /// A CSR the session already holds is kept without a new estimate
+    /// (it lives as long as the store), so a warm run pays no `O(|H|)`
+    /// scan. A kept CSR gets its row-key table here if it has none and
+    /// the operator sums row maxima: a CSR restored from a snapshot
+    /// derives it at its first evaluation, not at restore.
     fn ensure_scheduling(&mut self) {
-        self.choose_substrate();
-        if let Some(deps) = self.deps.as_mut() {
-            deps.ensure_rows(&self.g1, &self.g2, &self.store, &self.op);
-        }
-    }
-
-    /// The substrate decision of [`ensure_scheduling`](Self::ensure_scheduling).
-    fn choose_substrate(&mut self) {
-        if !self.op.supports_slots() {
-            self.deps = None;
-            self.shards = None;
-            return;
-        }
-        if self.cfg.convergence == ConvergenceMode::FullSweep {
-            self.shards = None;
-            if scalar_kernel_forced() {
-                // Pre-vectorization strategy: on-the-fly evaluation, no
-                // CSR (the A/B baseline of `tests/kernel_equivalence.rs`).
+        match self.shard_count_wanted() {
+            Some(k) => {
                 self.deps = None;
-            } else if self.deps.is_none() {
-                let entries = estimated_dep_entries(&self.g1, &self.g2, &self.store);
-                let bytes =
-                    entries * BYTES_PER_ENTRY + (self.store.len() as u128 + 1) * BYTES_PER_SLOT;
-                if bytes <= self.cfg.csr_budget as u128 {
-                    let csr =
-                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
-                    self.deps = Some(csr);
+                if self.shards.as_ref().map(|s| s.requested) != Some(k) {
+                    self.shards = Some(ShardState::new(
+                        &self.g1,
+                        &self.g2,
+                        &self.store,
+                        k,
+                        self.cfg.spill_dir.as_deref(),
+                    ));
                 }
             }
-            return;
-        }
-        if let Some(k) = forced_shards(&self.cfg) {
-            self.deps = None;
-            if self.shards.as_ref().map(|s| s.requested) != Some(k) {
-                self.shards = Some(ShardState::new(
-                    &self.g1,
-                    &self.g2,
-                    &self.store,
-                    k,
-                    self.cfg.spill_dir.as_deref(),
-                ));
-            }
-            return;
-        }
-        match self.cfg.convergence {
-            ConvergenceMode::DeltaDriven => {
+            None => {
                 self.shards = None;
                 if self.deps.is_none() {
                     let csr =
                         PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
                     self.deps = Some(csr);
                 }
+                let deps = self.deps.as_mut().expect("built above");
+                deps.ensure_rows(&self.g1, &self.g2, &self.store, &self.op);
             }
-            ConvergenceMode::Auto | ConvergenceMode::Approximate { .. } => {
-                if self.deps.is_some() {
-                    self.shards = None;
-                    return;
-                }
-                // No CSR cached: re-derive the decision from the current
-                // spec and estimate every run (an O(|H|) degree scan) —
-                // a cached shard state must not outlive a rerun that
-                // switched the spec to `Off` or shrank the workload back
-                // under the budget. A still-valid auto-chosen plan (same
-                // K) is kept, preserving its boundary masks.
+        }
+    }
+
+    /// The shard count the next run executes with, `None` for the full
+    /// CSR — the rule of [`ensure_scheduling`](Self::ensure_scheduling).
+    fn shard_count_wanted(&self) -> Option<usize> {
+        match (self.cfg.convergence, self.cfg.shards) {
+            (ConvergenceMode::FullSweep, _) => None,
+            (_, ShardSpec::Fixed(k)) => Some(k),
+            (ConvergenceMode::Auto | ConvergenceMode::Approximate { .. }, ShardSpec::Auto)
+                if self.deps.is_none() =>
+            {
+                // The degree-product estimate: one O(|H|) degree scan.
                 let entries = estimated_dep_entries(&self.g1, &self.g2, &self.store);
                 let bytes =
                     entries * BYTES_PER_ENTRY + (self.store.len() as u128 + 1) * BYTES_PER_SLOT;
-                if bytes <= self.cfg.csr_budget as u128 {
-                    self.shards = None;
-                    let csr =
-                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
-                    self.deps = Some(csr);
-                } else if self.cfg.shards == ShardSpec::Auto {
-                    let k = auto_shard_count(bytes, self.cfg.csr_budget);
-                    if self.shards.as_ref().map(|s| s.requested) != Some(k) {
-                        self.shards = Some(ShardState::new(
-                            &self.g1,
-                            &self.g2,
-                            &self.store,
-                            k,
-                            self.cfg.spill_dir.as_deref(),
-                        ));
-                    }
-                } else {
-                    // ShardSpec::Off: neither — the run uses the full
-                    // sweep.
-                    self.shards = None;
-                }
+                (bytes > self.cfg.csr_budget as u128)
+                    .then(|| auto_shard_count(bytes, self.cfg.csr_budget))
             }
-            ConvergenceMode::FullSweep => unreachable!("handled above"),
+            _ => None,
+        }
+    }
+
+    /// Drops a held CSR when the next run would shard instead: the
+    /// estimate a held CSR skips is re-taken after an edit batch and after
+    /// a rerun that moved the budget or the shard spec.
+    fn recheck_budget(&mut self) {
+        if let Some(deps) = self.deps.take() {
+            if self.shard_count_wanted().is_none() {
+                self.deps = Some(deps);
+            }
         }
     }
 
@@ -631,11 +583,9 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             return self;
         }
         self.ensure_scheduling();
-        // A sweep run holds a CSR purely as the vectorized kernel's
-        // substrate — its scheduling is still the full sweep.
-        self.delta_scheduled = (self.deps.is_some()
-            && self.cfg.convergence != ConvergenceMode::FullSweep)
-            || self.shards.is_some();
+        // A sweep run holds the CSR as its kernel's substrate; its
+        // scheduling is still the full sweep.
+        self.delta_scheduled = self.cfg.convergence != ConvergenceMode::FullSweep;
         self.ensure_runtime();
         // The previous trajectory's buffers are the recording's spares
         // (see `Recorder::new`). That trajectory is held through the run
@@ -690,46 +640,23 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             shard_peak = peak;
             outcome
         } else {
-            match deps {
-                Some(csr) if cfg.convergence == ConvergenceMode::FullSweep => {
-                    let kernel = csr.kernel(cfg, op, store, label_terms);
-                    run_sweep(&mut exec, &kernel, limits, scores, cur)
-                }
-                Some(csr) => {
-                    let mut recorder = recorded
-                        .as_mut()
-                        .map(|h| Recorder::new(h, cfg.trajectory_budget));
-                    run_delta(
-                        &mut exec,
-                        &csr.kernel(cfg, op, store, label_terms),
-                        csr,
-                        limits,
-                        scores,
-                        cur,
-                        recorder.as_mut(),
-                    )
-                }
-                None => {
-                    let ctx = OpCtx {
-                        labels1: labels1.as_slice(),
-                        labels2: labels2.as_slice(),
-                        label_eval,
-                        theta: cfg.theta,
-                    };
-                    run_to_convergence(
-                        &mut exec,
-                        g1,
-                        g2,
-                        &ctx,
-                        cfg,
-                        op,
-                        store,
-                        label_terms,
-                        limits,
-                        scores,
-                        cur,
-                    )
-                }
+            let csr = deps.as_ref().expect("a CSR or a shard plan");
+            let kernel = csr.kernel(cfg, op, store, label_terms);
+            if cfg.convergence == ConvergenceMode::FullSweep {
+                run_sweep(&mut exec, &kernel, limits, scores, cur)
+            } else {
+                let mut recorder = recorded
+                    .as_mut()
+                    .map(|h| Recorder::new(h, cfg.trajectory_budget));
+                run_delta(
+                    &mut exec,
+                    &kernel,
+                    csr,
+                    limits,
+                    scores,
+                    cur,
+                    recorder.as_mut(),
+                )
             }
         };
         self.shard_count = self.shards.as_ref().map_or(0, |s| s.plan.k());
@@ -766,6 +693,8 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         new_cfg.validate()?;
         let label_changed = label_eval_changed(&self.cfg, &new_cfg);
         let store_stale = store_changed(&self.cfg, &new_cfg, label_changed);
+        let substrate_moved =
+            self.cfg.shards != new_cfg.shards || self.cfg.csr_budget != new_cfg.csr_budget;
         self.cfg = new_cfg;
         self.op.sync_cfg(&self.cfg);
         // A config change can alter the dependency entry lists (θ
@@ -788,6 +717,9 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             // terms do not.
             self.refresh_label_terms();
         }
+        if substrate_moved {
+            self.recheck_budget();
+        }
         Ok(self.run())
     }
 
@@ -808,8 +740,8 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     /// pairs (the `incremental` bench records the ratio in
     /// `BENCH_incremental.json`).
     ///
-    /// Without a recorded trajectory (full-sweep scheduling, an operator
-    /// with no slot path, or a trajectory over
+    /// Without a recorded trajectory (full-sweep scheduling, sharded
+    /// execution, or a trajectory over
     /// [`FsimConfig::trajectory_budget`]) the structures are still
     /// repaired incrementally, but the iteration restarts cold.
     ///
@@ -1097,21 +1029,9 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         self.label_terms = label_terms;
         self.deps = deps;
         self.trajectory = trajectory;
-        // Re-check the CSR budget against the edited store for the
-        // budget-gated modes (`Auto` and `Approximate`, and `FullSweep`'s
-        // vectorized-kernel CSR): a session that keeps densifying its graphs would
-        // otherwise grow the carried CSR past the configured cap.
-        // (`DeltaDriven` is an explicit opt-out of the budget, matching
-        // `ensure_scheduling`.)
-        if self.deps.is_some() && self.cfg.convergence != ConvergenceMode::DeltaDriven {
-            let entries = estimated_dep_entries(&self.g1, &self.g2, &self.store);
-            let bytes = entries * BYTES_PER_ENTRY + (self.store.len() as u128 + 1) * BYTES_PER_SLOT;
-            if bytes > self.cfg.csr_budget as u128 {
-                // Next run's scheduling decision degrades to sharded
-                // delta (or, under ShardSpec::Off, to the full sweep).
-                self.deps = None;
-            }
-        }
+        // A session that keeps densifying its graphs would otherwise
+        // carry its CSR past the budget.
+        self.recheck_budget();
         self.has_run = false;
         self.run_after_edits(always_dirty);
         Ok(self.snapshot())
@@ -1326,10 +1246,9 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     }
 
     /// Number of entries in the cached pair-dependency CSR, or `None`
-    /// when no full CSR is held (an over-budget estimate, sharded
-    /// execution — whose per-shard CSRs are transient — an operator
-    /// without a slot path, or a full sweep forced onto the on-the-fly
-    /// scalar path via [`crate::force_scalar_kernel`]).
+    /// when no full CSR is held: before the first run, after a run over
+    /// an empty store, and under sharded execution, whose per-shard CSRs
+    /// are transient. Every other run holds the full CSR.
     pub fn dep_entry_count(&self) -> Option<usize> {
         self.deps.as_ref().map(|d| d.entry_count())
     }
@@ -1353,11 +1272,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     }
 
     /// Peak resident bytes of dependency-CSR structures during the last
-    /// run: the full CSR's footprint for unsharded delta/approximate
-    /// runs and CSR-routed full sweeps, the **largest single shard CSR**
-    /// built during a sharded run (only one is ever resident at a time),
-    /// `0` for on-the-fly sweeps. This is the quantity the `sharding`
-    /// bench records to `BENCH_sharding.json`.
+    /// run: the full CSR's footprint for unsharded runs, the **largest
+    /// single shard CSR** built during a sharded run (only one is ever
+    /// resident at a time), `0` for a run over an empty store. This is
+    /// the quantity the `sharding` bench records to
+    /// `BENCH_sharding.json`.
     pub fn peak_csr_bytes(&self) -> usize {
         self.peak_csr_bytes
     }

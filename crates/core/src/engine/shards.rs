@@ -45,7 +45,7 @@ use super::iterate::Limits;
 use super::parallel::{step_maxima, Exec, IterationOutcome, Slots};
 use super::rows::RowKeys;
 use super::slot_bits::SlotBits;
-use crate::config::{FsimConfig, ShardSpec};
+use crate::config::FsimConfig;
 use crate::operators::{DepEntry, OpCtx, Operator};
 use crate::store::PairStore;
 use fsim_graph::Graph;
@@ -628,19 +628,10 @@ pub(crate) fn auto_shard_count(estimated_bytes: u128, budget: usize) -> usize {
         .clamp(2, FsimConfig::MAX_SHARDS as u128) as usize
 }
 
-/// Whether a configuration *forces* sharded execution regardless of the
-/// budget (the `Fixed(k)` opt-in).
-pub(crate) fn forced_shards(cfg: &FsimConfig) -> Option<usize> {
-    match cfg.shards {
-        ShardSpec::Fixed(k) => Some(k),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Variant;
+    use crate::config::{ShardSpec, Variant};
     use crate::operators::VariantOp;
     use fsim_graph::graph_from_parts;
     use fsim_labels::LabelFn;

@@ -61,8 +61,7 @@ pub use engine::{
 };
 pub use fsim_snapshot::SnapshotError;
 pub use operators::{
-    force_scalar_kernel, scalar_kernel_forced, DepEntry, LabelEval, OpCtx, OpScratch, Operator,
-    ScoreLookup, SimRankOp, VariantOp,
+    DepEntry, LabelEval, OpCtx, OpScratch, Operator, ScoreLookup, SimRankOp, VariantOp,
 };
 pub use presets::{
     bounded_fsim, kbisim_via_framework, milner_config, rolesim_via_framework, simrank_config,

@@ -144,33 +144,6 @@ impl OpScratch {
     }
 }
 
-/// Forces the engine onto the scalar reference strategy — the exact
-/// pre-vectorization code paths — process-wide.
-///
-/// Under the toggle, full sweeps evaluate on the fly (neighbor
-/// enumeration + hash-map score lookups, no dependency CSR for
-/// `ConvergenceMode::FullSweep`) and [`SimRankOp`] uses its ungathered
-/// serial lane loop instead of the gather + packed-lane-add kernel.
-/// Slot-based runs are otherwise unaffected: shared row maxima for `s`
-/// and the per-slot loops of the other variant operators run
-/// unconditionally (see the kernel commentary below).
-///
-/// The toggle exists for the equivalence property tests
-/// (`tests/kernel_equivalence.rs`) and the `convergence` bench, which
-/// measure both strategies on one build and pin their bitwise
-/// equality. It is **not** a tuning knob.
-pub fn force_scalar_kernel(on: bool) {
-    FORCE_SCALAR_KERNEL.store(on, std::sync::atomic::Ordering::Release);
-}
-
-/// Whether [`force_scalar_kernel`] is currently set.
-pub fn scalar_kernel_forced() -> bool {
-    FORCE_SCALAR_KERNEL.load(std::sync::atomic::Ordering::Acquire)
-}
-
-static FORCE_SCALAR_KERNEL: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
 /// A χ-simulation operator pair `(Mχ, Ωχ)`.
 ///
 /// Implementations must satisfy the Theorem-1 conditions: `map_size` and
@@ -201,7 +174,9 @@ pub trait Operator: Send + Sync {
     /// no-op.
     fn sync_cfg(&mut self, _cfg: &crate::config::FsimConfig) {}
 
-    /// Maximum-mapping sum `Σ_{(x,y)∈Mχ(S1,S2)} prev(x, y)`.
+    /// Maximum-mapping sum `Σ_{(x,y)∈Mχ(S1,S2)} prev(x, y)` over raw
+    /// neighbor sets: the one-off Equation-3 step that scores a pair the
+    /// store does not maintain ([`FsimEngine::score`](crate::FsimEngine::score)).
     fn map_sum<S: ScoreLookup>(
         &self,
         ctx: &OpCtx<'_>,
@@ -210,13 +185,6 @@ pub trait Operator: Send + Sync {
         prev: &S,
         scratch: &mut OpScratch,
     ) -> f64;
-
-    /// Whether the operator implements [`map_sum_slots`](Self::map_sum_slots)
-    /// over prepared dependency lists. Operators answering `false` keep the
-    /// engine on the on-the-fly [`map_sum`](Self::map_sum) sweep.
-    fn supports_slots(&self) -> bool {
-        false
-    }
 
     /// Whether the prepared dependency lists must also contain pairs that
     /// fail the Remark-2 eligibility constraint `L(x, y) ≥ θ`
@@ -255,20 +223,18 @@ pub trait Operator: Send + Sync {
 
     /// [`map_sum`](Self::map_sum) evaluated from a prepared dependency
     /// list (θ-prefiltered, `(i, j)`-sorted — see [`DepEntry`]) instead of
-    /// raw neighbor sets. Must produce bitwise-identical results to
-    /// `map_sum` under the same previous scores; the engine property-tests
-    /// this equivalence. Only called when
-    /// [`supports_slots`](Self::supports_slots) is `true`.
+    /// raw neighbor sets: the form every convergence loop evaluates. It
+    /// must realize the same mapping as `map_sum` under the same previous
+    /// scores (`tests/oracle.rs` checks the built-in operators against a
+    /// dense reference of Equations 2–3).
     fn map_sum_slots(
         &self,
-        _entries: &[DepEntry],
-        _len1: usize,
-        _len2: usize,
-        _prev: &[f64],
-        _scratch: &mut OpScratch,
-    ) -> f64 {
-        unimplemented!("operator does not support slot-based evaluation")
-    }
+        entries: &[DepEntry],
+        len1: usize,
+        len2: usize,
+        prev: &[f64],
+        scratch: &mut OpScratch,
+    ) -> f64;
 
     /// The neighbor term of Equation 2 over a prepared dependency list —
     /// [`term`](Self::term) with `map_sum` replaced by
@@ -550,31 +516,28 @@ fn slots_injective_sum(
 // ---------------------------------------------------------------------------
 // Kernels: shared row maxima, per-slot loops and the vectorized SimRank sum
 //
-// For `s` the per-slot loop above is only the reference: a row maximum
-// depends on the row key `(x, v, direction)` alone, so the engine computes
-// each key's maximum once per iteration and every slot sums cached maxima
-// (`Operator::sums_row_maxima`, `engine/rows.rs`). On the `batch_score`
-// workload that reads each maximum once instead of about 3 times per
-// iteration, bitwise identically. The other variant operators keep their
-// per-slot scalar loops. Their row-segmented maxima and matchings over
-// short dependency runs are latency-bound on the scattered score loads,
-// and the gather-then-reduce restructurings we tried on the real delta
-// workload (4-wide unrolled gather staging into an SoA buffer, two-pass
-// reduce, interleaved multi-stream accumulation, software prefetch) were
-// 4–40% *slower*. Beyond sharing rows, the vectorization that pays for
-// the variant operators lives one level up: the engine routes full sweeps
-// through the CSR's contiguous slot-indexed buffers (`run_sweep` over the
-// CSR's slot kernel) instead of on-the-fly neighbor enumeration with
-// hash-map score lookups, and the CSR build reorders each slot's entries
-// and folds constant runs (`Operator::fold_const_rows`) so those loops
-// stream forward.
+// Every convergence loop evaluates through a dependency CSR's slot kernel,
+// whose entries stream forward from contiguous slot-indexed buffers; the
+// CSR build reorders each slot's entries and folds constant runs
+// (`Operator::fold_const_rows`). For `s` the per-slot loop above is only
+// the reference: a row maximum depends on the row key `(x, v, direction)`
+// alone, so the engine computes each key's maximum once per iteration and
+// every slot sums cached maxima (`Operator::sums_row_maxima`,
+// `engine/rows.rs`). On the `batch_score` workload that reads each maximum
+// once instead of about 3 times per iteration, bitwise identically. The
+// other variant operators keep their per-slot scalar loops. Their
+// row-segmented maxima and matchings over short dependency runs are
+// latency-bound on the scattered score loads, and the gather-then-reduce
+// restructurings we tried on the real delta workload (4-wide unrolled
+// gather staging into an SoA buffer, two-pass reduce, interleaved
+// multi-stream accumulation, software prefetch) were 4–40% *slower*.
 //
 // SimRank is the exception: its reduction is a plain sum over *every*
 // neighbor pair — long, dense, branch-free — which is exactly the shape a
 // 4-wide gather + packed lane adds wins on. The kernels below implement
-// that pass; bitwise identity with the scalar reference holds because both
-// commit to the same deterministic lane order (see
-// [`simrank_lane_sum_slots`]), pinned by `tests/kernel_equivalence.rs`.
+// that pass in one deterministic lane order (see
+// [`simrank_lane_sum_slots_vec`]); a unit test pins it bitwise against the
+// ungathered lane loop.
 // ---------------------------------------------------------------------------
 
 /// Materializes `entries[k].value(prev)` into `vals` (the gather pass),
@@ -588,7 +551,7 @@ fn gather_values(entries: &[DepEntry], prev: &[f64], vals: &mut Vec<f64>) {
     vals.clear();
     let Some(last) = prev.len().checked_sub(1) else {
         // Degenerate empty score buffer: keep the checked read, which
-        // panics on a slot-backed entry exactly like the scalar path.
+        // panics on a slot-backed entry exactly like `DepEntry::value`.
         vals.extend(entries.iter().map(|e| e.value(prev)));
         return;
     };
@@ -624,7 +587,7 @@ fn gather_values(entries: &[DepEntry], prev: &[f64], vals: &mut Vec<f64>) {
 /// 4-lane sum over a gathered value buffer whose position `m` feeds lane
 /// `m & 3`: lane `k` accumulates `vals[k], vals[k+4], …` in stream order,
 /// and the lanes combine as `(l0 + l1) + (l2 + l3)` — exactly the
-/// deterministic tree order of [`simrank_lane_sum_slots`] when logical
+/// deterministic tree order of [`simrank_lane_sum_slots_vec`] when logical
 /// positions are contiguous from 0.
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 #[inline]
@@ -673,17 +636,10 @@ fn dense_lane_sum(vals: &[f64]) -> f64 {
     }
 }
 
-/// SimRank's deterministic 4-lane sum over a prepared dependency list.
-///
-/// Sums are order-*sensitive* in floating point, so SimRank cannot reuse
-/// the scalar serial order and still vectorize. Instead both the scalar
-/// and vectorized paths commit to one deterministic tree order: entry
-/// `(i, j)` accumulates into lane `(i·len2 + j) mod 4` and the lanes
-/// combine as `(l0 + l1) + (l2 + l3)`. Keying the lane on the *logical*
-/// position (not the stream position) makes the order robust to omitted
-/// zero-constant entries — `+0.0` on a non-negative accumulator is a
-/// bitwise no-op — so the slot path and the on-the-fly [`map_sum`] sweep
-/// agree bitwise, as do all shard layouts.
+/// The ungathered lane loop of [`simrank_lane_sum_slots_vec`], entry by
+/// entry: the reference its gather pass and dense fast path are tested
+/// against.
+#[cfg(test)]
 fn simrank_lane_sum_slots(entries: &[DepEntry], len2: usize, prev: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 4];
     for e in entries {
@@ -692,14 +648,23 @@ fn simrank_lane_sum_slots(entries: &[DepEntry], len2: usize, prev: &[f64]) -> f6
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
-/// Vectorized [`simrank_lane_sum_slots`]: gather pass, then the identical
-/// per-lane accumulation sequence (entries stay in stream order, so each
-/// lane sees the same addends in the same order — bitwise equal).
+/// SimRank's deterministic 4-lane sum over a prepared dependency list.
 ///
-/// When the list is *dense* (`len1·len2` entries — no zero-constant pair
-/// was omitted, the common SimRank case), logical position equals stream
-/// position and the lane sum collapses to [`dense_lane_sum`] over the
-/// contiguous gathered buffer, which is where the packed adds pay off.
+/// Sums are order-*sensitive* in floating point, so SimRank cannot use a
+/// serial order and still vectorize. Instead it commits to one
+/// deterministic tree order: entry `(i, j)` accumulates into lane
+/// `(i·len2 + j) mod 4` and the lanes combine as `(l0 + l1) + (l2 + l3)`.
+/// Keying the lane on the *logical* position (not the stream position)
+/// makes the order robust to omitted zero-constant entries — `+0.0` on a
+/// non-negative accumulator is a bitwise no-op — so every shard layout
+/// agrees bitwise, and so does [`SimRankOp`]'s [`map_sum`](Operator::map_sum).
+///
+/// A gather pass stages the values first; each lane then sees the same
+/// addends in the same order as the entry-by-entry loop. When the list is
+/// *dense* (`len1·len2` entries — no zero-constant pair was omitted, the
+/// common SimRank case), logical position equals stream position and the
+/// lane sum collapses to [`dense_lane_sum`] over the contiguous gathered
+/// buffer, which is where the packed adds pay off.
 fn simrank_lane_sum_slots_vec(
     entries: &[DepEntry],
     len1: usize,
@@ -739,10 +704,6 @@ impl<O: Operator> Operator for &O {
 
     fn map_size(&self, ctx: &OpCtx<'_>, s1: &[NodeId], s2: &[NodeId]) -> usize {
         (**self).map_size(ctx, s1, s2)
-    }
-
-    fn supports_slots(&self) -> bool {
-        (**self).supports_slots()
     }
 
     fn reads_ineligible_pairs(&self) -> bool {
@@ -841,10 +802,6 @@ impl Operator for VariantOp {
                 injective_sum(ctx, s1, s2, prev, scratch, self.matcher)
             }
         }
-    }
-
-    fn supports_slots(&self) -> bool {
-        true
     }
 
     fn map_sum_slots(
@@ -946,9 +903,9 @@ impl Operator for SimRankOp {
         prev: &S,
         _scratch: &mut OpScratch,
     ) -> f64 {
-        // Same deterministic lane order as the slot paths (see
-        // [`simrank_lane_sum_slots`]), so on-the-fly and slot-based
-        // evaluation stay bitwise interchangeable.
+        // Same deterministic lane order as the slot kernel (see
+        // [`simrank_lane_sum_slots_vec`]), so a pruned pair's on-demand
+        // score sums like a maintained pair's update.
         let len2 = s2.len();
         let mut lanes = [0.0f64; 4];
         for (i, &x) in s1.iter().enumerate() {
@@ -959,10 +916,6 @@ impl Operator for SimRankOp {
             }
         }
         (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-
-    fn supports_slots(&self) -> bool {
-        true
     }
 
     fn reads_ineligible_pairs(&self) -> bool {
@@ -977,11 +930,7 @@ impl Operator for SimRankOp {
         prev: &[f64],
         scratch: &mut OpScratch,
     ) -> f64 {
-        if scalar_kernel_forced() {
-            simrank_lane_sum_slots(entries, len2, prev)
-        } else {
-            simrank_lane_sum_slots_vec(entries, len1, len2, prev, scratch)
-        }
+        simrank_lane_sum_slots_vec(entries, len1, len2, prev, scratch)
     }
 
     fn map_size(&self, _ctx: &OpCtx<'_>, s1: &[NodeId], s2: &[NodeId]) -> usize {
@@ -1181,6 +1130,49 @@ mod tests {
         assert_eq!(op.map_size(&ctx, &[0, 1], &[0, 1]), 4);
         assert!((op.term(&ctx, &[0, 1], &[0, 1], &prev, &mut scratch) - 0.5).abs() < 1e-12);
         assert_eq!(op.term(&ctx, &[], &[0], &prev, &mut scratch), 0.0);
+    }
+
+    /// The gathered SimRank kernel (with its dense packed-add fast path)
+    /// against the entry-by-entry lane loop, bitwise: on dense lists of
+    /// every `(i, j)` and on the same lists with their zero constants
+    /// omitted, which must also leave the sum's bits unchanged.
+    #[test]
+    fn simrank_lane_sums_agree_bitwise() {
+        let mut state = 0x5111_4A2Bu64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut scratch = OpScratch::new();
+        for case in 0..200 {
+            let (len1, len2) = (1 + next(9) as usize, 1 + next(9) as usize);
+            let prev: Vec<f64> = (0..32).map(|_| next(1 << 20) as f64 / 1048576.0).collect();
+            let mut dense = Vec::new();
+            for i in 0..len1 as u32 {
+                for j in 0..len2 as u32 {
+                    let (slot, cval) = match next(4) {
+                        0 => (DepEntry::CONST, 0.0),
+                        1 => (DepEntry::CONST, next(1000) as f32 / 1000.0),
+                        _ => (next(32) as u32, 0.0),
+                    };
+                    dense.push(DepEntry { i, j, slot, cval });
+                }
+            }
+            let sparse: Vec<DepEntry> = dense
+                .iter()
+                .copied()
+                .filter(|e| e.slot != DepEntry::CONST || e.cval != 0.0)
+                .collect();
+            let reference = simrank_lane_sum_slots(&dense, len2, &prev);
+            for (what, entries) in [("dense", &dense), ("zeros omitted", &sparse)] {
+                let lanes = simrank_lane_sum_slots(entries, len2, &prev);
+                let gathered = simrank_lane_sum_slots_vec(entries, len1, len2, &prev, &mut scratch);
+                assert_eq!(lanes.to_bits(), reference.to_bits(), "case {case} {what}");
+                assert_eq!(gathered.to_bits(), lanes.to_bits(), "case {case} {what}");
+            }
+        }
     }
 
     #[test]

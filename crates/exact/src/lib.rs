@@ -3,10 +3,13 @@
 //! Exact ("yes-or-no") χ-simulation machinery: fixpoint refinement for all
 //! four variants (Definitions 1–3 of the paper), strong simulation for
 //! pattern matching (the Table-6 baseline), k-bisimulation signatures
-//! (Theorem 4), and the Weisfeiler–Lehman test (Theorem 5).
+//! (Theorem 4), the Weisfeiler–Lehman test (Theorem 5), and a dense
+//! reference oracle for the fractional scores of Equation 3
+//! ([`fractional`]).
 
 #![warn(missing_docs)]
 
+pub mod fractional;
 pub mod kbisim;
 pub mod refinement;
 pub mod relation;

@@ -224,10 +224,9 @@ fn delta_saves_work_on_multi_iteration_runs() {
 }
 
 /// `Auto` convergence with an over-budget estimate degrades to **sharded**
-/// delta execution (peak resident CSR = one shard) rather than the full
-/// sweep; `ShardSpec::Off` restores the pre-sharding sweep fallback; the
-/// default budget stays unsharded — and all three land on identical
-/// scores.
+/// delta execution (peak resident CSR = one shard); `ShardSpec::Off`
+/// builds the full CSR whatever the budget; the default budget stays
+/// unsharded — and all three land on identical scores.
 #[test]
 fn auto_mode_respects_the_memory_budget() {
     use fsim_core::ShardSpec;
@@ -255,10 +254,10 @@ fn auto_mode_respects_the_memory_budget() {
         FsimEngine::new(&g1, &g2, &base.clone().csr_budget(0).shards(ShardSpec::Off)).unwrap();
     opted_out.run();
     assert!(
-        !opted_out.delta_scheduled(),
-        "zero budget with sharding off must fall back to the sweep"
+        opted_out.delta_scheduled(),
+        "zero budget with sharding off runs delta over the full CSR"
     );
-    assert_eq!(opted_out.dep_entry_count(), None);
+    assert!(opted_out.dep_entry_count().is_some());
     assert_eq!(opted_out.shard_count(), 0);
 
     let mut roomy = FsimEngine::new(&g1, &g2, &base).unwrap();
@@ -275,7 +274,7 @@ fn auto_mode_respects_the_memory_budget() {
     }
     for ((u1, v1, s1), (u2, v2, s2)) in opted_out.iter_pairs().zip(roomy.iter_pairs()) {
         assert_eq!((u1, v1), (u2, v2));
-        assert_eq!(s1.to_bits(), s2.to_bits(), "sweep fallback diverged");
+        assert_eq!(s1.to_bits(), s2.to_bits(), "full CSR over budget diverged");
     }
     assert_eq!(starved.iterations(), roomy.iterations());
     assert_eq!(starved.pairs_evaluated(), roomy.pairs_evaluated());

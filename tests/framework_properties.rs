@@ -5,6 +5,9 @@
 //! vendors no property-testing framework); every failure message includes
 //! the case index, and re-running reproduces it deterministically.
 
+mod common;
+
+use common::Reference;
 use fsim::prelude::*;
 use fsim_core::{kbisim_via_framework, LabelTermMode};
 use fsim_exact::{kbisim_signatures, wl_colors};
@@ -77,27 +80,35 @@ fn p1_scores_in_unit_range() {
 }
 
 /// P2 (simulation definiteness): `u ⇝χ v ⇔ FSimχ(u,v) = 1`, checked
-/// against the independent fixpoint oracle.
+/// against the independent fixpoint refinement, for the engine and for
+/// the dense reference oracle of Eq. 3 with the exact mapping.
 #[test]
 fn p2_simulation_definiteness() {
     for_cases(202, |case, rng| {
         let (g1, g2) = arb_graph_pair(rng, 6);
         for variant in Variant::ALL {
-            let r = compute(&g1, &g2, &exact_config(variant)).unwrap();
-            let oracle = simulation_relation(&g1, &g2, exact_variant(variant));
+            let cfg = exact_config(variant);
+            let r = compute(&g1, &g2, &cfg).unwrap();
+            let reference = Reference::new(&g1, &g2, &cfg, false);
+            let (dense, _) = reference.converged(cfg.epsilon);
+            let relation = simulation_relation(&g1, &g2, exact_variant(variant));
             for u in g1.nodes() {
                 for v in g2.nodes() {
-                    let s = r.get(u, v).unwrap();
-                    if oracle.contains(u, v) {
-                        assert!(
-                            (s - 1.0).abs() < 1e-9,
-                            "case {case} {variant}: simulated ({u},{v}) scored {s}"
-                        );
-                    } else {
-                        assert!(
-                            s < 1.0 - 1e-9,
-                            "case {case} {variant}: non-simulated ({u},{v}) scored {s}"
-                        );
+                    for (who, s) in [
+                        ("engine", r.get(u, v).unwrap()),
+                        ("oracle", dense.score(u, v)),
+                    ] {
+                        if relation.contains(u, v) {
+                            assert!(
+                                (s - 1.0).abs() < 1e-9,
+                                "case {case} {variant} {who}: simulated ({u},{v}) scored {s}"
+                            );
+                        } else {
+                            assert!(
+                                s < 1.0 - 1e-9,
+                                "case {case} {variant} {who}: non-simulated ({u},{v}) scored {s}"
+                            );
+                        }
                     }
                 }
             }

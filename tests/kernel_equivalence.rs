@@ -1,289 +1,12 @@
-//! Strategy/kernel equivalence: the vectorized engine strategy (the
-//! CSR-routed full sweep and the gathered SimRank lane kernel) must be
-//! bitwise indistinguishable from the scalar reference strategy (the
-//! exact pre-vectorization code paths, restored process-wide by
-//! [`force_scalar_kernel`]) — across variants × θ × pruning × thread
-//! counts × shard layouts, through edit/rerun chains, and against golden
-//! hashes pinned before the vectorized paths existed.
-//!
-//! [`force_scalar_kernel`] is process-wide state, so every test in this
-//! binary serializes on one lock and restores the default before
-//! releasing it.
+//! Kernel goldens: the engine's exact modes must reproduce, bit for bit,
+//! hashes pinned before the vectorized kernels and the persistent runtime
+//! existed — variants × θ × label function × scheduling mode, plus
+//! pruning, sharding, Hungarian and edit-replay spot checks. What the
+//! engine should compute is checked against the dense reference oracle
+//! in `tests/oracle.rs`; these goldens pin that the bits do not move.
 
 use fsim::prelude::*;
-use fsim_core::{
-    force_scalar_kernel, ConvergenceMode, FsimEngine, GraphEdit, GraphSide, InitScheme,
-    LabelTermMode, ShardSpec, SimRankOp,
-};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Serializes access to the process-wide kernel toggle.
-fn toggle_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
-
-/// Restores the vectorized default even if the test panics.
-struct ToggleGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ToggleGuard {
-    fn hold() -> Self {
-        Self(toggle_lock())
-    }
-}
-
-impl Drop for ToggleGuard {
-    fn drop(&mut self) {
-        force_scalar_kernel(false);
-    }
-}
-
-fn arb_graph_pair(rng: &mut ChaCha8Rng, max_n: usize) -> (Graph, Graph) {
-    let names = ["a", "b", "c"];
-    let mk = |rng: &mut ChaCha8Rng, b: &mut GraphBuilder| {
-        let n = rng.gen_range(2..=max_n);
-        for _ in 0..n {
-            b.add_node(names[rng.gen_range(0..3usize)]);
-        }
-        let m = rng.gen_range(0..=(2 * n));
-        for _ in 0..m {
-            b.add_edge(rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
-        }
-    };
-    let interner = LabelInterner::shared();
-    let mut b1 = GraphBuilder::with_interner(std::sync::Arc::clone(&interner));
-    mk(rng, &mut b1);
-    let mut b2 = GraphBuilder::with_interner(interner);
-    mk(rng, &mut b2);
-    (b1.build(), b2.build())
-}
-
-/// Runs `cfg` under the scalar reference and the vectorized default and
-/// asserts every observable matches bitwise.
-fn assert_strategies_agree(g1: &Graph, g2: &Graph, cfg: &FsimConfig, what: &str) {
-    force_scalar_kernel(true);
-    let mut scalar = FsimEngine::new(g1, g2, cfg).expect("valid config");
-    scalar.run();
-    force_scalar_kernel(false);
-    let mut vector = FsimEngine::new(g1, g2, cfg).expect("valid config");
-    vector.run();
-    assert_eq!(
-        scalar.pair_count(),
-        vector.pair_count(),
-        "{what}: pair sets"
-    );
-    for ((u1, v1, s1), (u2, v2, s2)) in scalar.iter_pairs().zip(vector.iter_pairs()) {
-        assert_eq!((u1, v1), (u2, v2), "{what}: pair order differs");
-        assert_eq!(
-            s1.to_bits(),
-            s2.to_bits(),
-            "{what}: score differs at ({u1},{v1})"
-        );
-    }
-    assert_eq!(scalar.iterations(), vector.iterations(), "{what}: iters");
-    assert_eq!(scalar.converged(), vector.converged(), "{what}: converged");
-    assert_eq!(
-        scalar.final_delta().to_bits(),
-        vector.final_delta().to_bits(),
-        "{what}: final delta"
-    );
-}
-
-/// Variants × θ × thread counts × convergence modes.
-#[test]
-fn strategies_agree_across_variants_theta_threads_modes() {
-    let _guard = ToggleGuard::hold();
-    let mut rng = ChaCha8Rng::seed_from_u64(9101);
-    for case in 0..8 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 7);
-        for variant in Variant::ALL {
-            for theta in [0.0, 0.5, 1.0] {
-                for threads in [1usize, 4] {
-                    for mode in [
-                        ConvergenceMode::FullSweep,
-                        ConvergenceMode::DeltaDriven,
-                        ConvergenceMode::Auto,
-                    ] {
-                        let cfg = FsimConfig::new(variant)
-                            .label_fn(LabelFn::Indicator)
-                            .theta(theta)
-                            .threads(threads)
-                            .convergence(mode);
-                        assert_strategies_agree(
-                            &g1,
-                            &g2,
-                            &cfg,
-                            &format!("case {case} {variant} θ={theta} t{threads} {mode:?}"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Upper-bound pruning (constant dependency entries — the fold target)
-/// under both injective-mapping backends.
-#[test]
-fn strategies_agree_under_upper_bound_pruning() {
-    let _guard = ToggleGuard::hold();
-    let mut rng = ChaCha8Rng::seed_from_u64(9202);
-    for case in 0..8 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 6);
-        for variant in [Variant::Simple, Variant::Bi, Variant::Bijective] {
-            for matcher in [MatcherKind::Greedy, MatcherKind::Hungarian] {
-                for (alpha, beta) in [(0.0, 0.6), (0.3, 0.6), (0.5, 0.9)] {
-                    let mut cfg = FsimConfig::new(variant)
-                        .label_fn(LabelFn::Indicator)
-                        .theta(0.4)
-                        .upper_bound(alpha, beta);
-                    cfg.matcher = matcher;
-                    assert_strategies_agree(
-                        &g1,
-                        &g2,
-                        &cfg,
-                        &format!("case {case} {variant} {matcher:?} α={alpha} β={beta}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Sharded execution: the worker pool evaluates shard worklists through
-/// the same kernels; every shard layout must agree with the scalar
-/// reference.
-#[test]
-fn strategies_agree_with_sharding() {
-    let _guard = ToggleGuard::hold();
-    let mut rng = ChaCha8Rng::seed_from_u64(9303);
-    for case in 0..6 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 8);
-        for shards in [2usize, 3] {
-            for threads in [1usize, 4] {
-                let cfg = FsimConfig::new(Variant::Bi)
-                    .label_fn(LabelFn::Indicator)
-                    .theta(0.5)
-                    .threads(threads)
-                    .shards(ShardSpec::Fixed(shards));
-                assert_strategies_agree(
-                    &g1,
-                    &g2,
-                    &cfg,
-                    &format!("case {case} shards={shards} t{threads}"),
-                );
-            }
-        }
-    }
-}
-
-/// SimRank: the gathered lane kernel (with its dense packed-add fast
-/// path) against the serial reference lanes.
-#[test]
-fn simrank_strategies_agree() {
-    let _guard = ToggleGuard::hold();
-    let mut rng = ChaCha8Rng::seed_from_u64(9404);
-    for case in 0..8 {
-        let (g, _) = arb_graph_pair(&mut rng, 8);
-        let mut cfg = FsimConfig::new(Variant::Simple);
-        cfg.w_out = 0.0;
-        cfg.w_in = 0.7;
-        cfg.epsilon = 1e-6;
-        cfg.label_term = LabelTermMode::Constant(0.0);
-        cfg.init = InitScheme::Identity;
-        cfg.pin_identical = true;
-        for mode in [ConvergenceMode::FullSweep, ConvergenceMode::DeltaDriven] {
-            let cfg = cfg.clone().convergence(mode);
-            force_scalar_kernel(true);
-            let mut scalar = FsimEngine::with_operator(&g, &g, &cfg, SimRankOp).unwrap();
-            scalar.run();
-            force_scalar_kernel(false);
-            let mut vector = FsimEngine::with_operator(&g, &g, &cfg, SimRankOp).unwrap();
-            vector.run();
-            assert_eq!(scalar.iterations(), vector.iterations(), "case {case}");
-            for ((u1, v1, s1), (u2, v2, s2)) in scalar.iter_pairs().zip(vector.iter_pairs()) {
-                assert_eq!((u1, v1), (u2, v2), "case {case} {mode:?}");
-                assert_eq!(
-                    s1.to_bits(),
-                    s2.to_bits(),
-                    "case {case} {mode:?}: SimRank diverged at ({u1},{v1})"
-                );
-            }
-        }
-    }
-}
-
-/// Edit/rerun chains: both strategies stay bitwise identical through
-/// incremental edit batches and reruns against the same session.
-#[test]
-fn strategies_agree_through_edit_chains() {
-    let _guard = ToggleGuard::hold();
-    let mut rng = ChaCha8Rng::seed_from_u64(9505);
-    for case in 0..6 {
-        let (g1, g2) = arb_graph_pair(&mut rng, 7);
-        let cfg = FsimConfig::new(Variant::Bi)
-            .label_fn(LabelFn::Indicator)
-            .theta(0.5)
-            .threads(if case % 2 == 0 { 1 } else { 4 });
-        let n1 = g1.node_count() as u32;
-        let n2 = g2.node_count() as u32;
-        let batches: Vec<Vec<GraphEdit>> = vec![
-            vec![
-                GraphEdit::add_edge(GraphSide::Left, rng.gen_range(0..n1), rng.gen_range(0..n1)),
-                GraphEdit::add_edge(GraphSide::Right, rng.gen_range(0..n2), rng.gen_range(0..n2)),
-            ],
-            vec![GraphEdit::relabel(
-                GraphSide::Left,
-                rng.gen_range(0..n1),
-                "c",
-            )],
-        ];
-
-        force_scalar_kernel(true);
-        let mut scalar = FsimEngine::new(&g1, &g2, &cfg).unwrap();
-        scalar.run();
-        let scalar_results: Vec<_> = batches
-            .iter()
-            .map(|b| scalar.apply_edits(b).unwrap())
-            .collect();
-        force_scalar_kernel(false);
-        let mut vector = FsimEngine::new(&g1, &g2, &cfg).unwrap();
-        vector.run();
-        let vector_results: Vec<_> = batches
-            .iter()
-            .map(|b| vector.apply_edits(b).unwrap())
-            .collect();
-
-        for (batch, (s, v)) in scalar_results.iter().zip(&vector_results).enumerate() {
-            assert_eq!(s.pair_count(), v.pair_count(), "case {case} batch {batch}");
-            for ((u1, v1, s1), (u2, v2, s2)) in s.iter_pairs().zip(v.iter_pairs()) {
-                assert_eq!((u1, v1), (u2, v2), "case {case} batch {batch}");
-                assert_eq!(
-                    s1.to_bits(),
-                    s2.to_bits(),
-                    "case {case} batch {batch}: diverged at ({u1},{v1})"
-                );
-            }
-        }
-        // And a rerun after the chain still agrees.
-        force_scalar_kernel(true);
-        scalar.run();
-        force_scalar_kernel(false);
-        vector.run();
-        for ((u1, v1, s1), (u2, v2, s2)) in scalar.iter_pairs().zip(vector.iter_pairs()) {
-            assert_eq!((u1, v1), (u2, v2), "case {case} rerun");
-            assert_eq!(
-                s1.to_bits(),
-                s2.to_bits(),
-                "case {case} rerun: diverged at ({u1},{v1})"
-            );
-        }
-    }
-}
+use fsim_core::{ConvergenceMode, FsimEngine, GraphEdit, GraphSide, ShardSpec};
 
 // ---------------------------------------------------------------------------
 // Golden outputs pinned before the vectorized paths / persistent runtime
@@ -338,11 +61,9 @@ const GOLDEN: &[(&str, u64)] = &[
 ];
 
 /// The 24-configuration golden matrix (variants × θ/label-fn × scheduling
-/// mode) plus pruning/sharding/Hungarian/edit spot checks, under both
-/// strategies.
+/// mode).
 #[test]
 fn golden_outputs_are_unchanged() {
-    let _guard = ToggleGuard::hold();
     let g = fsim::datasets::DatasetSpec::by_name("NELL")
         .unwrap()
         .generate_scaled(0.15, 42);
@@ -357,35 +78,26 @@ fn golden_outputs_are_unchanged() {
             .find(|(t, _)| *t == tag)
             .unwrap_or_else(|| panic!("no golden for {tag}"))
             .1;
-        assert_eq!(
-            hash_engine(engine),
-            expect,
-            "golden mismatch for {tag} (scalar_forced={})",
-            fsim_core::scalar_kernel_forced()
-        );
+        assert_eq!(hash_engine(engine), expect, "golden mismatch for {tag}");
     };
 
-    for scalar in [false, true] {
-        force_scalar_kernel(scalar);
-        for variant in Variant::ALL {
-            for (theta, lf, tag) in [
-                (0.0, LabelFn::Indicator, "t0.0_ind"),
-                (0.6, LabelFn::JaroWinkler, "t0.6_jw"),
-                (0.9, LabelFn::JaroWinkler, "t0.9_jw"),
+    for variant in Variant::ALL {
+        for (theta, lf, tag) in [
+            (0.0, LabelFn::Indicator, "t0.0_ind"),
+            (0.6, LabelFn::JaroWinkler, "t0.6_jw"),
+            (0.9, LabelFn::JaroWinkler, "t0.9_jw"),
+        ] {
+            for (mode, mtag) in [
+                (ConvergenceMode::DeltaDriven, "delta"),
+                (ConvergenceMode::FullSweep, "sweep"),
             ] {
-                for (mode, mtag) in [
-                    (ConvergenceMode::DeltaDriven, "delta"),
-                    (ConvergenceMode::FullSweep, "sweep"),
-                ] {
-                    let cfg = base(variant, theta, lf.clone()).convergence(mode);
-                    let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
-                    e.run();
-                    check(&format!("{variant}_{tag}_{mtag}"), &e);
-                }
+                let cfg = base(variant, theta, lf.clone()).convergence(mode);
+                let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
+                e.run();
+                check(&format!("{variant}_{tag}_{mtag}"), &e);
             }
         }
     }
-    force_scalar_kernel(false);
 }
 
 const GOLDEN_SPOT: &[(&str, u64)] = &[
@@ -398,7 +110,6 @@ const GOLDEN_SPOT: &[(&str, u64)] = &[
 /// Pruning + sharded + Hungarian + edit-replay golden spot checks.
 #[test]
 fn golden_spot_checks_are_unchanged() {
-    let _guard = ToggleGuard::hold();
     let g = fsim::datasets::DatasetSpec::by_name("NELL")
         .unwrap()
         .generate_scaled(0.15, 42);
@@ -406,42 +117,36 @@ fn golden_spot_checks_are_unchanged() {
         FsimConfig::new(variant).theta(theta).label_fn(lf)
     };
 
-    for scalar in [false, true] {
-        force_scalar_kernel(scalar);
-        let what = format!("scalar_forced={scalar}");
+    let cfg = base(Variant::Simple, 0.6, LabelFn::JaroWinkler).upper_bound(0.2, 0.55);
+    let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
+    e.run();
+    assert_eq!(hash_engine(&e), GOLDEN_SPOT[0].1, "ub pruning");
 
-        let cfg = base(Variant::Simple, 0.6, LabelFn::JaroWinkler).upper_bound(0.2, 0.55);
-        let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
-        e.run();
-        assert_eq!(hash_engine(&e), GOLDEN_SPOT[0].1, "ub pruning ({what})");
+    let cfg = base(Variant::Bi, 0.6, LabelFn::JaroWinkler).shards(ShardSpec::Fixed(3));
+    let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
+    e.run();
+    assert_eq!(hash_engine(&e), GOLDEN_SPOT[1].1, "sharded");
 
-        let cfg = base(Variant::Bi, 0.6, LabelFn::JaroWinkler).shards(ShardSpec::Fixed(3));
-        let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
-        e.run();
-        assert_eq!(hash_engine(&e), GOLDEN_SPOT[1].1, "sharded ({what})");
+    let mut cfg = base(Variant::Bijective, 0.9, LabelFn::JaroWinkler);
+    cfg.matcher = MatcherKind::Hungarian;
+    let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
+    e.run();
+    assert_eq!(hash_engine(&e), GOLDEN_SPOT[2].1, "hungarian");
 
-        let mut cfg = base(Variant::Bijective, 0.9, LabelFn::JaroWinkler);
-        cfg.matcher = MatcherKind::Hungarian;
-        let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
-        e.run();
-        assert_eq!(hash_engine(&e), GOLDEN_SPOT[2].1, "hungarian ({what})");
-
-        let cfg = base(Variant::Bi, 0.9, LabelFn::JaroWinkler);
-        let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
-        e.run();
-        e.apply_edits(&[
-            GraphEdit::add_edge(GraphSide::Left, 0, 5),
-            GraphEdit::add_edge(GraphSide::Right, 0, 5),
-        ])
-        .unwrap();
-        e.apply_edits(&[
-            GraphEdit::remove_edge(GraphSide::Left, 0, 5),
-            GraphEdit::remove_edge(GraphSide::Right, 0, 5),
-            GraphEdit::relabel(GraphSide::Left, 3, "concept"),
-            GraphEdit::relabel(GraphSide::Right, 3, "concept"),
-        ])
-        .unwrap();
-        assert_eq!(hash_engine(&e), GOLDEN_SPOT[3].1, "edit chain ({what})");
-    }
-    force_scalar_kernel(false);
+    let cfg = base(Variant::Bi, 0.9, LabelFn::JaroWinkler);
+    let mut e = FsimEngine::new(&g, &g, &cfg).unwrap();
+    e.run();
+    e.apply_edits(&[
+        GraphEdit::add_edge(GraphSide::Left, 0, 5),
+        GraphEdit::add_edge(GraphSide::Right, 0, 5),
+    ])
+    .unwrap();
+    e.apply_edits(&[
+        GraphEdit::remove_edge(GraphSide::Left, 0, 5),
+        GraphEdit::remove_edge(GraphSide::Right, 0, 5),
+        GraphEdit::relabel(GraphSide::Left, 3, "concept"),
+        GraphEdit::relabel(GraphSide::Right, 3, "concept"),
+    ])
+    .unwrap();
+    assert_eq!(hash_engine(&e), GOLDEN_SPOT[3].1, "edit chain");
 }

@@ -475,7 +475,7 @@ fn simrank_operator_is_shard_invariant() {
 }
 
 /// Rerunning with a different `ShardSpec` must be honored: an
-/// auto-sharded session switched to `Off` falls back to the sweep, a
+/// auto-sharded session switched to `Off` builds the full CSR, a
 /// `Fixed(k)`-sharded session switched to `Auto` on a fits-the-budget
 /// workload goes unsharded, and switching back re-shards — with
 /// identical scores throughout.
@@ -492,7 +492,11 @@ fn rerun_shard_spec_switches_are_honored() {
     let sharded_scores: Vec<_> = engine.iter_pairs().collect();
     engine.rerun(|c| c.shards = ShardSpec::Off).unwrap();
     assert_eq!(engine.shard_count(), 0, "Off must never shard");
-    assert!(!engine.delta_scheduled(), "Off + zero budget is the sweep");
+    assert!(engine.delta_scheduled(), "Off + zero budget runs delta");
+    assert!(
+        engine.dep_entry_count().is_some(),
+        "Off + zero budget holds the full CSR"
+    );
     let off_scores: Vec<_> = engine.iter_pairs().collect();
     for (a, b) in sharded_scores.iter().zip(&off_scores) {
         assert_eq!(a.2.to_bits(), b.2.to_bits(), "spec switch changed scores");
