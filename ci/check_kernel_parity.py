@@ -1,21 +1,29 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_convergence.json records (baseline vs candidate —
-in CI: the default portable-lane build vs the `simd`-feature build).
+"""Compare BENCH_convergence.json records of two builds (baseline vs
+candidate — in CI: the default portable-lane build vs the `simd`-feature
+build), several records per build.
 
-Fails (exit 1) if, for any workload present in both records:
-  * `score_hash` differs — the builds disagree bitwise, which breaks the
-    engine's core contract; or
+Fails (exit 1) if, for any workload present in every record:
+  * `score_hash` differs between any two records — the builds (or two
+    runs of one build) disagree bitwise, which breaks the engine's core
+    contract; or
   * the candidate's kernel throughput regresses more than the allowed
     fraction (default 10%) against the baseline. Throughput is the warm
     full sweep's pairs per second, `pairs_evaluated.sweep` over
-    `wall_clock_s.warm_sweep`: the evaluations of one sweep run over the
-    best of the bench's repeats, so one scheduling hiccup in a short
-    test-mode run does not halve it.
+    `wall_clock_s.warm_sweep`, and each side reads the median over its
+    records. A test-mode sweep lasts about 0.1 ms, and a whole process
+    can run slow (every repeat of one record reading 2x), so one record
+    per build is not enough to compare; give each side three records,
+    taken alternately with the other side's.
 
-Usage: check_kernel_parity.py BASELINE.json CANDIDATE.json [max_regression]
+Usage: check_kernel_parity.py --baseline B.json [B.json ...]
+                              --candidate C.json [C.json ...]
+                              [--max-regression 0.10]
 """
 
+import argparse
 import json
+import statistics
 import sys
 
 
@@ -32,36 +40,43 @@ def sweep_pps(workload):
 
 
 def main():
-    if len(sys.argv) < 3:
-        sys.exit(__doc__)
-    baseline = load(sys.argv[1])
-    candidate = load(sys.argv[2])
-    max_regression = float(sys.argv[3]) if len(sys.argv) > 3 else 0.10
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--baseline", nargs="+", required=True)
+    parser.add_argument("--candidate", nargs="+", required=True)
+    parser.add_argument("--max-regression", type=float, default=0.10)
+    args = parser.parse_args()
+    baseline = [load(p) for p in args.baseline]
+    candidate = [load(p) for p in args.candidate]
 
-    shared = sorted(baseline.keys() & candidate.keys())
+    shared = sorted(set.intersection(*(set(r) for r in baseline + candidate)))
     if not shared:
-        sys.exit("no common workloads between the two records")
+        sys.exit("no workload common to every record")
 
     failures = []
     for name in shared:
-        b, c = baseline[name], candidate[name]
-        if b["score_hash"] != c["score_hash"]:
+        hashes = {r[name]["score_hash"] for r in baseline + candidate}
+        if len(hashes) > 1:
             failures.append(
-                f"{name}: bitwise divergence — score_hash {b['score_hash']} "
-                f"(baseline) vs {c['score_hash']} (candidate)"
+                f"{name}: bitwise divergence — score_hash values {sorted(hashes)}"
             )
-        b_pps = sweep_pps(b)
-        c_pps = sweep_pps(c)
-        if b_pps > 0 and c_pps < (1.0 - max_regression) * b_pps:
+        b_all = [sweep_pps(r[name]) for r in baseline]
+        c_all = [sweep_pps(r[name]) for r in candidate]
+        b_pps, c_pps = statistics.median(b_all), statistics.median(c_all)
+        if b_pps > 0 and c_pps < (1.0 - args.max_regression) * b_pps:
             failures.append(
                 f"{name}: kernel throughput regressed "
-                f"{100.0 * (1.0 - c_pps / b_pps):.1f}% "
+                f"{100.0 * (1.0 - c_pps / b_pps):.1f}% in the median "
                 f"({b_pps:.3e} -> {c_pps:.3e} pairs/s, "
-                f"allowed {100.0 * max_regression:.0f}%)"
+                f"allowed {100.0 * args.max_regression:.0f}%)"
             )
+        status = "agrees" if len(hashes) == 1 else "DIVERGES"
+        listed = lambda xs: ", ".join(f"{x:.3e}" for x in xs)
         print(
-            f"{name}: score_hash {c['score_hash']} ok, "
-            f"kernel pps {b_pps:.3e} -> {c_pps:.3e}"
+            f"{name}: score_hash {status} across {len(b_all) + len(c_all)} records, "
+            f"kernel pps median {b_pps:.3e} [{listed(b_all)}] -> "
+            f"{c_pps:.3e} [{listed(c_all)}]"
         )
 
     if failures:

@@ -7,7 +7,11 @@
 //!    snapshot subsystem exists for. Gated: restore must be ≥ 5×
 //!    faster in the median repeat (a cold start re-derives the prepared
 //!    label table, the candidate store, the dependency CSR and the
-//!    whole fixpoint; a restore is one validated file map).
+//!    whole fixpoint; a restore is one validated file map that decodes
+//!    what reads need and validates the CSR and trajectory sections in
+//!    place, leaving their decode to the first run or edit). Reported
+//!    beside it, ungated: restore followed by one single-edge
+//!    `apply_edits`, the window that now carries those two decodes.
 //! 2. **Shard-CSR spill** — warm sweep time at K=16 with `spill_dir`
 //!    set (shard CSRs served from retained spill mappings, validated
 //!    once and reborrowed every sweep after) vs rebuilt-every-sweep
@@ -29,7 +33,9 @@
 //! measures nothing.
 
 use fsim_bench::{assert_bitwise, assert_same_work, spread, test_mode, time, write_record, Record};
-use fsim_core::{ConvergenceMode, FsimConfig, FsimEngine, ShardSpec, Variant};
+use fsim_core::{
+    ConvergenceMode, FsimConfig, FsimEngine, GraphEdit, GraphSide, ShardSpec, Variant,
+};
 use fsim_datasets::DatasetSpec;
 use fsim_labels::LabelFn;
 use fsim_snapshot::SnapshotFile;
@@ -71,7 +77,9 @@ fn main() {
     // The serving shape (θ-pruned bijective self-similarity under
     // Jaro–Winkler, delta-driven): cold start pays the O(|Σ|²) label
     // table, θ-filtered candidate enumeration, CSR build and the full
-    // fixpoint; restore decodes all of them from one checksummed image.
+    // fixpoint; restore checks all of them in one checksummed image and
+    // decodes all but the CSR and the trajectory, which the first edit
+    // decodes.
     let g = DatasetSpec::by_name("NELL")
         .expect("spec")
         .generate_scaled(theta_scale, 42);
@@ -93,7 +101,27 @@ fn main() {
     let restored = FsimEngine::restore(&snap_path).expect("restore");
     assert_bitwise("restore", &baseline, &restored);
     assert_same_work("restore", &baseline, &restored);
+    // One edge the graph lacks, added on the right: the single-edge
+    // batch a serving writer applies.
+    let edit = (0..g.node_count_u32())
+        .flat_map(|u| (0..g.node_count_u32()).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && !g.has_edge(u, v))
+        .map(|(u, v)| GraphEdit::add_edge(GraphSide::Right, u, v))
+        .expect("a missing edge");
+    let edit_then = |e: &mut FsimEngine<'_>| {
+        e.apply_edits(std::slice::from_ref(&edit)).expect("edit");
+    };
+    let mut edited = FsimEngine::new(&g, &g, &cfg).expect("valid config");
+    edited.run();
+    edit_then(&mut edited);
+    let mut restored = restored;
+    assert!(restored.can_replay_edits(), "the restored session replays");
+    edit_then(&mut restored);
+    assert_bitwise("restore then edit", &edited, &restored);
+    assert_same_work("restore then edit", &edited, &restored);
+    drop((edited, restored));
     let (mut cold, mut restore, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    let mut restore_then_edit = Vec::new();
     for _ in 0..reps {
         let c = time(|| {
             FsimEngine::new(&g, &g, &cfg).expect("valid config").run();
@@ -102,11 +130,17 @@ fn main() {
             let e = FsimEngine::restore(&snap_path).expect("restore");
             std::hint::black_box(e.pair_count());
         });
+        restore_then_edit.push(time(|| {
+            let mut e = FsimEngine::restore(&snap_path).expect("restore");
+            edit_then(&mut e);
+            std::hint::black_box(e.pair_count());
+        }));
         cold.push(c);
         restore.push(r);
         speedups.push(c / r.max(1e-12));
     }
     let (cold_s, restore_s) = (spread(&cold).0, spread(&restore).0);
+    let restore_then_edit_s = spread(&restore_then_edit).0;
     let (speedup, speedup_min, speedup_max) = spread(&speedups);
 
     // -- 2. shard-CSR spill at K=16 -----------------------------------
@@ -180,6 +214,10 @@ fn main() {
         write_s * 1e3,
     );
     println!(
+        "bench snapshot/edit      restore + one single-edge edit {:>9.3}ms",
+        restore_then_edit_s * 1e3,
+    );
+    println!(
         "bench snapshot/spill     warm unsharded {:>9.3}ms  K=16 rebuilt {:>9.3}ms ({:.2}x)  K=16 spilled {:>9.3}ms ({:.2}x, {:.2}–{:.2}x over {reps})",
         warm_s * 1e3,
         sharded_warm_s * 1e3,
@@ -212,7 +250,8 @@ fn main() {
                     .field("speedup_min", speedup_min)
                     .field("speedup_max", speedup_max)
                     .field("write_s", write_s)
-                    .field("snapshot_bytes", snapshot_bytes),
+                    .field("snapshot_bytes", snapshot_bytes)
+                    .field("restore_then_edit_s", restore_then_edit_s),
             )
             .field(
                 "spill",

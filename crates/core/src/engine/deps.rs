@@ -259,7 +259,7 @@ impl PairDepCsr {
 
     /// A CSR over validated columns, with its live-slot list derived and
     /// no row-key table yet.
-    fn assemble(
+    pub(crate) fn assemble(
         out_offsets: Vec<usize>,
         in_offsets: Vec<usize>,
         out_entries: Vec<DepEntry>,
@@ -280,7 +280,7 @@ impl PairDepCsr {
                         .any(maintained)
             })
             .collect();
-        Self {
+        Self::from_columns(
             out_offsets,
             in_offsets,
             out_entries,
@@ -289,9 +289,7 @@ impl PairDepCsr {
             rdep_offsets,
             rdeps,
             live,
-            rows: None,
-            rows_derived: false,
-        }
+        )
     }
 
     /// Derives the row-key table if `op` sums row maxima and the CSR has
@@ -382,13 +380,13 @@ impl PairDepCsr {
         }
     }
 
-    /// Rebuilds a CSR from deserialized columns, validating every
-    /// structural invariant the slot kernel and the dirty scheduler index
-    /// with — offset monotonicity and terminals, slot bounds — so a
-    /// checksum-valid but logically inconsistent snapshot cannot cause
-    /// a panic later.
+    /// A CSR over columns the snapshot codec validated at restore and
+    /// decoded at their first use, with the live-slot list it derived
+    /// while copying the entries (`engine/persist.rs`). Nothing is
+    /// checked here: the codec's in-place validation proved every
+    /// invariant the slot kernel and the dirty scheduler index with.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
+    pub(crate) fn from_columns(
         out_offsets: Vec<usize>,
         in_offsets: Vec<usize>,
         out_entries: Vec<DepEntry>,
@@ -396,20 +394,9 @@ impl PairDepCsr {
         dims: Vec<[u32; 4]>,
         rdep_offsets: Vec<usize>,
         rdeps: Vec<u32>,
-        n_slots: usize,
-    ) -> Result<PairDepCsr, String> {
-        check_offsets("out_offsets", &out_offsets, n_slots, out_entries.len())?;
-        check_offsets("in_offsets", &in_offsets, n_slots, in_entries.len())?;
-        check_offsets("rdep_offsets", &rdep_offsets, n_slots, rdeps.len())?;
-        if dims.len() != n_slots {
-            return Err(format!("dims has {} rows, store has {n_slots}", dims.len()));
-        }
-        check_entry_slots("out_entries", &out_entries, n_slots)?;
-        check_entry_slots("in_entries", &in_entries, n_slots)?;
-        if let Some(&bad) = rdeps.iter().find(|&&s| s as usize >= n_slots) {
-            return Err(format!("rdep slot {bad} out of range ({n_slots} slots)"));
-        }
-        Ok(PairDepCsr::assemble(
+        live: Vec<u32>,
+    ) -> Self {
+        Self {
             out_offsets,
             in_offsets,
             out_entries,
@@ -417,7 +404,10 @@ impl PairDepCsr {
             dims,
             rdep_offsets,
             rdeps,
-        ))
+            live,
+            rows: None,
+            rows_derived: false,
+        }
     }
 }
 
@@ -516,8 +506,14 @@ pub(crate) struct DepRawParts<'a> {
 }
 
 /// Validates a deserialized offset column: length `n + 1`, starts at 0,
-/// non-decreasing, ends exactly at `terminal`.
-fn check_offsets(name: &str, offsets: &[usize], n: usize, terminal: usize) -> Result<(), String> {
+/// non-decreasing, ends exactly at `terminal`. One pass over `offsets`,
+/// which the snapshot codec reads in place from the file's bytes.
+pub(crate) fn check_offsets(
+    name: &str,
+    offsets: impl ExactSizeIterator<Item = usize>,
+    n: usize,
+    terminal: usize,
+) -> Result<(), String> {
     if offsets.len() != n + 1 {
         return Err(format!(
             "{name} has {} entries, expected {}",
@@ -525,31 +521,18 @@ fn check_offsets(name: &str, offsets: &[usize], n: usize, terminal: usize) -> Re
             n + 1
         ));
     }
-    if offsets[0] != 0 {
-        return Err(format!("{name} must start at 0, found {}", offsets[0]));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(format!("{name} is not non-decreasing"));
-    }
-    if offsets[n] != terminal {
-        return Err(format!(
-            "{name} ends at {}, entry array has {terminal}",
-            offsets[n]
-        ));
-    }
-    Ok(())
-}
-
-/// Validates deserialized dependency entries: every non-constant entry's
-/// score slot must be in range (constants carry [`DepEntry::CONST`]).
-fn check_entry_slots(name: &str, entries: &[DepEntry], n_slots: usize) -> Result<(), String> {
-    for e in entries {
-        if e.slot != DepEntry::CONST && e.slot as usize >= n_slots {
-            return Err(format!(
-                "{name} references slot {} out of range ({n_slots} slots)",
-                e.slot
-            ));
+    let mut last = 0;
+    for (k, o) in offsets.enumerate() {
+        if k == 0 && o != 0 {
+            return Err(format!("{name} must start at 0, found {o}"));
         }
+        if o < last {
+            return Err(format!("{name} is not non-decreasing"));
+        }
+        last = o;
+    }
+    if last != terminal {
+        return Err(format!("{name} ends at {last}, entry array has {terminal}"));
     }
     Ok(())
 }
@@ -937,9 +920,21 @@ impl MappedShardCsr {
                 dims.len()
             )));
         }
-        check_offsets("out_offsets", &out_offsets, len, out_entries.len())
-            .and_then(|()| check_offsets("in_offsets", &in_offsets, len, in_entries.len()))
-            .map_err(malformed)?;
+        check_offsets(
+            "out_offsets",
+            out_offsets.iter().copied(),
+            len,
+            out_entries.len(),
+        )
+        .and_then(|()| {
+            check_offsets(
+                "in_offsets",
+                in_offsets.iter().copied(),
+                len,
+                in_entries.len(),
+            )
+        })
+        .map_err(malformed)?;
         Ok(MappedShardCsr {
             _file: file,
             base,
@@ -989,9 +984,8 @@ pub(crate) fn put_dep_entries(buf: &mut Vec<u8>, entries: &[DepEntry]) {
 }
 
 /// Decodes a [`put_dep_entries`] slice with a bounds-proven count.
-pub(crate) fn read_dep_entries(
-    cur: &mut fsim_snapshot::Cursor<'_>,
-) -> Result<Vec<DepEntry>, SnapshotError> {
+#[cfg(not(target_endian = "little"))]
+fn read_dep_entries(cur: &mut fsim_snapshot::Cursor<'_>) -> Result<Vec<DepEntry>, SnapshotError> {
     let checked_n = cur.checked_len(16)?;
     let raw = cur.take(checked_n * 16)?;
     Ok(raw
@@ -1703,20 +1697,9 @@ mod tests {
                 let csr = PairDepCsr::build(&g1, &g2, &ctx, &store, &op);
                 let n = store.len();
 
-                // Restore: the snapshot's columns, then the first
-                // evaluation's derivation.
-                let raw = csr.raw_parts();
-                let mut restored = PairDepCsr::from_raw_parts(
-                    raw.out_offsets.to_vec(),
-                    raw.in_offsets.to_vec(),
-                    raw.out_entries.to_vec(),
-                    raw.in_entries.to_vec(),
-                    raw.dims.to_vec(),
-                    raw.rdep_offsets.to_vec(),
-                    raw.rdeps.to_vec(),
-                    n,
-                )
-                .unwrap();
+                // Restore: the snapshot codec's round trip (its live
+                // list included), then the first evaluation's derivation.
+                let mut restored = super::super::persist::deps_codec_roundtrip(&csr, n);
                 assert!(!restored.rows_derived, "restore derives nothing");
                 restored.ensure_rows(&g1, &g2, &store, &op);
                 assert_eq!(restored, csr, "{cfg:?}");

@@ -846,7 +846,7 @@ mod tests {
             })
             .collect();
         let offsets: Vec<usize> = (0..=n).map(|s| 3 * s).collect();
-        PairDepCsr::from_raw_parts(
+        PairDepCsr::assemble(
             offsets.clone(),
             vec![0; n + 1],
             entries,
@@ -854,9 +854,7 @@ mod tests {
             vec![[3, 1, 0, 0]; n],
             offsets,
             (0..n).flat_map(ring).collect(),
-            n,
         )
-        .expect("a well-formed ring")
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! they are measurements of a dead process — so a restored session
 //! reports an empty [`FsimEngine::iteration_seconds`].
 //!
+//! Restore validates every section but decodes only what reads need;
+//! the dependency CSR and the trajectory are validated in place and
+//! decoded at their first use (`DeferredSections`).
+//!
 //! ## Trajectory freeze-point encoding
 //!
 //! The live trajectory is a dense `T × |H|` matrix of iterates. Under
@@ -36,16 +40,18 @@
 use crate::config::{
     ConvergenceMode, FsimConfig, InitScheme, LabelTermMode, MatcherKind, ShardSpec, Variant,
 };
-use crate::engine::deps::{put_dep_entries, read_dep_entries, PairDepCsr};
+use crate::engine::deps::{check_offsets, put_dep_entries, PairDepCsr};
+use crate::engine::frontier::slot_ids;
 use crate::engine::session::{FsimEngine, RestoredParts};
-use crate::operators::VariantOp;
+use crate::operators::{DepEntry, VariantOp};
 use crate::store::{Fallback, PairIndex, PairStore, RowIndex};
 use fsim_graph::csr::Csr;
 use fsim_graph::{FxHashMap, Graph, LabelId, LabelInterner};
 use fsim_labels::LabelFn;
 use fsim_snapshot::cursor::{put_f64_slice, put_u32_slice, put_usize_slice};
 use fsim_snapshot::writer::{put_f64, put_u32, put_u64, put_u8, put_usize, SnapshotBuilder};
-use fsim_snapshot::{Cursor, SnapshotError, SnapshotFile};
+use fsim_snapshot::{Cursor, SectionMeta, SnapshotError, SnapshotFile};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -140,11 +146,20 @@ impl<'g> FsimEngine<'g, VariantOp> {
         let buf = b.section(SEC_SCORES);
         put_f64_slice(buf, parts.scores);
         put_f64_slice(buf, parts.label_terms);
+        // Sections a restored session has not decoded yet are copied
+        // verbatim from its file, re-verified; ones changed in place
+        // since restore are left out, as the session itself drops them.
+        let deferred = parts.deferred.and_then(|d| d.reopen(true));
+        let verbatim = |id| deferred.as_ref().and_then(|f| f.section(id).ok());
         if let Some(deps) = parts.deps {
             encode_deps(b.section(SEC_DEPS), deps);
+        } else if let Some(raw) = verbatim(SEC_DEPS) {
+            b.section(SEC_DEPS).extend_from_slice(raw);
         }
         if let Some(traj) = parts.trajectory {
             encode_trajectory(b.section(SEC_TRAJECTORY), traj);
+        } else if let Some(raw) = verbatim(SEC_TRAJECTORY) {
+            b.section(SEC_TRAJECTORY).extend_from_slice(raw);
         }
         let buf = b.section(SEC_DIAG);
         put_usize(buf, parts.iterations);
@@ -176,12 +191,25 @@ impl FsimEngine<'static, VariantOp> {
     /// `tests/snapshot_roundtrip.rs`). Timing diagnostics
     /// (`iteration_seconds`, `peak_csr_bytes`) are measurements of the
     /// writing process and come back empty/zero.
+    ///
+    /// Restore checks the whole file before it returns: every section
+    /// checksum, and every structural invariant of every section. It
+    /// decodes the sections reads need (config, graphs, store, scores,
+    /// label table, diagnostics). The dependency CSR and the recorded
+    /// trajectory, which only `run`, `rerun` and `apply_edits` read, are
+    /// validated in place and decoded at their first use; until then the
+    /// session holds the open file (not a mapping). Replacing the
+    /// snapshot by rename, as [`write_snapshot`](FsimEngine::write_snapshot)
+    /// does, or deleting it is safe; a file overwritten in place is
+    /// detected at first use by its checksums, and the session then
+    /// rebuilds the CSR and runs its first edit cold, with the same bits.
     pub fn restore(path: &Path) -> Result<Self, SnapshotError> {
-        let file = SnapshotFile::open(path, KNOWN_SECTIONS)?;
-        Self::restore_from_file(&file)
+        let held = std::fs::File::open(path).map_err(|e| SnapshotError::io("open", e))?;
+        let image = SnapshotFile::open_file(&held, KNOWN_SECTIONS)?;
+        Self::restore_from_file(&image, held)
     }
 
-    fn restore_from_file(file: &SnapshotFile) -> Result<Self, SnapshotError> {
+    fn restore_from_file(file: &SnapshotFile, held: std::fs::File) -> Result<Self, SnapshotError> {
         let cfg = decode_config(file.section(SEC_CONFIG)?)?;
         let interner = decode_interner(file.section(SEC_INTERNER)?)?;
         let g1 = decode_graph("graph1", file.section(SEC_GRAPH1)?, &interner)?;
@@ -202,20 +230,23 @@ impl FsimEngine<'static, VariantOp> {
                 ),
             });
         }
-        let deps = if file.has_section(SEC_DEPS) {
-            Some(decode_deps(file.section(SEC_DEPS)?, n)?)
-        } else {
-            None
+        let meta = |id: u32| file.sections().iter().find(|m| m.id == id).copied();
+        let deps = match meta(SEC_DEPS) {
+            Some(m) => Some((m, validate_deps(file.section(m.id)?, n)?)),
+            None => None,
         };
-        let trajectory = if file.has_section(SEC_TRAJECTORY) {
-            Some(decode_trajectory(
-                file.section(SEC_TRAJECTORY)?,
-                n,
-                cfg.trajectory_budget,
-            )?)
-        } else {
-            None
+        let trajectory = match meta(SEC_TRAJECTORY) {
+            Some(m) => Some((
+                m,
+                validate_trajectory(file.section(m.id)?, n, cfg.trajectory_budget)?,
+            )),
+            None => None,
         };
+        let deferred = (deps.is_some() || trajectory.is_some()).then_some(DeferredSections {
+            file: held,
+            deps,
+            trajectory,
+        });
         let label_table = if file.has_section(SEC_LABEL_TABLE) {
             // Only sessions whose label function actually builds a table
             // write this section; a file claiming one for a table-free
@@ -264,9 +295,8 @@ impl FsimEngine<'static, VariantOp> {
             store,
             label_terms,
             label_table,
-            deps,
             scores,
-            trajectory,
+            deferred,
             iterations,
             converged,
             final_delta,
@@ -738,21 +768,183 @@ fn encode_deps(buf: &mut Vec<u8>, deps: &PairDepCsr) {
     put_u32_slice(buf, raw.rdeps);
 }
 
-fn decode_deps(bytes: &[u8], n_slots: usize) -> Result<PairDepCsr, SnapshotError> {
+/// Bytes per persisted dependency entry ([`put_dep_entries`]).
+const ENTRY_BYTES: usize = 16;
+
+/// Bytes per persisted `dims` row: four `u32`s.
+const DIMS_BYTES: usize = 16;
+
+/// Where the columns of a validated `deps` section lie, as byte ranges of
+/// its payload: what the decode at first use reads, without checking
+/// anything again.
+struct DepsLayout {
+    n_slots: usize,
+    out_offsets: Range<usize>,
+    in_offsets: Range<usize>,
+    out_entries: Range<usize>,
+    in_entries: Range<usize>,
+    dims: Range<usize>,
+    rdep_offsets: Range<usize>,
+    rdeps: Range<usize>,
+}
+
+/// Takes the next length-prefixed column of `elem`-byte elements off
+/// `cur`, returning its byte range within the payload of `len` bytes.
+fn column(cur: &mut Cursor<'_>, len: usize, elem: usize) -> Result<Range<usize>, SnapshotError> {
+    let checked_n = cur.checked_len(elem)?;
+    let start = len - cur.remaining();
+    cur.take(checked_n * elem)?;
+    Ok(start..start + checked_n * elem)
+}
+
+fn le_u32(c: &[u8]) -> u32 {
+    u32::from_le_bytes([c[0], c[1], c[2], c[3]])
+}
+
+fn le_u64(c: &[u8]) -> u64 {
+    u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
+}
+
+/// A persisted offset column read in place. A value past `usize::MAX`
+/// saturates, which no offset check accepts: an offset column ends at
+/// its entry count and never decreases.
+fn offsets_in_place(raw: &[u8]) -> impl ExactSizeIterator<Item = usize> + '_ {
+    raw.chunks_exact(8)
+        .map(|c| usize::try_from(le_u64(c)).unwrap_or(usize::MAX))
+}
+
+/// Every structural check the slot kernel and the dirty scheduler index
+/// with, made on the section's bytes in place (no column is copied):
+/// offset columns of length `n + 1` from 0, non-decreasing, ending at
+/// their entry counts; one `dims` row per slot; every entry's slot and
+/// every reverse dependency in range. A checksum-valid but inconsistent
+/// section is refused here, at restore, so its decode at first use
+/// cannot fail or panic.
+fn validate_deps(bytes: &[u8], n_slots: usize) -> Result<DepsLayout, SnapshotError> {
+    let len = bytes.len();
     let mut cur = Cursor::new("deps", bytes);
-    let out_offsets = cur.usize_vec()?;
-    let in_offsets = cur.usize_vec()?;
-    let out_entries = read_dep_entries(&mut cur)?;
-    let in_entries = read_dep_entries(&mut cur)?;
-    let checked_dims = cur.checked_len(16)?;
-    let mut dims = Vec::with_capacity(checked_dims);
-    for _ in 0..checked_dims {
-        dims.push([cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?]);
-    }
-    let rdep_offsets = cur.usize_vec()?;
-    let rdeps = cur.u32_vec()?;
+    let layout = DepsLayout {
+        n_slots,
+        out_offsets: column(&mut cur, len, 8)?,
+        in_offsets: column(&mut cur, len, 8)?,
+        out_entries: column(&mut cur, len, ENTRY_BYTES)?,
+        in_entries: column(&mut cur, len, ENTRY_BYTES)?,
+        dims: column(&mut cur, len, DIMS_BYTES)?,
+        rdep_offsets: column(&mut cur, len, 8)?,
+        rdeps: column(&mut cur, len, 4)?,
+    };
     cur.finish()?;
-    PairDepCsr::from_raw_parts(
+    let col = |r: &Range<usize>| &bytes[r.clone()];
+    let check_slots = |name: &str, raw: &[u8]| -> Result<(), String> {
+        let slot = raw
+            .chunks_exact(ENTRY_BYTES)
+            .map(|c| le_u32(&c[8..12]))
+            .find(|&s| s != DepEntry::CONST && s as usize >= n_slots);
+        match slot {
+            Some(s) => Err(format!(
+                "{name} references slot {s} out of range ({n_slots} slots)"
+            )),
+            None => Ok(()),
+        }
+    };
+    let l = &layout;
+    let checks = || -> Result<(), String> {
+        let m_out = l.out_entries.len() / ENTRY_BYTES;
+        let m_in = l.in_entries.len() / ENTRY_BYTES;
+        let m_rdeps = l.rdeps.len() / 4;
+        check_offsets(
+            "out_offsets",
+            offsets_in_place(col(&l.out_offsets)),
+            n_slots,
+            m_out,
+        )?;
+        check_offsets(
+            "in_offsets",
+            offsets_in_place(col(&l.in_offsets)),
+            n_slots,
+            m_in,
+        )?;
+        check_offsets(
+            "rdep_offsets",
+            offsets_in_place(col(&l.rdep_offsets)),
+            n_slots,
+            m_rdeps,
+        )?;
+        let rows = l.dims.len() / DIMS_BYTES;
+        if rows != n_slots {
+            return Err(format!("dims has {rows} rows, store has {n_slots}"));
+        }
+        check_slots("out_entries", col(&l.out_entries))?;
+        check_slots("in_entries", col(&l.in_entries))?;
+        match col(&l.rdeps)
+            .chunks_exact(4)
+            .map(le_u32)
+            .find(|&s| s as usize >= n_slots)
+        {
+            Some(bad) => Err(format!("rdep slot {bad} out of range ({n_slots} slots)")),
+            None => Ok(()),
+        }
+    };
+    checks().map_err(|e| malformed("deps", e))?;
+    Ok(layout)
+}
+
+/// Decodes a `deps` section [`validate_deps`] accepted, each column in
+/// one bulk pass; the live-slot list is built in the pass that copies
+/// the entries.
+fn decode_deps(bytes: &[u8], layout: &DepsLayout) -> PairDepCsr {
+    let col = |r: &Range<usize>| &bytes[r.clone()];
+    let offsets = |r: &Range<usize>| -> Vec<usize> { offsets_in_place(col(r)).collect() };
+    let out_offsets = offsets(&layout.out_offsets);
+    let in_offsets = offsets(&layout.in_offsets);
+    let (out_raw, in_raw) = (col(&layout.out_entries), col(&layout.in_entries));
+    // Entry counts of columns `validate_deps` proved inside the payload.
+    let checked_out = layout.out_entries.len() / ENTRY_BYTES;
+    let checked_in = layout.in_entries.len() / ENTRY_BYTES;
+    let mut out_entries = Vec::with_capacity(checked_out);
+    let mut in_entries = Vec::with_capacity(checked_in);
+    let mut live = Vec::new();
+    // Appends the entries `range` of `raw` to `dst`; whether one of them
+    // reads a maintained slot.
+    let copy = |raw: &[u8], range: Range<usize>, dst: &mut Vec<DepEntry>| -> bool {
+        let before = dst.len();
+        dst.extend(
+            raw[range.start * ENTRY_BYTES..range.end * ENTRY_BYTES]
+                .chunks_exact(ENTRY_BYTES)
+                .map(|c| DepEntry {
+                    i: le_u32(&c[0..4]),
+                    j: le_u32(&c[4..8]),
+                    slot: le_u32(&c[8..12]),
+                    cval: f32::from_bits(le_u32(&c[12..16])),
+                }),
+        );
+        dst[before..].iter().any(|e| e.slot != DepEntry::CONST)
+    };
+    for (s, slot) in slot_ids(layout.n_slots).enumerate() {
+        let out_live = copy(
+            out_raw,
+            out_offsets[s]..out_offsets[s + 1],
+            &mut out_entries,
+        );
+        let in_live = copy(in_raw, in_offsets[s]..in_offsets[s + 1], &mut in_entries);
+        if out_live || in_live {
+            live.push(slot);
+        }
+    }
+    let dims = col(&layout.dims)
+        .chunks_exact(DIMS_BYTES)
+        .map(|c| {
+            [
+                le_u32(&c[0..4]),
+                le_u32(&c[4..8]),
+                le_u32(&c[8..12]),
+                le_u32(&c[12..16]),
+            ]
+        })
+        .collect();
+    let rdep_offsets = offsets(&layout.rdep_offsets);
+    let rdeps = col(&layout.rdeps).chunks_exact(4).map(le_u32).collect();
+    PairDepCsr::from_columns(
         out_offsets,
         in_offsets,
         out_entries,
@@ -760,9 +952,8 @@ fn decode_deps(bytes: &[u8], n_slots: usize) -> Result<PairDepCsr, SnapshotError
         dims,
         rdep_offsets,
         rdeps,
-        n_slots,
+        live,
     )
-    .map_err(|e| malformed("deps", e))
 }
 
 // ------------------------------------------------------------ trajectory
@@ -793,11 +984,25 @@ fn encode_trajectory(buf: &mut Vec<u8>, traj: &[Vec<f64>]) {
     }
 }
 
-fn decode_trajectory(
+/// Where a validated `trajectory` section's columns lie (see
+/// [`DepsLayout`]).
+struct TrajLayout {
+    t_count: usize,
+    n_slots: usize,
+    freeze: Range<usize>,
+    values: Range<usize>,
+}
+
+/// The trajectory section's checks, made in place: `n` matches the
+/// store, `T` is in `2..=MAX_TRAJ_ITERS` and its dense expansion within
+/// the budget cap, one freeze point per slot and each below `T`, and
+/// exactly the values the freeze points account for.
+fn validate_trajectory(
     bytes: &[u8],
     n_slots: usize,
     trajectory_budget: usize,
-) -> Result<Vec<Vec<f64>>, SnapshotError> {
+) -> Result<TrajLayout, SnapshotError> {
+    let len = bytes.len();
     let mut cur = Cursor::new("trajectory", bytes);
     let t_count = cur.usize64()?;
     let n = cur.usize64()?;
@@ -816,7 +1021,7 @@ fn decode_trajectory(
     // The dense reconstruction is the one place decoding expands beyond
     // the file's own size. The recorder never kept more than the
     // configured budget (plus one in-flight iterate), so anything
-    // larger is inconsistent — reject it *before* allocating.
+    // larger is inconsistent — reject it before anything is allocated.
     let dense_bytes = (t_count as u64).saturating_mul(n as u64).saturating_mul(8);
     let budget_cap = (trajectory_budget as u64).saturating_mul(2).max(64 << 20);
     if dense_bytes > budget_cap {
@@ -826,21 +1031,24 @@ fn decode_trajectory(
             limit: budget_cap,
         });
     }
-    let freeze = cur.u32_vec()?;
-    if freeze.len() != n {
+    let freeze = column(&mut cur, len, 4)?;
+    if freeze.len() / 4 != n {
         return Err(malformed(
             "trajectory",
-            format!("{} freeze points for {n} slots", freeze.len()),
+            format!("{} freeze points for {n} slots", freeze.len() / 4),
         ));
     }
-    if let Some(&bad) = freeze.iter().find(|&&f| f as usize >= t_count) {
-        return Err(malformed(
-            "trajectory",
-            format!("freeze point {bad} beyond iteration count {t_count}"),
-        ));
+    let mut expected = 0u64;
+    for f in bytes[freeze.clone()].chunks_exact(4).map(le_u32) {
+        if f as usize >= t_count {
+            return Err(malformed(
+                "trajectory",
+                format!("freeze point {f} beyond iteration count {t_count}"),
+            ));
+        }
+        expected += f as u64 + 1;
     }
     let total = cur.u64()?;
-    let expected: u64 = freeze.iter().map(|&f| f as u64 + 1).sum();
     if total != expected {
         return Err(malformed(
             "trajectory",
@@ -855,19 +1063,140 @@ fn decode_trajectory(
             limit: avail,
         });
     }
-    let mut traj = vec![vec![0.0f64; n]; t_count];
-    for (s, &f) in freeze.iter().enumerate() {
-        for row in traj.iter_mut().take(f as usize + 1) {
-            row[s] = cur.f64()?;
+    let start = len - cur.remaining();
+    cur.take(total as usize * 8)?;
+    cur.finish()?;
+    Ok(TrajLayout {
+        t_count,
+        n_slots,
+        freeze,
+        values: start..len,
+    })
+}
+
+/// Slots expanded per block by [`decode_trajectory`]: one block's value
+/// columns (about 8 values of 8 bytes per slot) stay in L1/L2 while it
+/// is written out iterate by iterate.
+const TRAJ_BLOCK: usize = 1024;
+
+/// Expands a trajectory section [`validate_trajectory`] accepted to its
+/// dense `T × n` iterates, `traj[t][s] = col_s[min(t, f_s)]`. Slots go
+/// in blocks of [`TRAJ_BLOCK`]; within a block each iterate is appended
+/// in slot order, so every row is written once, sequentially, and never
+/// zero-filled first.
+fn decode_trajectory(bytes: &[u8], layout: &TrajLayout) -> Vec<Vec<f64>> {
+    let values = &bytes[layout.values.clone()];
+    let value = |k: usize| f64::from_bits(le_u64(&values[k * 8..k * 8 + 8]));
+    // `validate_trajectory` held `T × n` to the budget cap.
+    let checked_n = layout.n_slots;
+    let mut traj: Vec<Vec<f64>> = (0..layout.t_count)
+        .map(|_| Vec::with_capacity(checked_n))
+        .collect();
+    // Per slot of the block: where its column starts among the values,
+    // and its freeze point.
+    let mut block = Vec::new();
+    let mut next = 0usize;
+    for freeze in bytes[layout.freeze.clone()].chunks(TRAJ_BLOCK * 4) {
+        block.clear();
+        for f in freeze.chunks_exact(4).map(le_u32) {
+            let f = f as usize;
+            block.push((next, f));
+            next += f + 1;
         }
-        // Propagate the frozen value to the remaining iterations.
-        let frozen = traj[f as usize][s];
-        for row in traj.iter_mut().skip(f as usize + 1) {
-            row[s] = frozen;
+        for (t, row) in traj.iter_mut().enumerate() {
+            row.extend(block.iter().map(|&(at, f)| value(at + t.min(f))));
         }
     }
-    cur.finish()?;
-    Ok(traj)
+    traj
+}
+
+// -------------------------------------------------- deferred sections
+
+/// The `deps` and `trajectory` sections of a restored snapshot:
+/// validated in place at restore (every check an eager decode made), and
+/// decoded at their first use by `run`, `rerun` or `apply_edits`. Reads
+/// (`score`, `top_k`, the served epochs) never touch either, so a
+/// restored session that only serves pays neither decode.
+///
+/// The session holds the open file, never a mapping: the file is mapped
+/// only inside `restore` and again inside [`Self::decode`] (or a snapshot
+/// write), and that second map re-verifies the two sections' checksums.
+/// A snapshot replaced by `rename(2)` (how [`FsimEngine::write_snapshot`]
+/// writes) or deleted still decodes, because the open file keeps its
+/// inode; one overwritten in place fails the checksums, and the session
+/// then drops both sections — the next run builds the CSR and edits run
+/// cold, both bitwise identical to what the sections would have given.
+/// The checksum is an integrity check, not a seal: bytes rewritten in
+/// place to keep it (a deliberate FNV collision) would reach the
+/// unchecked decode, where every index is still bounds-checked, so the
+/// worst outcome is a panic, never undefined behaviour.
+pub(crate) struct DeferredSections {
+    file: std::fs::File,
+    deps: Option<(SectionMeta, DepsLayout)>,
+    trajectory: Option<(SectionMeta, TrajLayout)>,
+}
+
+impl DeferredSections {
+    /// Dependency entries in the held CSR section (`None` without one).
+    pub(crate) fn dep_entry_count(&self) -> Option<usize> {
+        self.deps
+            .as_ref()
+            .map(|(_, l)| (l.out_entries.len() + l.in_entries.len()) / ENTRY_BYTES)
+    }
+
+    /// Whether a CSR section is held.
+    pub(crate) fn has_deps(&self) -> bool {
+        self.deps.is_some()
+    }
+
+    /// Whether both sections are held: a CSR and a trajectory of at least
+    /// two iterates (validation refuses fewer), what an edit replays.
+    pub(crate) fn can_replay(&self) -> bool {
+        self.deps.is_some() && self.trajectory.is_some()
+    }
+
+    /// The held sections mapped again and re-verified, or `None` if the
+    /// file changed in place since restore.
+    fn reopen(&self, trajectory: bool) -> Option<SnapshotFile> {
+        let metas: Vec<SectionMeta> = self
+            .deps
+            .iter()
+            .map(|(m, _)| *m)
+            .chain(
+                self.trajectory
+                    .iter()
+                    .filter(|_| trajectory)
+                    .map(|(m, _)| *m),
+            )
+            .collect();
+        SnapshotFile::reopen(&self.file, &metas, KNOWN_SECTIONS).ok()
+    }
+
+    /// Decodes the CSR and, with `trajectory`, the recorded trajectory
+    /// (without it, the trajectory section is dropped undecoded). Both
+    /// come back `None` if the file changed in place since restore.
+    pub(crate) fn decode(self, trajectory: bool) -> (Option<PairDepCsr>, Option<Vec<Vec<f64>>>) {
+        let Some(image) = self.reopen(trajectory) else {
+            return (None, None);
+        };
+        let bytes = |m: &SectionMeta| image.section(m.id).expect("a reopened section");
+        let deps = self.deps.map(|(m, l)| decode_deps(bytes(&m), &l));
+        let traj = self
+            .trajectory
+            .filter(|_| trajectory)
+            .map(|(m, l)| decode_trajectory(bytes(&m), &l));
+        (deps, traj)
+    }
+}
+
+/// `csr` through the snapshot codec: encoded, validated in place and
+/// decoded, as a restore and its first use would.
+#[cfg(test)]
+pub(crate) fn deps_codec_roundtrip(csr: &PairDepCsr, n_slots: usize) -> PairDepCsr {
+    let mut buf = Vec::new();
+    encode_deps(&mut buf, csr);
+    let layout = validate_deps(&buf, n_slots).expect("an encoded CSR validates");
+    decode_deps(&buf, &layout)
 }
 
 #[cfg(test)]

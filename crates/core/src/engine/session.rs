@@ -19,6 +19,7 @@ use super::iterate::{
     error_bound, initialize, pair_update, run_delta, run_replay, run_sweep, Limits, Recorder,
 };
 use super::parallel::{effective_threads, Exec, Runtime};
+use super::persist::DeferredSections;
 use super::shards::{auto_shard_count, run_sharded, ShardState};
 use crate::candidates::{estimated_dep_entries, repair_candidates, StoreRepair, NO_SLOT};
 use crate::config::{ConfigError, ConvergenceMode, FsimConfig, LabelTermMode, ShardSpec};
@@ -162,6 +163,12 @@ pub struct FsimEngine<'g, O: Operator = VariantOp> {
     /// [`apply_edits`](Self::apply_edits) to *replay* the iteration after
     /// a graph edit instead of recomputing from scratch.
     trajectory: Option<Vec<Vec<f64>>>,
+    /// A restored session's CSR and trajectory sections, validated at
+    /// restore and not decoded yet: held only while `deps` and
+    /// `trajectory` are both `None`, and consumed by the first `run`,
+    /// `rerun` or `apply_edits` that needs them (or dropped by one that
+    /// does not).
+    deferred: Option<DeferredSections>,
     iterations: usize,
     converged: bool,
     final_delta: f64,
@@ -206,6 +213,7 @@ pub(crate) struct PersistParts<'e> {
     pub(crate) deps: Option<&'e PairDepCsr>,
     pub(crate) scores: &'e [f64],
     pub(crate) trajectory: Option<&'e Vec<Vec<f64>>>,
+    pub(crate) deferred: Option<&'e DeferredSections>,
     pub(crate) iterations: usize,
     pub(crate) converged: bool,
     pub(crate) final_delta: f64,
@@ -225,9 +233,8 @@ pub(crate) struct RestoredParts {
     pub(crate) store: PairStore,
     pub(crate) label_terms: Vec<f64>,
     pub(crate) label_table: Option<Vec<f64>>,
-    pub(crate) deps: Option<PairDepCsr>,
     pub(crate) scores: Vec<f64>,
-    pub(crate) trajectory: Option<Vec<Vec<f64>>>,
+    pub(crate) deferred: Option<DeferredSections>,
     pub(crate) iterations: usize,
     pub(crate) converged: bool,
     pub(crate) final_delta: f64,
@@ -270,6 +277,7 @@ impl<'g> FsimEngine<'g, VariantOp> {
             deps: self.deps.as_ref(),
             scores: &self.scores,
             trajectory: self.trajectory.as_ref(),
+            deferred: self.deferred.as_ref(),
             iterations: self.iterations,
             converged: self.converged,
             final_delta: self.final_delta,
@@ -301,7 +309,9 @@ impl FsimEngine<'static, VariantOp> {
     /// evaluation (from config + interner), the aligned label copies
     /// (the snapshot stores graphs already remapped to the merged
     /// interner), the double buffer, the worker pool (lazy), and any
-    /// shard state (rebuilt deterministically by the next run).
+    /// shard state (rebuilt deterministically by the next run). The CSR
+    /// and trajectory arrive as [`DeferredSections`], decoded at first
+    /// use.
     pub(crate) fn from_restored(parts: RestoredParts) -> FsimEngine<'static, VariantOp> {
         // A persisted prepared table (validated against the interner by
         // the codec) skips the O(|Σ|²) string-similarity rebuild — the
@@ -328,11 +338,12 @@ impl FsimEngine<'static, VariantOp> {
             label_eval,
             store: parts.store,
             label_terms: parts.label_terms,
-            deps: parts.deps,
+            deps: None,
             shards: None,
             scores: parts.scores,
             cur: Vec::new(),
-            trajectory: parts.trajectory,
+            trajectory: None,
+            deferred: parts.deferred,
             iterations: parts.iterations,
             converged: parts.converged,
             final_delta: parts.final_delta,
@@ -389,6 +400,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             scores: Vec::new(),
             cur: Vec::new(),
             trajectory: None,
+            deferred: None,
             iterations: 0,
             converged: false,
             final_delta: 0.0,
@@ -440,6 +452,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
         self.deps = None;
         self.shards = None;
         self.trajectory = None;
+        self.deferred = None;
         self.refresh_label_terms();
         self.has_run = false;
     }
@@ -473,11 +486,15 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     ///
     /// A CSR the session already holds is kept without a new estimate
     /// (it lives as long as the store), so a warm run pays no `O(|H|)`
-    /// scan. A kept CSR gets its row-key table here if it has none and
-    /// the operator sums row maxima: a CSR restored from a snapshot
-    /// derives it at its first evaluation, not at restore.
+    /// scan. A restored session decodes its deferred CSR here instead of
+    /// building one, and drops its deferred trajectory undecoded (a run
+    /// records its own). A kept CSR gets its row-key table here if it has
+    /// none and the operator sums row maxima: a CSR restored from a
+    /// snapshot derives it at its first evaluation, not at restore.
     fn ensure_scheduling(&mut self) {
-        match self.shard_count_wanted() {
+        let wanted = self.shard_count_wanted();
+        let deferred = self.deferred.take();
+        match wanted {
             Some(k) => {
                 self.deps = None;
                 if self.shards.as_ref().map(|s| s.requested) != Some(k) {
@@ -493,9 +510,10 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             None => {
                 self.shards = None;
                 if self.deps.is_none() {
-                    let csr =
-                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op);
-                    self.deps = Some(csr);
+                    let decoded = deferred.and_then(|d| d.decode(false).0);
+                    self.deps = Some(decoded.unwrap_or_else(|| {
+                        PairDepCsr::build(&self.g1, &self.g2, &self.ctx(), &self.store, &self.op)
+                    }));
                 }
                 let deps = self.deps.as_mut().expect("built above");
                 deps.ensure_rows(&self.g1, &self.g2, &self.store, &self.op);
@@ -510,7 +528,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             (ConvergenceMode::FullSweep, _) => None,
             (_, ShardSpec::Fixed(k)) => Some(k),
             (ConvergenceMode::Auto | ConvergenceMode::Approximate { .. }, ShardSpec::Auto)
-                if self.deps.is_none() =>
+                if !self.holds_csr() =>
             {
                 // The degree-product estimate: one O(|H|) degree scan.
                 let entries = estimated_dep_entries(&self.g1, &self.g2, &self.store);
@@ -527,11 +545,21 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     /// estimate a held CSR skips is re-taken after an edit batch and after
     /// a rerun that moved the budget or the shard spec.
     fn recheck_budget(&mut self) {
-        if let Some(deps) = self.deps.take() {
+        if self.holds_csr() {
+            let (deps, deferred) = (self.deps.take(), self.deferred.take());
             if self.shard_count_wanted().is_none() {
-                self.deps = Some(deps);
+                (self.deps, self.deferred) = (deps, deferred);
             }
         }
+    }
+
+    /// Whether the session holds the full CSR, decoded or deferred.
+    fn holds_csr(&self) -> bool {
+        self.deps.is_some()
+            || self
+                .deferred
+                .as_ref()
+                .is_some_and(DeferredSections::has_deps)
     }
 
     /// Whether a run should attempt to record its trajectory at all:
@@ -579,6 +607,7 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
             self.shard_count = 0;
             self.peak_csr_bytes = 0;
             self.trajectory = None;
+            self.deferred = None;
             self.has_run = true;
             return self;
         }
@@ -782,6 +811,11 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
                 self.run();
             }
             return Ok(self.snapshot());
+        }
+        // A restored session's first edit decodes the CSR and trajectory
+        // it deferred: the repairs below carry both into the edited store.
+        if let Some(deferred) = self.deferred.take() {
+            (self.deps, self.trajectory) = deferred.decode(true);
         }
 
         // Patch the graphs (CSR splice, not a rebuild) and derive the
@@ -1250,7 +1284,10 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     /// an empty store, and under sharded execution, whose per-shard CSRs
     /// are transient. Every other run holds the full CSR.
     pub fn dep_entry_count(&self) -> Option<usize> {
-        self.deps.as_ref().map(|d| d.entry_count())
+        match &self.deferred {
+            Some(d) => d.dep_entry_count(),
+            None => self.deps.as_ref().map(|d| d.entry_count()),
+        }
     }
 
     /// Number of u-row shards the last run executed with, `0` when it ran
@@ -1303,7 +1340,10 @@ impl<'g, O: Operator> FsimEngine<'g, O> {
     /// incrementally instead of recomputing cold (see
     /// [`FsimConfig::trajectory_budget`]).
     pub fn can_replay_edits(&self) -> bool {
-        self.deps.is_some() && self.trajectory.as_ref().is_some_and(|t| t.len() >= 2)
+        match &self.deferred {
+            Some(d) => d.can_replay(),
+            None => self.deps.is_some() && self.trajectory.as_ref().is_some_and(|t| t.len() >= 2),
+        }
     }
 
     /// An owned [`FsimResult`] snapshot of the current scores (clones the

@@ -1,10 +1,15 @@
 //! Opening and validating snapshot files.
 //!
 //! [`SnapshotFile::open`] memory-maps the file on unix (falling back
-//! to an 8-byte-aligned owned buffer) and eagerly validates the
-//! header, section table, and every section checksum, so a
+//! to an 8-byte-aligned owned buffer) and validates the header, the
+//! section table and every section checksum before it returns, so a
 //! successfully opened file hands out only bounds-checked,
-//! checksum-verified payload slices.
+//! checksum-verified payload slices. What a section's payload means is
+//! its owner's to check; an owner may check some sections in place at
+//! open and decode them later: it keeps the open [`std::fs::File`]
+//! (never the mapping), and [`SnapshotFile::reopen`] maps it again and
+//! re-verifies just those sections' checksums, so bytes changed in
+//! place since the open are refused instead of decoded.
 
 use crate::error::SnapshotError;
 use crate::format::{fnv1a, FORMAT_VERSION, HEADER_BYTES, MAGIC, SECTION_ALIGN, TABLE_ENTRY_BYTES};
@@ -21,6 +26,8 @@ pub struct SectionMeta {
     pub offset: usize,
     /// Payload byte length (unpadded).
     pub len: usize,
+    /// The payload's FNV-1a checksum, as stored and verified.
+    pub checksum: u64,
 }
 
 enum Buffer {
@@ -86,13 +93,62 @@ impl SnapshotFile {
     /// every section's FNV-1a checksum.
     pub fn open(path: &Path, known: &'static [(u32, &'static str)]) -> Result<Self, SnapshotError> {
         let file = std::fs::File::open(path).map_err(|e| SnapshotError::io("open", e))?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| SnapshotError::io("stat", e))?
-            .len();
-        let buf = Self::map_or_read(&file, file_len)?;
-        let me = Self::validate(buf, known)?;
-        Ok(me)
+        Self::open_file(&file, known)
+    }
+
+    /// [`open`](Self::open) on a file the caller already opened. A
+    /// caller that keeps `file` can map validated sections again later
+    /// with [`reopen`](Self::reopen), even after the path was replaced
+    /// or deleted: the open file keeps its inode.
+    pub fn open_file(
+        file: &std::fs::File,
+        known: &'static [(u32, &'static str)],
+    ) -> Result<Self, SnapshotError> {
+        Self::validate(Self::map_or_read(file)?, known)
+    }
+
+    /// Maps `file` again after an [`open_file`](Self::open_file) of it
+    /// validated `sections` (entries of that open's
+    /// [`sections`](Self::sections)), and re-verifies only those: each
+    /// must still lie inside the file and match its recorded checksum.
+    /// The header and the other sections are not read, so this costs one
+    /// map plus the listed sections' checksums. The returned file hands
+    /// out exactly the listed sections.
+    ///
+    /// A file rewritten in place since the open fails here with a
+    /// structured error (a checksum mismatch, or a section past the new
+    /// end of the file); a file replaced by `rename(2)` or unlinked does
+    /// not, because `file` still holds the inode that was validated.
+    pub fn reopen(
+        file: &std::fs::File,
+        sections: &[SectionMeta],
+        known: &'static [(u32, &'static str)],
+    ) -> Result<Self, SnapshotError> {
+        let buf = Self::map_or_read(file)?;
+        let bytes = buf.as_slice();
+        for m in sections {
+            let end = m.offset.checked_add(m.len).filter(|&e| e <= bytes.len());
+            let Some(end) = end else {
+                return Err(SnapshotError::Truncated {
+                    section: m.name,
+                    needed: (m.offset as u64).saturating_add(m.len as u64),
+                    available: bytes.len() as u64,
+                });
+            };
+            let computed = fnv1a(&bytes[m.offset..end]);
+            if computed != m.checksum {
+                return Err(SnapshotError::ChecksumMismatch {
+                    section: m.name,
+                    stored: m.checksum,
+                    computed,
+                });
+            }
+        }
+        Ok(Self {
+            buf,
+            sections: sections.to_vec(),
+            known,
+        })
     }
 
     /// Validates an in-memory image — the corruption battery's entry
@@ -104,7 +160,11 @@ impl SnapshotFile {
         Self::validate(Buffer::Owned(AlignedBuf::from_bytes(bytes)), known)
     }
 
-    fn map_or_read(file: &std::fs::File, file_len: u64) -> Result<Buffer, SnapshotError> {
+    fn map_or_read(file: &std::fs::File) -> Result<Buffer, SnapshotError> {
+        let file_len = file
+            .metadata()
+            .map_err(|e| SnapshotError::io("stat", e))?
+            .len();
         #[cfg(unix)]
         {
             if file_len > 0 {
@@ -115,9 +175,10 @@ impl SnapshotFile {
         }
         let _ = file_len;
         let mut bytes = Vec::new();
-        use std::io::Read;
+        use std::io::{Read, Seek};
         let mut f = file;
-        f.read_to_end(&mut bytes)
+        f.seek(std::io::SeekFrom::Start(0))
+            .and_then(|_| f.read_to_end(&mut bytes))
             .map_err(|e| SnapshotError::io("read", e))?;
         Ok(Buffer::Owned(AlignedBuf::from_bytes(&bytes)))
     }
@@ -205,6 +266,7 @@ impl SnapshotFile {
                 name,
                 offset: offset as usize,
                 len: len as usize,
+                checksum: stored,
             });
         }
         Ok(Self {
@@ -354,6 +416,66 @@ mod tests {
         assert_eq!(c.bytes().unwrap(), b"payload-one");
         let mut c = crate::Cursor::new("beta", f.section(2).unwrap());
         assert_eq!(c.u64().unwrap(), 99);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_survives_a_rename_and_refuses_an_in_place_overwrite() {
+        let dir = std::env::temp_dir().join(format!("fsnp-reopen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.fsnp");
+        std::fs::write(&path, image()).unwrap();
+        let held = std::fs::File::open(&path).unwrap();
+        let beta: Vec<SectionMeta> = SnapshotFile::open_file(&held, KNOWN)
+            .unwrap()
+            .sections()
+            .iter()
+            .filter(|m| m.id == 2)
+            .copied()
+            .collect();
+
+        // Replaced by rename: the held inode still has the old bytes.
+        let mut b = SnapshotBuilder::new();
+        put_u64(b.section(2), 7);
+        b.write_atomic(&path).unwrap();
+        let again = SnapshotFile::reopen(&held, &beta, KNOWN).unwrap();
+        assert_eq!(
+            crate::Cursor::new("beta", again.section(2).unwrap())
+                .u64()
+                .unwrap(),
+            99
+        );
+        assert!(matches!(
+            again.section(1),
+            Err(SnapshotError::MissingSection { section: "alpha" })
+        ));
+
+        // Overwritten in place: the same length with one payload byte
+        // changed, then cut short.
+        let held = std::fs::File::open(&path).unwrap();
+        let beta: Vec<SectionMeta> = SnapshotFile::open_file(&held, KNOWN)
+            .unwrap()
+            .sections()
+            .to_vec();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = beta[0].offset;
+        bytes[at] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SnapshotFile::reopen(&held, &beta, KNOWN),
+            Err(SnapshotError::ChecksumMismatch {
+                section: "beta",
+                ..
+            })
+        ));
+        std::fs::write(&path, &bytes[..at]).unwrap();
+        assert!(matches!(
+            SnapshotFile::reopen(&held, &beta, KNOWN),
+            Err(SnapshotError::Truncated {
+                section: "beta",
+                ..
+            })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -301,3 +301,120 @@ fn interrupted_rewrite_preserves_the_previous_snapshot() {
     assert_eq!(scores_bits(&fresh), scores_bits(&engine));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Checksum-valid but malformed sections: restore defers decoding the
+// dependency CSR and the trajectory to their first use, so these
+// mutants prove their structural checks still run at restore.
+// ---------------------------------------------------------------------
+
+/// An unsharded delta-driven session: its snapshot carries the `deps`
+/// and `trajectory` sections.
+fn replayable_session() -> FsimEngine<'static> {
+    let g = fsim_graph::graph_from_parts(
+        &["a", "b", "a", "c", "b", "c", "a"],
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 0),
+            (1, 4),
+            (2, 5),
+        ],
+    );
+    let mut cfg = FsimConfig::new(Variant::Simple).label_fn(LabelFn::Indicator);
+    cfg.threads = 1;
+    cfg.convergence = ConvergenceMode::DeltaDriven;
+    let mut e = FsimEngine::new_owned(g.clone(), g, &cfg).expect("valid config");
+    e.run();
+    assert!(e.can_replay_edits(), "the session must record a trajectory");
+    e
+}
+
+/// `bytes` with `patch` applied to section `name`'s payload, and the
+/// section's table checksum recomputed, so the mutant passes every
+/// checksum and only the section's own structure is wrong.
+fn rechecksummed(bytes: &[u8], name: &str, patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let file = SnapshotFile::from_bytes(bytes, KNOWN).expect("good bytes validate");
+    let (k, meta) = file
+        .sections()
+        .iter()
+        .enumerate()
+        .find(|(_, m)| m.name == name)
+        .map(|(k, m)| (k, *m))
+        .unwrap_or_else(|| panic!("no {name} section"));
+    drop(file);
+    let mut mutant = bytes.to_vec();
+    let payload = &mut mutant[meta.offset..meta.offset + meta.len];
+    patch(payload);
+    let sum = fsim_snapshot::fnv1a(payload);
+    // Table entry k: id u32, reserved u32, offset u64, len u64, checksum u64.
+    let at = 16 + 32 * k + 24;
+    mutant[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    SnapshotFile::from_bytes(&mutant, KNOWN).expect("the mutant's checksums hold");
+    mutant
+}
+
+fn get_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+fn put_u64(b: &mut [u8], at: usize, v: u64) {
+    b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+#[test]
+fn checksum_valid_malformed_deps_and_trajectory_fail_at_restore() {
+    let dir = scratch("deferred");
+    let session = replayable_session();
+    let n = session.pair_count();
+    let bytes = session.snapshot_bytes().expect("serialize");
+    // `deps` payload: out_offsets and in_offsets (count + n + 1 words
+    // each), then out_entries (count + 16 bytes per entry: i, j, slot,
+    // cval).
+    let offsets_bytes = 8 + 8 * (n + 1);
+    let mutants = [
+        (
+            "deps",
+            "an entry slot out of range",
+            rechecksummed(&bytes, "deps", |p| {
+                let entries = 2 * offsets_bytes;
+                assert!(get_u64(p, entries) > 0, "no out entries to corrupt");
+                let slot = entries + 8 + 8;
+                p[slot..slot + 4].copy_from_slice(&u32::try_from(n).unwrap().to_le_bytes());
+            }),
+        ),
+        (
+            "deps",
+            "non-monotone out_offsets",
+            rechecksummed(&bytes, "deps", |p| {
+                let terminal = get_u64(p, 8 + 8 * n);
+                put_u64(p, 8 + 8, terminal + 1);
+            }),
+        ),
+        (
+            "trajectory",
+            "a freeze point at the iteration count",
+            rechecksummed(&bytes, "trajectory", |p| {
+                // t_count, n, the freeze count, then the freeze points.
+                let t_count = u32::try_from(get_u64(p, 0)).unwrap();
+                p[24..28].copy_from_slice(&t_count.to_le_bytes());
+            }),
+        ),
+    ];
+    for (section, what, mutant) in mutants {
+        match try_restore(&dir, &mutant) {
+            Err(err @ SnapshotError::Malformed { .. }) => assert_eq!(
+                err.section(),
+                Some(section),
+                "{what}: the error names the wrong section: {err}"
+            ),
+            Err(other) => panic!("{what}: expected a malformed {section} section, got {other}"),
+            Ok(_) => panic!("{what}: restore accepted a malformed {section} section"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

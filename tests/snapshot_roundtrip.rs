@@ -176,6 +176,147 @@ fn restore_is_bitwise_across_the_config_lattice() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An edge `g2` lacks, as an add edit: an edit that cannot be a no-op,
+/// so it reaches the restored session's deferred sections.
+fn fresh_edge(rng: &mut ChaCha8Rng, g2: &Graph) -> GraphEdit {
+    let n = g2.node_count() as u32;
+    loop {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if !g2.has_edge(u, v) {
+            return GraphEdit::add_edge(GraphSide::Right, u, v);
+        }
+    }
+}
+
+/// What a session reports about its CSR and trajectory without decoding
+/// them: a restored session answers from the counts its restore checked.
+fn deferred_view(e: &FsimEngine<'static>) -> (Option<usize>, bool, Vec<u8>) {
+    (
+        e.dep_entry_count(),
+        e.can_replay_edits(),
+        e.snapshot_bytes().expect("serialize"),
+    )
+}
+
+#[test]
+fn deferred_sections_are_invisible_across_the_config_lattice() {
+    let dir = scratch("deferred");
+    let mut rng = ChaCha8Rng::seed_from_u64(73_003);
+    let mut replayed = 0;
+    for case in 0..24 {
+        let (g1, g2) = arb_graph_pair(&mut rng, 7);
+        let cfg = case_config(case);
+        let mut original = FsimEngine::new_owned(g1, g2, &cfg).expect("valid config");
+        original.run();
+        let path = dir.join(format!("case-{case}.fsnp"));
+        original.write_snapshot(&path).expect("write snapshot");
+        let mut restored = FsimEngine::restore(&path).expect("restore snapshot");
+
+        let view = deferred_view(&restored);
+        assert_eq!(view.2, std::fs::read(&path).unwrap(), "case {case}");
+        assert_eq!(
+            view,
+            deferred_view(&original),
+            "case {case} before the edit"
+        );
+
+        let edit = fresh_edge(&mut rng, original.graphs().1);
+        replayed += usize::from(restored.can_replay_edits());
+        original
+            .apply_edits(std::slice::from_ref(&edit))
+            .expect("edit");
+        restored
+            .apply_edits(std::slice::from_ref(&edit))
+            .expect("edit");
+        assert_eq!(
+            fingerprint(&original),
+            fingerprint(&restored),
+            "case {case}"
+        );
+        let (after, expected) = (deferred_view(&restored), deferred_view(&original));
+        assert_eq!(after.0, expected.0, "case {case} after the edit");
+        assert_eq!(after.1, expected.1, "case {case} after the edit");
+        // A sharded session holds no CSR or trajectory to defer, and a
+        // restored one plans its shards afresh on the edited graphs, so
+        // the shard count in its diagnostics may differ.
+        if cfg.shards == ShardSpec::Off {
+            assert_eq!(after.2, expected.2, "case {case} after the edit");
+        }
+    }
+    assert!(replayed > 0, "no case exercised a replayable restore");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replayable session over a fixed pair, and its edit-free twin graphs.
+fn replayable(seed: u64) -> FsimEngine<'static> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let (g1, g2) = arb_graph_pair(&mut rng, 9);
+    let cfg = FsimConfig::new(Variant::Bi).label_fn(LabelFn::Indicator);
+    let mut e = FsimEngine::new_owned(g1, g2, &cfg).expect("valid config");
+    e.run();
+    assert!(e.can_replay_edits());
+    e
+}
+
+#[test]
+fn a_snapshot_overwritten_in_place_before_the_first_edit_runs_it_cold() {
+    let dir = scratch("overwritten");
+    let path = dir.join("session.fsnp");
+    let original = replayable(74_004);
+    original.write_snapshot(&path).expect("write");
+    let mut restored = FsimEngine::restore(&path).expect("restore");
+
+    // Truncate and rewrite the same inode with another session's image.
+    let other = replayable(74_005).snapshot_bytes().expect("serialize");
+    std::fs::write(&path, &other).expect("overwrite in place");
+
+    let mut rng = ChaCha8Rng::seed_from_u64(74_006);
+    let edit = fresh_edge(&mut rng, original.graphs().1);
+    let warm = restored.apply_edits(&[edit]).expect("edit");
+    let (g1, g2) = restored.graphs();
+    let mut cold = FsimEngine::new_owned(g1.clone(), g2.clone(), restored.config()).unwrap();
+    cold.run();
+    let bits = |it: &mut dyn Iterator<Item = (u32, u32, f64)>| -> Vec<(u32, u32, u64)> {
+        it.map(|(u, v, s)| (u, v, s.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&mut warm.iter_pairs()),
+        bits(&mut cold.iter_pairs()),
+        "the cold fallback changed the bits"
+    );
+    assert_eq!(
+        restored.pairs_evaluated(),
+        cold.pairs_evaluated(),
+        "not cold"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deleted_snapshot_still_replays_the_first_edit() {
+    let dir = scratch("deleted");
+    let path = dir.join("session.fsnp");
+    let mut original = replayable(75_007);
+    original.write_snapshot(&path).expect("write");
+    let mut restored = FsimEngine::restore(&path).expect("restore");
+    std::fs::remove_file(&path).expect("delete");
+
+    let mut rng = ChaCha8Rng::seed_from_u64(75_008);
+    let edit = fresh_edge(&mut rng, original.graphs().1);
+    original
+        .apply_edits(std::slice::from_ref(&edit))
+        .expect("edit");
+    restored
+        .apply_edits(std::slice::from_ref(&edit))
+        .expect("edit");
+    assert_eq!(fingerprint(&original), fingerprint(&restored));
+    assert!(
+        restored.can_replay_edits(),
+        "the replay recorded no trajectory"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sharded_and_spilled_sessions_restore_bitwise() {
     let dir = scratch("sharded");
