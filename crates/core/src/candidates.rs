@@ -3,9 +3,16 @@
 //!
 //! Three regimes:
 //! * default (θ = 0, no pruning): all `|V1| × |V2|` pairs, dense index;
-//! * θ-pruning: only pairs with `L(u, v) ≥ θ` (joined per label bucket);
+//! * θ-pruning: only pairs with `L(u, v) ≥ θ`, written row by row from one
+//!   eligible row of right nodes per G1 label;
 //! * upper-bound pruning: additionally drop pairs with `ub(u, v) ≤ β`,
 //!   remembering `α·ub` for dropped pairs when `α > 0`.
+//!
+//! Every regime emits its pairs in store order, `(u, v)` ascending, so the
+//! finished list is never sorted. Labels are read from the [`OpCtx`]'s
+//! aligned arrays: G1 and G2 may carry separate interners, aligned by
+//! label string when the session is built, and enumerate exactly as if
+//! they shared one.
 
 use crate::config::FsimConfig;
 use crate::engine::parallel::Runtime;
@@ -69,8 +76,9 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
     op: &O,
     rt: Option<&Runtime>,
 ) -> PairStore {
+    // Both bases, and every filter of them below, are in `(u, v)` order.
     let base: Vec<(NodeId, NodeId)> = if cfg.theta > 0.0 {
-        theta_candidates(g1, g2, ctx, cfg.theta)
+        theta_candidates(ctx, cfg.theta)
     } else {
         (0..g1.node_count() as u32)
             .flat_map(|u| (0..g2.node_count() as u32).map(move |v| (u, v)))
@@ -85,10 +93,8 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
             } else {
                 // θ = 0, or θ-filtering kept everything (e.g. a permissive
                 // label function): the dense row-major index applies.
-                let mut pairs = base;
-                pairs.sort_unstable();
                 PairStore {
-                    pairs,
+                    pairs: base,
                     index: PairIndex::Dense {
                         n2: g2.node_count() as u32,
                     },
@@ -150,7 +156,6 @@ pub(crate) fn enumerate_candidates_with<O: Operator>(
                 // The bound pruned nothing: keep the dense fast path
                 // instead of paying row searches for a full cross
                 // product.
-                kept.sort_unstable();
                 return PairStore {
                     pairs: kept,
                     index: PairIndex::Dense {
@@ -373,9 +378,7 @@ pub(crate) fn repair_candidates<O: Operator>(
     }
 }
 
-fn sparse_store(mut pairs: Vec<(NodeId, NodeId)>, n1: usize, fallback: Fallback) -> PairStore {
-    pairs.sort_unstable();
-    pairs.dedup();
+fn sparse_store(pairs: Vec<(NodeId, NodeId)>, n1: usize, fallback: Fallback) -> PairStore {
     PairStore {
         index: PairIndex::Sparse(RowIndex::from_sorted(&pairs, n1)),
         pairs,
@@ -383,25 +386,80 @@ fn sparse_store(mut pairs: Vec<(NodeId, NodeId)>, n1: usize, fallback: Fallback)
     }
 }
 
-/// Pairs with `L(u, v) ≥ θ`, enumerated per label-bucket pair so that the
-/// common indicator/θ=1 case costs `Σ_l |bucket1(l)|·|bucket2(l)|` instead of
-/// `|V1|·|V2|`.
-fn theta_candidates(g1: &Graph, g2: &Graph, ctx: &OpCtx<'_>, theta: f64) -> Vec<(NodeId, NodeId)> {
-    let buckets1 = g1.label_buckets();
-    let buckets2 = g2.label_buckets();
-    let used1 = g1.used_labels();
-    let used2 = g2.used_labels();
-    let mut pairs = Vec::new();
-    for &l1 in &used1 {
-        for &l2 in &used2 {
-            if ctx.label_eval.sim(l1, l2) >= theta {
-                for &u in &buckets1[l1.index()] {
-                    for &v in &buckets2[l2.index()] {
-                        pairs.push((u, v));
-                    }
-                }
-            }
+/// Pairs with `L(ℓ1(u), ℓ2(v)) ≥ θ`, already in `(u, v)` order.
+///
+/// Reads the session-aligned labels (`ctx.labels1` / `ctx.labels2`), so
+/// graphs on separate interners enumerate exactly like graphs on one. Each
+/// G1 label's *eligible row* — the ascending union of the right nodes of
+/// every G2 label `l2` with `L(l1, l2) ≥ θ` — is derived once, by the
+/// first left node with that label, and every later one copies it. Beside
+/// the `|Σ1|·|Σ2|` label comparisons the cost is the output's, up to a
+/// `log` factor for the `|Σ1|` rows merged by sorting.
+fn theta_candidates(ctx: &OpCtx<'_>, theta: f64) -> Vec<(NodeId, NodeId)> {
+    let (labels1, labels2) = (ctx.labels1, ctx.labels2);
+    let label_count = labels1
+        .iter()
+        .chain(labels2)
+        .map(|l| l.index() + 1)
+        .max()
+        .unwrap_or(0);
+
+    // G2's nodes grouped by label (a counting sort): label `l` owns
+    // `by_label2[start2[l] .. start2[l + 1]]`.
+    let mut start2 = vec![0u32; label_count + 1];
+    let mut used2 = Vec::new();
+    for &l in labels2 {
+        let members = &mut start2[l.index() + 1];
+        if *members == 0 {
+            used2.push(l);
         }
+        *members += 1;
+    }
+    for l in 0..label_count {
+        start2[l + 1] += start2[l];
+    }
+    let mut fill = start2.clone();
+    let mut by_label2 = vec![0 as NodeId; labels2.len()];
+    for (v, l) in (0..).zip(labels2) {
+        by_label2[fill[l.index()] as usize] = v;
+        fill[l.index()] += 1;
+    }
+
+    // The store, row by row. The first left node of each label derives its
+    // row; later ones copy that row of the store. Each bucket is ascending
+    // and the buckets are disjoint, so a single eligible bucket is the row
+    // as it stands and several are merged by sorting the row.
+    //
+    // The list is grown by `push` on purpose: its doubling capacity
+    // decides which later `|H|`-sized buffers glibc serves from reused
+    // heap pages (an exactly sized list was measured slower at the first
+    // run), and no other buffer here grows with `|H|`.
+    let mut row_of: Vec<Option<(usize, usize)>> = vec![None; label_count];
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    for (u, &l1) in (0..).zip(labels1) {
+        let start = pairs.len();
+        if let Some((from, to)) = row_of[l1.index()] {
+            for i in from..to {
+                let v = pairs[i].1;
+                pairs.push((u, v));
+            }
+            continue;
+        }
+        let eligible = used2
+            .iter()
+            .filter(|&&l2| ctx.label_eval.sim(l1, l2) >= theta);
+        let mut buckets = 0;
+        for l2 in eligible {
+            let bucket = &by_label2[start2[l2.index()] as usize..start2[l2.index() + 1] as usize];
+            for &v in bucket {
+                pairs.push((u, v));
+            }
+            buckets += 1;
+        }
+        if buckets > 1 {
+            pairs[start..].sort_unstable();
+        }
+        row_of[l1.index()] = Some((start, pairs.len()));
     }
     pairs
 }
@@ -411,6 +469,7 @@ mod tests {
     use super::*;
     use crate::config::{FsimConfig, Variant};
     use crate::operators::{LabelEval, VariantOp};
+    use crate::store::PairRef;
     use fsim_graph::{GraphBuilder, LabelInterner};
     use fsim_labels::LabelFn;
     use std::sync::Arc;
@@ -561,6 +620,163 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, &m)| m == i as u32));
+    }
+
+    /// A seeded xorshift generator: the engine crate has no RNG
+    /// dependency, and these tests need only reproducible variety.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Close and distant strings, so every label function and θ keeps a
+    /// different share of the label pairs.
+    const VOCAB: [&str; 7] = [
+        "alpha", "alpine", "beta", "betta", "gamma", "gamut", "delta",
+    ];
+
+    /// A random graph of `n` nodes over a random part of [`VOCAB`], on
+    /// `interner` after interning the whole vocabulary into it in a random
+    /// order (so two graphs on separate interners disagree on most label
+    /// ids).
+    fn random_graph(rng: &mut Rng, interner: Arc<LabelInterner>, n: usize) -> Graph {
+        let mut order = VOCAB.to_vec();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        for l in &order {
+            interner.intern(l);
+        }
+        let vocab = &order[..1 + rng.below(order.len())];
+        let mut b = GraphBuilder::with_interner(interner);
+        for _ in 0..n {
+            b.add_node(vocab[rng.below(vocab.len())]);
+        }
+        for _ in 0..2 * n {
+            b.add_edge(rng.below(n) as NodeId, rng.below(n) as NodeId);
+        }
+        b.build()
+    }
+
+    /// Random pairs on one interner and on two separately permuted ones.
+    fn random_pairs() -> Vec<(Graph, Graph)> {
+        let mut rng = Rng(0x00DD_BA11_5EED);
+        (0..24)
+            .map(|k| {
+                let (n1, n2) = (1 + rng.below(14), 1 + rng.below(14));
+                let (i1, i2) = if k % 3 == 0 {
+                    let shared = LabelInterner::shared();
+                    (Arc::clone(&shared), shared)
+                } else {
+                    (LabelInterner::shared(), LabelInterner::shared())
+                };
+                let g1 = random_graph(&mut rng, i1, n1);
+                (g1, random_graph(&mut rng, i2, n2))
+            })
+            .collect()
+    }
+
+    /// Enumerates `cfg`'s store through the session's label alignment,
+    /// and checks it against `expected` (pairs in `(u, v)` order, plus
+    /// the `α·ub` constants of dropped pairs): pair for pair, and by
+    /// [`PairStore::resolve`] on every pair of `V1 × V2`.
+    fn assert_store(
+        g1: &Graph,
+        g2: &Graph,
+        cfg: &FsimConfig,
+        expected: impl Fn(&OpCtx<'_>) -> (Vec<(NodeId, NodeId)>, FxHashMap<u64, f32>),
+    ) {
+        let aligned = crate::engine::session::AlignedLabels::new(g1, g2);
+        let eval = crate::engine::session::build_label_eval(cfg, &aligned.interner);
+        let c = OpCtx {
+            labels1: &aligned.labels1,
+            labels2: &aligned.labels2,
+            label_eval: &eval,
+            theta: cfg.theta,
+        };
+        let op = VariantOp::new(cfg.variant);
+        let store = enumerate_candidates(g1, g2, &c, cfg, &op);
+        let (pairs, dropped) = expected(&c);
+        assert_eq!(store.pairs, pairs, "{cfg:?}");
+        if let Fallback::AlphaUb(map) = &store.fallback {
+            assert_eq!(*map, dropped, "{cfg:?}");
+        } else {
+            assert!(cfg.upper_bound.is_none(), "{cfg:?}");
+        }
+        for u in g1.nodes() {
+            for v in g2.nodes() {
+                let want = match pairs.binary_search(&(u, v)) {
+                    Ok(slot) => PairRef::Slot(slot),
+                    Err(_) => {
+                        PairRef::Absent(dropped.get(&pair_key(u, v)).map_or(0.0, |&c| c as f64))
+                    }
+                };
+                assert_eq!(store.resolve(u, v), want, "({u}, {v}) under {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn theta_enumeration_is_the_ordered_brute_force_filter() {
+        for (g1, g2) in random_pairs() {
+            for label_fn in [
+                LabelFn::Indicator,
+                LabelFn::EditDistance,
+                LabelFn::JaroWinkler,
+            ] {
+                let sim = label_fn.as_sim();
+                for theta in [0.3, 0.6, 0.9, 1.0] {
+                    let cfg = FsimConfig::new(Variant::Simple)
+                        .label_fn(label_fn.clone())
+                        .theta(theta);
+                    // The filter reads the label strings, not any interner.
+                    assert_store(&g1, &g2, &cfg, |_| {
+                        let pairs = g1
+                            .nodes()
+                            .flat_map(|u| g2.nodes().map(move |v| (u, v)))
+                            .filter(|&(u, v)| sim.sim(&g1.label_str(u), &g2.label_str(v)) >= theta)
+                            .collect();
+                        (pairs, FxHashMap::default())
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upper_bound_enumeration_is_the_ordered_brute_force_filter() {
+        for (g1, g2) in random_pairs() {
+            for (theta, alpha, beta) in [(0.0, 0.0, 0.5), (0.0, 0.4, 0.7), (0.6, 0.3, 0.6)] {
+                let cfg = FsimConfig::new(Variant::Simple)
+                    .label_fn(LabelFn::JaroWinkler)
+                    .theta(theta)
+                    .upper_bound(alpha, beta);
+                let op = VariantOp::new(cfg.variant);
+                assert_store(&g1, &g2, &cfg, |c| {
+                    let (mut kept, mut dropped) = (Vec::new(), FxHashMap::default());
+                    for u in g1.nodes() {
+                        for v in g2.nodes() {
+                            if theta > 0.0 && c.label_sim(u, v) < theta {
+                                continue;
+                            }
+                            let ub = static_upper_bound(&g1, &g2, c, &cfg, &op, u, v);
+                            if ub > beta {
+                                kept.push((u, v));
+                            } else if alpha > 0.0 {
+                                dropped.insert(pair_key(u, v), (alpha * ub) as f32);
+                            }
+                        }
+                    }
+                    (kept, dropped)
+                });
+            }
+        }
     }
 
     #[test]

@@ -249,6 +249,12 @@ impl<'g> FsimEngine<'g, VariantOp> {
     /// Builds a session for the variant selected in `cfg`, precomputing
     /// label alignment, the prepared label evaluation and the candidate
     /// store. Call [`run`](Self::run) to iterate to convergence.
+    ///
+    /// `g1` and `g2` may share a label interner or carry separate ones:
+    /// labels are aligned by string, so both constructions give the same
+    /// store and the same scores. Under θ-pruning the store is written
+    /// row by row in `(u, v)` order, copying one eligible row of right
+    /// nodes per G1 label.
     pub fn new(g1: &'g Graph, g2: &'g Graph, cfg: &FsimConfig) -> Result<Self, ConfigError> {
         let op = VariantOp {
             variant: cfg.variant,

@@ -19,7 +19,11 @@ fn dense_pairs(g: &Graph) -> usize {
 }
 
 fn same_label_pairs(g: &Graph) -> usize {
-    g.label_buckets().iter().map(|b| b.len() * b.len()).sum()
+    let mut members = vec![0usize; g.interner().len()];
+    for &l in g.labels() {
+        members[l.index()] += 1;
+    }
+    members.iter().map(|m| m * m).sum()
 }
 
 fn timed_bj(g: &Graph, theta: f64, ub: bool, opts: &ExpOpts) -> String {

@@ -7,9 +7,10 @@ use std::sync::Arc;
 
 /// Incrementally builds a [`Graph`].
 ///
-/// Two graphs that will be compared should share one interner (see
-/// [`GraphBuilder::with_interner`]) so that equal label strings map to equal
-/// [`LabelId`]s across both.
+/// Two graphs may be compared on separate interners: the engine aligns
+/// them by label string. Sharing one (see [`GraphBuilder::with_interner`])
+/// maps equal label strings to equal [`LabelId`]s across both, so that
+/// alignment is a copy.
 #[derive(Debug)]
 pub struct GraphBuilder {
     interner: Arc<LabelInterner>,

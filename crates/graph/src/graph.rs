@@ -191,17 +191,6 @@ impl Graph {
         self.nodes().filter(|&u| self.label(u) == l).collect()
     }
 
-    /// Groups node ids by label: `result[label.index()]` lists the nodes with
-    /// that label. The vector is indexed by every label the *interner* knows,
-    /// so labels unused by this graph map to empty buckets.
-    pub fn label_buckets(&self) -> Vec<Vec<NodeId>> {
-        let mut buckets = vec![Vec::new(); self.interner.len()];
-        for u in self.nodes() {
-            buckets[self.label(u).index()].push(u);
-        }
-        buckets
-    }
-
     /// The set of distinct labels used by this graph, sorted.
     pub fn used_labels(&self) -> Vec<LabelId> {
         let mut ls: Vec<LabelId> = self.labels.clone();
@@ -346,15 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn label_buckets_cover_all_nodes() {
+    fn used_labels_and_label_members() {
         let mut b = GraphBuilder::new();
         for i in 0..10 {
             b.add_node(if i % 2 == 0 { "even" } else { "odd" });
         }
         let g = b.build();
-        let buckets = g.label_buckets();
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        assert_eq!(total, 10);
         assert_eq!(g.used_labels().len(), 2);
         assert_eq!(g.nodes_with_label(g.label(0)), vec![0, 2, 4, 6, 8]);
     }

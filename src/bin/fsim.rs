@@ -120,25 +120,11 @@ impl<'a> Args<'a> {
     }
 }
 
+/// Loads one text-format graph. Each graph gets its own interner; the
+/// engine aligns two of them by label string.
 fn load_graph(path: &str) -> Result<Graph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     fsim::graph::io::from_text(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Loads two graphs onto a shared interner so label ids are comparable.
-fn load_graph_pair(p1: &str, p2: &str) -> Result<(Graph, Graph), String> {
-    let t1 = std::fs::read_to_string(p1).map_err(|e| format!("{p1}: {e}"))?;
-    let t2 = std::fs::read_to_string(p2).map_err(|e| format!("{p2}: {e}"))?;
-    let g1 = fsim::graph::io::from_text(&t1).map_err(|e| format!("{p1}: {e}"))?;
-    let g2raw = fsim::graph::io::from_text(&t2).map_err(|e| format!("{p2}: {e}"))?;
-    let mut b = GraphBuilder::with_interner(std::sync::Arc::clone(g1.interner()));
-    for u in g2raw.nodes() {
-        b.add_node(&g2raw.label_str(u));
-    }
-    for (u, v) in g2raw.edges() {
-        b.add_edge(u, v);
-    }
-    Ok((g1, b.build()))
 }
 
 fn parse_variant(s: Option<&str>) -> Result<Variant, String> {
@@ -232,7 +218,7 @@ fn obtain_session(
         let [p1, p2] = a.positional[..] else {
             return Err(usage.into());
         };
-        let (g1, g2) = load_graph_pair(p1, p2)?;
+        let (g1, g2) = (load_graph(p1)?, load_graph(p2)?);
         let cfg = build_config(a)?;
         let mut engine =
             fsim::core::FsimEngine::new_owned(g1, g2, &cfg).map_err(|e| e.to_string())?;
@@ -263,7 +249,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let [p1, p2] = a.positional[..] else {
         return Err("usage: fsim snapshot <g1> <g2> -o FILE [config flags]".into());
     };
-    let (g1, g2) = load_graph_pair(p1, p2)?;
+    let (g1, g2) = (load_graph(p1)?, load_graph(p2)?);
     let cfg = build_config(&a)?;
     let t0 = Instant::now();
     let mut engine = fsim::core::FsimEngine::new_owned(g1, g2, &cfg).map_err(|e| e.to_string())?;
@@ -465,7 +451,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
                 (g.clone(), g, true)
             }
             [p1, p2] => {
-                let (g1, g2) = load_graph_pair(p1, p2)?;
+                let (g1, g2) = (load_graph(p1)?, load_graph(p2)?);
                 (g1, g2, false)
             }
             _ => return Err("usage: fsim update <g1> [g2] --script FILE [flags]".into()),
@@ -596,7 +582,7 @@ fn cmd_exact(args: &[String]) -> Result<(), String> {
     let [p1, p2] = a.positional[..] else {
         return Err("usage: fsim exact <g1> <g2> [flags]".into());
     };
-    let (g1, g2) = load_graph_pair(p1, p2)?;
+    let (g1, g2) = (load_graph(p1)?, load_graph(p2)?);
     let variant = fsim::exact_variant(parse_variant(a.flag("variant"))?);
     let relation = simulation_relation(&g1, &g2, variant);
     let pairs = a.flags_all("pair");
@@ -639,7 +625,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     let [p1, p2] = a.positional[..] else {
         return Err("usage: fsim align <g1> <g2> [--method fsim|kbisim|olap|gsa|final]".into());
     };
-    let (g1, g2) = load_graph_pair(p1, p2)?;
+    let (g1, g2) = (load_graph(p1)?, load_graph(p2)?);
     let method = a.flag("method").unwrap_or("fsim");
     let alignment = match method {
         "fsim" => {

@@ -39,7 +39,7 @@
 //! ```
 
 use fsim::core::{ConvergenceMode, FsimConfig, FsimEngine, ShardSpec, Variant};
-use fsim::graph::{Graph, GraphBuilder};
+use fsim::graph::Graph;
 use fsim::labels::LabelFn;
 use fsim::serve::{Daemon, ServerConfig};
 use std::io::BufRead;
@@ -118,7 +118,7 @@ fn run(args: &[String]) -> Result<(), String> {
         let (Some(p1), Some(p2)) = (a.flag("g1"), a.flag("g2")) else {
             return Err("--ns requires --g1 and --g2".into());
         };
-        let (g1, g2) = load_graph_pair(p1, p2)?;
+        let (g1, g2) = (load_graph(p1)?, load_graph(p2)?);
         let engine_cfg = build_config(&a)?;
         let engine = FsimEngine::new_owned(g1, g2, &engine_cfg).map_err(|e| e.to_string())?;
         daemon.add_namespace(name, engine);
@@ -185,21 +185,11 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Loads two text-format graphs onto a shared interner, as `fsim score`
-/// does.
-fn load_graph_pair(p1: &str, p2: &str) -> Result<(Graph, Graph), String> {
-    let t1 = std::fs::read_to_string(p1).map_err(|e| format!("{p1}: {e}"))?;
-    let t2 = std::fs::read_to_string(p2).map_err(|e| format!("{p2}: {e}"))?;
-    let g1 = fsim::graph::io::from_text(&t1).map_err(|e| format!("{p1}: {e}"))?;
-    let g2raw = fsim::graph::io::from_text(&t2).map_err(|e| format!("{p2}: {e}"))?;
-    let mut b = GraphBuilder::with_interner(std::sync::Arc::clone(g1.interner()));
-    for u in g2raw.nodes() {
-        b.add_node(&g2raw.label_str(u));
-    }
-    for (u, v) in g2raw.edges() {
-        b.add_edge(u, v);
-    }
-    Ok((g1, b.build()))
+/// Loads one text-format graph. Each graph gets its own interner; the
+/// engine aligns the two by label string.
+fn load_graph(path: &str) -> Result<Graph, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    fsim::graph::io::from_text(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn build_config(a: &Args<'_>) -> Result<FsimConfig, String> {

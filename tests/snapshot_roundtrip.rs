@@ -26,8 +26,7 @@ fn arb_graph(rng: &mut ChaCha8Rng, max_n: usize) -> Graph {
     fsim_graph::graph_from_parts(&labels, &edges)
 }
 
-/// Two random graphs rebuilt onto one shared interner, as the engine
-/// requires.
+/// Two random graphs rebuilt onto one shared interner.
 fn arb_graph_pair(rng: &mut ChaCha8Rng, max_n: usize) -> (Graph, Graph) {
     let g1 = arb_graph(rng, max_n);
     let g2 = arb_graph(rng, max_n);
